@@ -33,6 +33,7 @@ Package map (see DESIGN.md for the full inventory):
   indexes, bifocal sampling, range trees, sliding windows (§5);
 - :mod:`repro.db` — the tiny relational/distributed substrate the apps
   run on;
+- :mod:`repro.handle` — the shard-handle protocol the serving layers share;
 - :mod:`repro.bench` — metrics and harness utilities for the experiment
   reproduction.
 """

@@ -35,6 +35,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.params import bloom_error, optimal_k, optimal_m
 from repro.hashing.families import HashFamily, make_family
 from repro.storage.backends import CounterBackend, make_backend
@@ -130,13 +131,46 @@ class SpectralBloomFilter:
         self.total_count += count
 
     def delete(self, key: object, count: int = 1) -> None:
-        """Remove *count* occurrences of *key* (assumed present, §2.2)."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        """Remove *count* occurrences of *key* (assumed present, §2.2).
+
+        All-or-nothing: a delete :meth:`check_delete` refuses raises
+        before any counter moves.
+        """
+        self.check_delete(key, count)
         if count == 0:
             return
         self.method.delete(key, count)
         self.total_count -= count
+
+    def check_delete(self, key: object, count: int = 1) -> None:
+        """The delete-underflow guard: raise ``ValueError`` if deleting
+        *count* of *key* would drive a counter negative.
+
+        Read-only, so a durable handle runs it before logging.  Minimal
+        Increase deletes clamp at zero (§3.2) and are never refused.
+        """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        if count and self.method.name != "mi" \
+                and self.min_counter(key) < count:
+            raise ValueError(
+                f"deleting {count} of {key!r} would drive a counter "
+                f"negative (estimate {self.min_counter(key)})")
+
+    def set(self, key: object, count: int) -> None:
+        """Force ``f_key := count``.
+
+        Applied as the insert/delete delta against the current estimate;
+        WAL replay performs this same reduction, so recovered state
+        matches served state.
+        """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        current = self.query(key)
+        if count > current:
+            self.insert(key, count - current)
+        elif count < current:
+            self.delete(key, current - count)
 
     def update(self, items: Mapping[object, int] | Iterable) -> None:
         """Bulk insert: a ``{key: count}`` mapping or an iterable of keys.
@@ -219,12 +253,9 @@ class SpectralBloomFilter:
     def delete_many(self, keys, counts=None) -> None:
         """Remove a batch of occurrences (each key assumed present, §2.2).
 
-        Bit-identical to the scalar delete loop on success.  If the batch
-        would drive a counter negative, array-shaped backends raise
-        *before* applying anything (the scalar loop would also have
-        raised, but after partially applying — the all-or-nothing bulk
-        behaviour is strictly safer); loop-fallback backends mirror the
-        scalar partial-application failure mode.
+        Bit-identical to the scalar delete loop on success, and
+        all-or-nothing on every backend: a batch :meth:`check_delete_many`
+        refuses raises before any counter moves.
         """
         from repro.hashing.vectorized import canonicalize_many, matrix_for
         keys, counts, n = self._prepare_batch(keys, counts)
@@ -232,8 +263,37 @@ class SpectralBloomFilter:
             return
         canon = canonicalize_many(keys)
         matrix = matrix_for(self.family, canon)
+        self._check_underflow(matrix, counts)
         self.method.delete_many(keys, counts, canon, matrix)
         self.total_count -= int(counts.sum())
+
+    def check_delete_many(self, keys, counts=None) -> None:
+        """The bulk delete-underflow guard (read-only, like
+        :meth:`check_delete`).
+
+        Every delete lowers all ``k`` primary counters of its key, so a
+        batch underflows in any order iff the aggregated decrement of some
+        counter exceeds its current value — the one check, made up front.
+        """
+        from repro.hashing.vectorized import canonicalize_many, matrix_for
+        keys, counts, n = self._prepare_batch(keys, counts)
+        if n:
+            self._check_underflow(
+                matrix_for(self.family, canonicalize_many(keys)), counts)
+
+    def _check_underflow(self, matrix: np.ndarray,
+                         counts: np.ndarray) -> None:
+        if self.method.name == "mi":
+            return
+        uniq, sums = kernels.aggregate_deltas(
+            matrix.ravel(), np.repeat(counts, self.k))
+        current = self.counters.get_many(uniq)
+        short = current < sums
+        if bool(short.any()):
+            raise ValueError(
+                f"bulk delete would drive counter {int(uniq[short][0])} "
+                f"negative ({int(current[short][0])} - "
+                f"{int(sums[short][0])})")
 
     def query_many(self, keys) -> np.ndarray:
         """Frequency estimates for a key batch, as an int64 array.

@@ -7,9 +7,14 @@ filter servable from many threads:
 
 - **striped counter locks** — counter index space is partitioned into
   ``stripes`` lock stripes; an insert/delete/query takes only the stripes
-  its ``k`` counters map to, so operations on disjoint stripes run in
-  parallel.  Stripes are always acquired in ascending order, which makes
-  deadlock impossible by construction (no cycle in the waits-for graph).
+  its ``k`` counters map to, so a point read never waits on writes to
+  other stripes.  Stripes are always acquired in ascending order, which
+  makes deadlock impossible by construction (no cycle in the waits-for
+  graph).
+- **an apply lock** — the wrapped handle's verbs are not thread-safe
+  (``total_count`` is an accumulator, a write-ahead log appends in
+  order), so every mutation body runs under one innermost lock, taken
+  after the stripes; under the GIL those bodies could not overlap anyway.
 - **a single writer lock** — checkpoints (and other whole-filter moments
   such as ``set`` and serialisation) additionally take an exclusive lock
   plus *every* stripe, freezing a consistent cut of the counter vector.
@@ -23,8 +28,8 @@ filter servable from many threads:
   hottest read path of the serving layer.  A group-exclusion gate now
   separates *readers* (``query_many``) from *mutators* (every writing
   path): any number of readers run concurrently, any number of mutators
-  run concurrently under the stripe discipline that already protects
-  them from each other, and the two groups never overlap.  Waiting
+  pass the gate together (the locks above arbitrate them), and the two
+  groups never overlap.  Waiting
   mutators bar new readers (writer preference), so a read storm cannot
   starve writes.
 
@@ -50,7 +55,7 @@ from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 from repro.core.sbf import SpectralBloomFilter
-from repro.persist.durable import DurableSBF
+from repro.handle import BulkResult, ShardHandle, as_handle
 from repro.storage.backends import ArrayBackend
 
 
@@ -121,14 +126,13 @@ class _GroupGate:
                 self._cond.notify_all()
 
 
-class ConcurrentSBF:
-    """Thread-safe facade over a :class:`SpectralBloomFilter` or
-    :class:`DurableSBF`.
+class ConcurrentSBF(ShardHandle):
+    """Thread-safe facade over a local shard handle.
 
     Args:
-        filter: the filter to serve — a plain ``SpectralBloomFilter`` or a
-            ``DurableSBF`` (mutations then go through its write-ahead
-            log, whose own lock linearises record order).
+        filter: the filter to serve — a plain ``SpectralBloomFilter`` or
+            any local handle of the shard-handle protocol, such as a
+            ``DurableSBF`` (whose verbs then log to its write-ahead log).
         stripes: number of lock stripes (>= 1).  Forced to 1 unless the
             filter is Minimum Selection over the array backend (see
             module docstring — other method/backend combinations couple
@@ -141,15 +145,14 @@ class ConcurrentSBF:
             — on an uncontended handle no wall-clock time is read at all.
     """
 
-    def __init__(self, filter: SpectralBloomFilter | DurableSBF, *,
+    def __init__(self, filter: SpectralBloomFilter | ShardHandle, *,
                  stripes: int = 16, timeout: float = 5.0, clock=None):
         if stripes < 1:
             raise ValueError(f"stripes must be >= 1, got {stripes}")
         if timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
-        self._handle = filter
-        self._sbf: SpectralBloomFilter = (
-            filter.sbf if isinstance(filter, DurableSBF) else filter)
+        self._handle = as_handle(filter)
+        self._sbf: SpectralBloomFilter = self._handle.local_filter()
         if self._sbf.method.name != "ms" \
                 or not isinstance(self._sbf.counters, ArrayBackend):
             stripes = 1
@@ -158,7 +161,10 @@ class ConcurrentSBF:
         self.clock = clock or time.monotonic
         self._locks = [threading.Lock() for _ in range(stripes)]
         self._writer = threading.Lock()
-        self._count_lock = threading.Lock()
+        # Innermost lock: linearises the wrapped handle's verbs (its
+        # total_count accumulator and its log are not thread-safe; the
+        # stripes keep same-key readers out) and guards the statistics.
+        self._apply_lock = threading.Lock()
         self._gate = _GroupGate(self.clock)
         self.lock_timeouts = 0
         self.operations = 0
@@ -178,7 +184,7 @@ class ConcurrentSBF:
             if remaining <= 0 or not lock.acquire(timeout=remaining):
                 for held in reversed(taken):
                     held.release()
-                with self._count_lock:
+                with self._apply_lock:
                     self.lock_timeouts += 1
                 raise LockTimeout(
                     f"could not acquire {len(locks)} lock(s) within "
@@ -208,65 +214,42 @@ class ConcurrentSBF:
         entered = (self._gate.enter_read(budget) if read
                    else self._gate.enter_mutate(budget))
         if not entered:
-            with self._count_lock:
+            with self._apply_lock:
                 self.lock_timeouts += 1
             side = "reader" if read else "mutator"
             raise LockTimeout(
                 f"could not join the {side} side of the read/write gate "
                 f"within {budget:.3f}s")
 
-    # -- mutations -----------------------------------------------------
-    def insert(self, key: object, count: int = 1, *,
-               timeout: float | None = None) -> None:
-        """Record *count* occurrences of *key* under the key's stripes."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        if count == 0:
-            return
+    def _mutate(self, locks: list[threading.Lock], timeout: float | None,
+                n: int, verb, *args):
+        """Apply one verb of the wrapped handle as a mutator: the gate's
+        mutator side, then *locks* (bounded), then the apply lock."""
         self._enter_gate(read=False, timeout=timeout)
         try:
-            taken = self._acquire(self._key_locks(key), timeout)
+            taken = self._acquire(locks, timeout)
             try:
-                if isinstance(self._handle, DurableSBF):
-                    self._handle.wal.log_insert(key, count)
-                self._sbf.method.insert(key, count)
-                # Inside the stripe section so a checkpoint (which holds
-                # every stripe) always sees counters and total_count move
-                # together.
-                with self._count_lock:
-                    self._sbf.total_count += count
-                    self.operations += 1
+                with self._apply_lock:
+                    result = verb(*args)
+                    self.operations += n
+                return result
             finally:
                 self._release(taken)
         finally:
             self._gate.exit_mutate()
 
+    # -- mutations -----------------------------------------------------
+    def insert(self, key: object, count: int = 1, *,
+               timeout: float | None = None) -> None:
+        """Record *count* occurrences of *key* under the key's stripes."""
+        self._mutate(self._key_locks(key), timeout, 1, self._handle.insert,
+                     key, count)
+
     def delete(self, key: object, count: int = 1, *,
                timeout: float | None = None) -> None:
         """Remove *count* occurrences of *key* under the key's stripes."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        if count == 0:
-            return
-        self._enter_gate(read=False, timeout=timeout)
-        try:
-            taken = self._acquire(self._key_locks(key), timeout)
-            try:
-                if isinstance(self._handle, DurableSBF):
-                    if self._sbf.method.name != "mi" \
-                            and self._sbf.min_counter(key) < count:
-                        raise ValueError(
-                            f"deleting {count} of {key!r} would drive a "
-                            f"counter negative")
-                    self._handle.wal.log_delete(key, count)
-                self._sbf.method.delete(key, count)
-                with self._count_lock:
-                    self._sbf.total_count -= count
-                    self.operations += 1
-            finally:
-                self._release(taken)
-        finally:
-            self._gate.exit_mutate()
+        self._mutate(self._key_locks(key), timeout, 1, self._handle.delete,
+                     key, count)
 
     def set(self, key: object, count: int, *,
             timeout: float | None = None) -> None:
@@ -277,70 +260,27 @@ class ConcurrentSBF:
         lock plus every stripe — fully serialised, exactly the order the
         WAL records it.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        self._enter_gate(read=False, timeout=timeout)
-        try:
-            taken = self._acquire(self._all_locks(), timeout)
-            try:
-                if isinstance(self._handle, DurableSBF):
-                    self._handle.set(key, count)
-                else:
-                    current = self._sbf.query(key)
-                    if count > current:
-                        self._sbf.insert(key, count - current)
-                    elif count < current:
-                        self._sbf.delete(key, current - count)
-            finally:
-                self._release(taken)
-        finally:
-            self._gate.exit_mutate()
-        with self._count_lock:
-            self.operations += 1
+        self._mutate(self._all_locks(), timeout, 1, self._handle.set, key,
+                     count)
 
     # -- bulk operations ---------------------------------------------------
     # Bulk batches touch arbitrary counters, so striping buys nothing:
     # they run under the writer lock plus every stripe — one lock
     # acquisition for the whole batch, then the vectorised kernels.
     def insert_many(self, keys, counts=None, *,
-                    timeout: float | None = None) -> None:
+                    timeout: float | None = None) -> BulkResult:
         """Apply a whole insert batch atomically w.r.t. other threads."""
-        n = len(keys)
-        self._enter_gate(read=False, timeout=timeout)
-        try:
-            taken = self._acquire(self._all_locks(), timeout)
-            try:
-                if isinstance(self._handle, DurableSBF):
-                    self._handle.insert_many(keys, counts)
-                else:
-                    self._sbf.insert_many(keys, counts)
-            finally:
-                self._release(taken)
-        finally:
-            self._gate.exit_mutate()
-        with self._count_lock:
-            self.operations += n
+        return self._mutate(self._all_locks(), timeout, len(keys),
+                            self._handle.insert_many, keys, counts)
 
     def delete_many(self, keys, counts=None, *,
-                    timeout: float | None = None) -> None:
+                    timeout: float | None = None) -> BulkResult:
         """Apply a whole delete batch atomically w.r.t. other threads."""
-        n = len(keys)
-        self._enter_gate(read=False, timeout=timeout)
-        try:
-            taken = self._acquire(self._all_locks(), timeout)
-            try:
-                if isinstance(self._handle, DurableSBF):
-                    self._handle.delete_many(keys, counts)
-                else:
-                    self._sbf.delete_many(keys, counts)
-            finally:
-                self._release(taken)
-        finally:
-            self._gate.exit_mutate()
-        with self._count_lock:
-            self.operations += n
+        return self._mutate(self._all_locks(), timeout, len(keys),
+                            self._handle.delete_many, keys, counts)
 
-    def query_many(self, keys, *, timeout: float | None = None):
+    def query_many(self, keys, *, timeout: float | None = None,
+                   ) -> BulkResult:
         """Vectorised estimates for a batch, on a consistent cut.
 
         Rides the shared side of the group gate: it takes *no* stripe
@@ -351,7 +291,7 @@ class ConcurrentSBF:
         """
         self._enter_gate(read=True, timeout=timeout)
         try:
-            return self._sbf.query_many(keys)
+            return self._handle.query_many(keys)
         finally:
             self._gate.exit_read()
 
@@ -361,21 +301,17 @@ class ConcurrentSBF:
         of the key's own counters; unrelated stripes keep moving)."""
         taken = self._acquire(self._key_locks(key), timeout)
         try:
-            return self._sbf.query(key)
+            return self._handle.query(key)
         finally:
             self._release(taken)
 
-    def contains(self, key: object, threshold: int = 1, *,
-                 timeout: float | None = None) -> bool:
-        return self.query(key, timeout=timeout) >= threshold
-
     @property
     def total_count(self) -> int:
-        with self._count_lock:
-            return self._sbf.total_count
+        with self._apply_lock:
+            return self._handle.total_count
 
     @property
-    def raw(self) -> SpectralBloomFilter | DurableSBF:
+    def raw(self) -> ShardHandle:
         """The wrapped handle (unlocked — combine with :meth:`exclusive`)."""
         return self._handle
 
@@ -384,19 +320,26 @@ class ConcurrentSBF:
         """The underlying in-memory filter (unlocked — see :meth:`exclusive`)."""
         return self._sbf
 
+    def local_filter(self) -> SpectralBloomFilter:
+        return self._sbf
+
+    def respawn(self, sbf: SpectralBloomFilter) -> "ConcurrentSBF":
+        return ConcurrentSBF(self._handle.respawn(sbf), stripes=self.stripes,
+                             timeout=self.timeout, clock=self.clock)
+
     def add_operations(self, n: int) -> None:
         """Credit *n* externally-applied operations to the ops counter.
 
         Batch executors apply many operations under one :meth:`exclusive`
         section; this keeps :attr:`operations` honest for them.
         """
-        with self._count_lock:
+        with self._apply_lock:
             self.operations += n
 
     # -- whole-filter moments ----------------------------------------------
     @contextmanager
     def exclusive(self, timeout: float | None = None,
-                  ) -> Iterator[SpectralBloomFilter | DurableSBF]:
+                  ) -> Iterator[ShardHandle]:
         """Freeze the filter and yield the wrapped handle.
 
         Takes the writer lock plus every stripe (bounded by *timeout*), so
@@ -404,9 +347,8 @@ class ConcurrentSBF:
         thread in flight.  This is the one-lock-acquisition-per-batch
         primitive used by the serving layer's batch executor and by
         snapshot-consistent resharding: while the section is open the
-        caller operates on the raw :class:`SpectralBloomFilter` /
-        :class:`DurableSBF` directly, paying the locking cost once instead
-        of once per operation.
+        caller drives the wrapped handle's verbs directly, paying the
+        locking cost once instead of once per operation.
 
         Raises:
             LockTimeout: if the locks cannot all be had within *timeout*.
@@ -422,22 +364,23 @@ class ConcurrentSBF:
             self._gate.exit_mutate()
 
     def checkpoint(self, *, timeout: float | None = None):
-        """Freeze a consistent cut and checkpoint it.
+        """Freeze a consistent cut and checkpoint the wrapped handle.
 
-        Takes the writer lock plus all stripes (bounded), so the snapshot
-        is a linearisation point: it reflects every operation that
-        completed before it and none that started after.  Durable filters
-        run their WAL-sync → snapshot → log-reset dance; plain filters
-        return a checksummed v2 frame of the frozen state.
+        Takes the writer lock plus all stripes (bounded), so the
+        checkpoint is a linearisation point: it reflects every operation
+        that completed before it and none that started after.  Durable
+        filters run their WAL-sync → snapshot → log-reset dance and
+        return the snapshot path; in-memory filters return a checksummed
+        v2 frame of the frozen state.
         """
-        from repro.core.serialize import dump_sbf
         taken = self._acquire(self._all_locks(), timeout)
         try:
-            if isinstance(self._handle, DurableSBF):
-                return self._handle.checkpoint()
-            return dump_sbf(self._sbf)
+            return self._handle.checkpoint()
         finally:
             self._release(taken)
+
+    def close(self) -> None:
+        self._handle.close()
 
     def check_integrity(self, *, timeout: float | None = None) -> list[str]:
         """Run the structural audit on a frozen cut."""

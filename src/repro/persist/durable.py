@@ -17,7 +17,8 @@ acknowledged mutation survives a process crash:
   from *factory*.
 
 Keys must be JSON scalars (the WAL's key discipline); reads are plain
-pass-throughs.
+pass-throughs.  It speaks the shard-handle protocol
+(:mod:`repro.handle`), and is the one place WAL logging happens.
 """
 
 from __future__ import annotations
@@ -26,16 +27,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.sbf import SpectralBloomFilter
-from repro.hashing.vectorized import canonicalize_many, matrix_for
+from repro.handle import BulkResult, ShardHandle
 from repro.persist.crashsim import FileIO
 from repro.persist.recovery import WAL_NAME, RecoveryReport, recover
 from repro.persist.snapshot import SnapshotStore
 from repro.persist.wal import WriteAheadLog
 
 
-class DurableSBF:
+class DurableSBF(ShardHandle):
     """A SpectralBloomFilter whose acknowledged mutations survive crashes.
 
     Build fresh ones around an empty filter, or use :meth:`open` to
@@ -109,21 +109,24 @@ class DurableSBF:
     def delete(self, key: object, count: int = 1) -> int:
         """Durably remove *count* occurrences of *key*; returns the WAL seq.
 
-        Raises:
-            ValueError: if the deletion would drive a counter negative —
-                checked *before* logging, so an invalid delete never
-                poisons the log with a record replay cannot apply.
+        The core underflow guard runs *before* logging, so a refused
+        delete never poisons the log with a record replay cannot apply.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        self.sbf.check_delete(key, count)
         if count == 0:
             return self.wal.last_seq
-        if self.sbf.method.name != "mi" and self.sbf.min_counter(key) < count:
-            raise ValueError(
-                f"deleting {count} of {key!r} would drive a counter "
-                f"negative (estimate {self.sbf.min_counter(key)})")
         seq = self.wal.log_delete(key, count)
         self.sbf.delete(key, count)
+        return seq
+
+    def set(self, key: object, count: int) -> int:
+        """Durably force ``f_key := count``; returns the WAL seq.
+
+        Logged as a ``set`` record and applied by the core reduction that
+        replay also uses, so recovered state matches served state.
+        """
+        seq = self.wal.log_set(key, count)
+        self.sbf.set(key, count)
         return seq
 
     # -- bulk mutations (one WAL record per batch) -----------------------
@@ -144,8 +147,9 @@ class DurableSBF:
             counts = list(counts)
         return keys, counts
 
-    def insert_many(self, keys: Sequence, counts=None) -> int:
-        """Durably record a whole batch; returns the batch's WAL seq.
+    def insert_many(self, keys: Sequence, counts=None, *,
+                    timeout: float | None = None) -> BulkResult:
+        """Durably record a whole batch.
 
         The batch is logged as a single ``insert_many`` record — one
         append, one CRC, one fsync — *before* the in-memory filter moves
@@ -154,90 +158,36 @@ class DurableSBF:
         batch raises before either the log or the filter changes.
         """
         keys, counts = self._as_lists(keys, counts)
-        if not keys:
-            return self.wal.last_seq
-        seq = self.wal.log_insert_many(keys, counts)
-        self.sbf.insert_many(keys, counts)
-        return seq
+        if keys:
+            self.wal.log_insert_many(keys, counts)
+            self.sbf.insert_many(keys, counts)
+        return BulkResult(len(keys))
 
-    def delete_many(self, keys: Sequence, counts=None) -> int:
-        """Durably remove a whole batch; returns the batch's WAL seq.
-
-        Raises:
-            ValueError: if the batch would drive any counter negative —
-                checked with a *read-only* aggregate pass before logging,
-                so a rejected batch never poisons the log with a record
-                replay cannot apply.
-        """
+    def delete_many(self, keys: Sequence, counts=None, *,
+                    timeout: float | None = None) -> BulkResult:
+        """Durably remove a whole batch, all-or-nothing: the core bulk
+        underflow guard runs before logging."""
         keys, counts = self._as_lists(keys, counts)
-        if not keys:
-            return self.wal.last_seq
-        if self.sbf.method.name not in ("ms", "mi", "rm"):
-            # Methods that replay batches as a scalar sequence (e.g. the
-            # trapping refinement) validate per key mid-stream; log them
-            # the same way so every logged record is applicable.
-            last = self.wal.last_seq
-            for key, count in zip(keys, counts):
-                last = self.delete(key, count)
-            return last
-        self._precheck_bulk_delete(keys, counts)
-        seq = self.wal.log_delete_many(keys, counts)
-        self.sbf.delete_many(keys, counts)
-        return seq
-
-    def _precheck_bulk_delete(self, keys: list, counts: list) -> None:
-        """Read-only underflow check mirroring the bulk delete kernels.
-
-        MS/RM bulk deletes apply one aggregated decrement per distinct
-        primary counter and fail iff some final value would be negative;
-        checking exactly that aggregate here means a logged bulk delete
-        record always applies (MI clamps and never fails).
-        """
-        if self.sbf.method.name == "mi":
-            return
-        arr = np.asarray(counts, dtype=np.int64)
-        if bool((arr < 0).any()):
-            bad = int(arr[arr < 0][0])
-            raise ValueError(f"count must be >= 0, got {bad}")
-        canon = canonicalize_many(keys)
-        matrix = matrix_for(self.sbf.family, canon)
-        deltas = np.repeat(arr, self.sbf.k)
-        uniq, sums = kernels.aggregate_deltas(matrix.ravel(), deltas)
-        current = self.sbf.counters.get_many(uniq)
-        short = current < sums
-        if bool(short.any()):
-            pos = int(uniq[short][0])
-            raise ValueError(
-                f"bulk delete would drive counter {pos} negative "
-                f"({int(current[short][0])} - {int(sums[short][0])})")
-
-    def query_many(self, keys: Sequence) -> np.ndarray:
-        """Vectorised frequency estimates for a batch of keys."""
-        return self.sbf.query_many(keys)
-
-    def set(self, key: object, count: int) -> int:
-        """Durably force ``f_key := count``; returns the WAL seq.
-
-        Logged as a ``set`` record and applied as the insert/delete delta
-        against the current estimate — replay performs the identical
-        reduction, so recovered state matches served state.
-        """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        seq = self.wal.log_set(key, count)
-        current = self.sbf.query(key)
-        if count > current:
-            self.sbf.insert(key, count - current)
-        elif count < current:
-            self.sbf.delete(key, current - count)
-        return seq
+        if keys:
+            self.sbf.check_delete_many(keys, counts)
+            self.wal.log_delete_many(keys, counts)
+            self.sbf.delete_many(keys, counts)
+        return BulkResult(len(keys))
 
     # -- reads -----------------------------------------------------------
     def query(self, key: object) -> int:
         return self.sbf.query(key)
 
-    def contains(self, key: object, threshold: int = 1) -> bool:
-        return self.sbf.contains(key, threshold)
+    def query_many(self, keys: Sequence, *,
+                   timeout: float | None = None) -> BulkResult:
+        return BulkResult(len(keys), self.sbf.query_many(keys))
+
+    @property
+    def total_count(self) -> int:
+        return self.sbf.total_count
+
+    def local_filter(self) -> SpectralBloomFilter:
+        return self.sbf
 
     # -- durability points -------------------------------------------------
     def checkpoint(self) -> str:

@@ -64,10 +64,9 @@ class RecoveryReport:
 def apply_record(sbf: SpectralBloomFilter, record: WALRecord) -> None:
     """Apply one WAL record to a filter.
 
-    ``set`` records are key-level (``f_key := count``) and replay as the
-    insert/delete delta against the filter's current estimate — the same
-    reduction the serving handle performs when logging them, so replay
-    retraces the exact live mutations.
+    ``set`` records are key-level (``f_key := count``) and replay through
+    :meth:`SpectralBloomFilter.set` — the same reduction the serving
+    handle performed, so replay retraces the exact live mutations.
     """
     if record.op == OP_INSERT:
         sbf.insert(record.key, record.count)
@@ -80,11 +79,7 @@ def apply_record(sbf: SpectralBloomFilter, record: WALRecord) -> None:
     elif record.op == OP_DELETE_MANY:
         sbf.delete_many(record.key, record.count)
     elif record.op == OP_SET:
-        current = sbf.query(record.key)
-        if record.count > current:
-            sbf.insert(record.key, record.count - current)
-        elif record.count < current:
-            sbf.delete(record.key, current - record.count)
+        sbf.set(record.key, record.count)
     else:  # unreachable: replay() rejects unknown op codes
         raise RecoveryError(f"unknown WAL op {record.op}")
 

@@ -130,11 +130,9 @@ class Topology:
         if not (self.kind in ("single", "sharded") and self.cfg["durable"]):
             raise SpecError("crash_recover needs a durable single/sharded "
                             "topology")
-        old = self.router._shards[index]
-        raw = old.raw
-        if not isinstance(raw, DurableSBF):
-            raise SpecError(f"shard {index} is not durable")
-        raw.close()  # the crash: no checkpoint, recovery replays the WAL
+        # The crash: close() releases the WAL without a checkpoint, so
+        # recovery replays it.
+        self.router._shards[index].close()
         recovered = DurableSBF.open(self.shard_dir(index),
                                     factory=self.filter_factory(),
                                     fsync=self.cfg["fsync"])
@@ -146,14 +144,11 @@ class Topology:
         """Quiesce after the fault schedule: probe/repair replica sets so
         every replica converges before the final oracle audit."""
         for shard in self.router.shards:
-            tick = getattr(shard, "tick", None)
-            if callable(tick):
-                tick()
-            if getattr(shard, "replicas", None) is not None:
-                health = shard.health()
-                if any(not h["up"] or h["needs_repair"] or h["hint_depth"]
-                       for h in health):
-                    shard.repair()
+            shard.tick()
+            if self.kind == "replicated" and any(
+                    not h["up"] or h["needs_repair"] or h["hint_depth"]
+                    for h in shard.health()):
+                shard.repair()
 
     def close(self) -> None:
         if self.pool is not None:

@@ -19,7 +19,8 @@ the reliable transport of :mod:`repro.db` into a request-serving system:
 - :mod:`repro.serve.remote` — :class:`RemoteShard` / :class:`ShardServer`,
   a shard served over :class:`~repro.db.transport.ReliableChannel` frames
   with :class:`~repro.db.transport.DeliveryFailed` degradation and
-  partial-failure bulk operations (:class:`BulkResult`);
+  partial-failure bulk operations (the shard-handle protocol's
+  :class:`~repro.handle.BulkResult`);
 - :mod:`repro.serve.procpool` — :class:`ProcessShardPool` /
   :class:`ProcessShard`, the GIL-escaping multi-process shard executor:
   one worker process per shard behind the same wire frames, with
@@ -37,6 +38,7 @@ the reliable transport of :mod:`repro.db` into a request-serving system:
   vectors and converge them bit-identically (:func:`repair_replicas`).
 """
 
+from repro.handle import BulkFailure, BulkResult
 from repro.serve.batch import ShardBatcher
 from repro.serve.engine import (
     ACCEPT,
@@ -71,13 +73,7 @@ from repro.serve.procpool import (
     ProcessShard,
     ProcessShardPool,
 )
-from repro.serve.remote import (
-    BulkFailure,
-    BulkResult,
-    RemoteShard,
-    RemoteShardError,
-    ShardServer,
-)
+from repro.serve.remote import RemoteShard, RemoteShardError, ShardServer
 from repro.serve.repair import (
     DEFAULT_REPAIR_BLOCKS,
     RepairReport,

@@ -7,50 +7,43 @@ actual counter work.  :class:`ShardBatcher` amortises them:
 
 - **coalescing** — a batch of point operations is grouped by owner shard;
   each shard's group runs inside a single
-  :meth:`~repro.persist.ConcurrentSBF.exclusive` section, so the locking
+  :meth:`~repro.handle.ShardHandle.exclusive` section, so the locking
   cost is paid once per shard per batch instead of once per operation;
-- **vectorised multi-query / multi-insert** — homogeneous batches ride
-  the core bulk API (``insert_many`` / ``query_many``), which hashes the
-  whole group in one numpy pass and drives the method's bulk kernels —
-  every method, every backend, every key type, bit-identical to the
+- **vectorised multi-query / multi-insert** — homogeneous batches call
+  each shard's bulk verbs (``insert_many`` / ``query_many``), which hash
+  the whole group in one numpy pass and drive the method's bulk kernels
+  — every method, every backend, every key type, bit-identical to the
   scalar path by construction.  Durable shards log one ``insert_many``
-  WAL record per shard group.  Remote shards (no bulk API on the wire
-  handle) fall back to the per-key path — same results, less speed (the
-  equivalence the tests pin down);
+  WAL record per shard group; remote shards ship it in chunked frames;
+  ``query_many`` rides the handle's shared read path, so concurrent bulk
+  readers overlap;
 - **isolation of failures** — a failing operation (e.g. a delete that
   would drive a counter negative, or a remote shard whose channel gave
   up) is captured *in its result slot* as the exception instance; the
-  rest of the batch still executes.  The engine maps these onto the
+  rest of the batch still executes.  Bulk verbs report per-key failures
+  in their :class:`~repro.handle.BulkResult`, which the batcher maps
+  back onto submission-order slots.  The engine maps these onto the
   per-request futures.
 
 Results are always returned in submission order, regardless of how the
 batch was partitioned across shards.
 
-Two serving-stack integrations ride through here:
-
-- **bulk handles with partial failure** — a shard handle whose bulk API
-  returns a :class:`~repro.serve.remote.BulkResult`
-  (:class:`~repro.serve.remote.RemoteShard`,
-  :class:`~repro.serve.ha.ReplicaSet`) reports per-key failures instead
-  of raising; the batcher maps them back onto the submission-order slots
-  and :meth:`ShardBatcher.insert_many` itself returns an aggregated
-  ``BulkResult`` over the whole batch;
-- **rolling reshards** — while the router reports :attr:`~ShardedSBF.
-  migrating`, shard grouping is unsound (ownership moves between the
-  grouping and the lock, and dual-routed writes must hit both fleets),
-  so every batch falls back to the router's per-operation path, which
-  carries the migration's flag-flip protocol.  Slower, correct, and
-  temporary by construction.
+While the router reports :attr:`~ShardedSBF.migrating` (a rolling
+reshard), shard grouping is unsound (ownership moves between the grouping
+and the lock, and dual-routed writes must hit both fleets), so every
+batch falls back to the router's per-operation path, which carries the
+migration's flag-flip protocol.  Slower, correct, and temporary by
+construction.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from repro.handle import BulkFailure, BulkResult
 from repro.persist import LockTimeout
-from repro.persist.durable import DurableSBF
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.remote import BulkFailure, BulkResult, _retryable
+from repro.serve.remote import _retryable
 from repro.serve.resilience import DeadlineExceeded, deadline_scope
 
 #: operation verbs accepted by :meth:`ShardBatcher.execute`
@@ -108,7 +101,7 @@ class ShardBatcher:
             for idx, op in enumerate(ops):
                 try:
                     with deadline_scope(deadlines[idx]):
-                        results[idx] = self._routed(op)
+                        results[idx] = _apply(self.router, op)
                 except Exception as exc:
                     results[idx] = exc
             self.metrics.counter("batch.ops").inc(len(ops))
@@ -155,8 +148,7 @@ class ShardBatcher:
                 for idx in group:
                     results[idx] = exc
                 continue
-            if hasattr(shard, "add_operations"):
-                shard.add_operations(len(group))
+            shard.add_operations(len(group))
             self.router.note_shard_ops(shard_id, len(group))
         self.metrics.counter("batch.ops").inc(len(ops))
         self.metrics.counter("batch.shard_batches").inc(len(by_shard))
@@ -167,13 +159,12 @@ class ShardBatcher:
     # -- vectorised homogeneous batches -----------------------------------
     def query_many(self, keys: Sequence[object], *,
                    timeout: float | None = None, deadline=None) -> list:
-        """Frequency estimates for *keys*, in order (vectorised when the
-        shard handle speaks the bulk API, per-key otherwise — identical
-        results either way).  A key a partial-failure handle could not
-        answer gets its exception *instance* in the slot, mirroring
-        :meth:`execute`.  *deadline* bounds the whole bulk call — it is
-        scoped around each shard group so deadline-aware handles stop
-        mid-batch, and raises
+        """Frequency estimates for *keys*, in order, through each shard's
+        ``query_many``.  A key that could not be answered — its shard's
+        bulk result failed the slot, or the whole group failed — gets the
+        exception *instance* in its slot, mirroring :meth:`execute`.
+        *deadline* bounds the whole bulk call — it is scoped around each
+        shard group so deadline-aware handles stop mid-batch, and raises
         :class:`~repro.serve.resilience.DeadlineExceeded` if it expires
         before the batch is done."""
         if deadline is not None:
@@ -191,43 +182,32 @@ class ShardBatcher:
         for shard_id, shard, indices in self._grouped(keys):
             if deadline is not None:
                 deadline.check("query_many")
-            group_keys = [keys[i] for i in indices]
-            with deadline_scope(deadline), shard.exclusive(timeout) as raw:
-                if hasattr(raw, "query_many"):
-                    outcome = raw.query_many(group_keys)
-                    if isinstance(outcome, BulkResult):
-                        # Partial-failure handle: failed slots carry the
-                        # exception instance, answered slots the estimate.
-                        estimates = outcome.values.tolist()
-                        for failure in outcome.failures:
-                            estimates[failure.index] = failure.error
-                    else:
-                        estimates = outcome.tolist()
-                    for slot, estimate in zip(indices, estimates):
-                        results[slot] = estimate
-                    self.metrics.counter("batch.vectorized").inc(
-                        len(group_keys))
-                else:
-                    for slot, key in zip(indices, group_keys):
-                        results[slot] = raw.query(key)
-            self._account(shard, shard_id, len(indices))
+            try:
+                with deadline_scope(deadline):
+                    outcome = shard.query_many([keys[i] for i in indices],
+                                               timeout=timeout).tolist()
+            except Exception as exc:
+                outcome = [exc] * len(indices)
+            else:
+                self.metrics.counter("batch.vectorized").inc(len(indices))
+                self.router.note_shard_ops(shard_id, len(indices))
+            for slot, estimate in zip(indices, outcome):
+                results[slot] = estimate
         self.metrics.counter("batch.ops").inc(len(keys))
         return results
 
     def insert_many(self, keys: Sequence[object], *,
                     timeout: float | None = None,
                     deadline=None) -> BulkResult:
-        """Insert every key once through the core bulk kernels.
+        """Insert every key once through each shard's ``insert_many``.
 
-        Each shard's group is one ``insert_many`` call on the raw handle
-        — for durable shards that is one WAL record (and one fsync) per
-        group instead of one per key.  Returns a
-        :class:`~repro.serve.remote.BulkResult` over the whole batch:
-        per-key failures reported by partial-failure handles (remote
-        shards, replica sets) are re-indexed to submission order, and a
-        shard group that fails outright (lock timeout, channel give-up,
-        the optional *deadline* expiring) fails its keys in their slots
-        instead of felling the batch.
+        For durable shards that is one WAL record (and one fsync) per
+        shard group instead of one per key.  Returns a
+        :class:`~repro.handle.BulkResult` over the whole batch: per-key
+        failures reported by the shards' bulk results are re-indexed to
+        submission order, and a shard group that fails outright (lock
+        timeout, channel give-up, the optional *deadline* expiring) fails
+        its keys in their slots instead of felling the batch.
         """
         if deadline is not None:
             deadline.check("insert_many")
@@ -243,52 +223,27 @@ class ShardBatcher:
             self.metrics.counter("batch.migrating_fallback").inc(len(keys))
             return BulkResult(len(keys), failures=failures)
         for shard_id, shard, indices in self._grouped(keys):
-            group_keys = [keys[i] for i in indices]
             try:
                 if deadline is not None:
                     deadline.check("insert_many")
-                with deadline_scope(deadline), \
-                        shard.exclusive(timeout) as raw:
-                    if hasattr(raw, "insert_many"):
-                        outcome = raw.insert_many(group_keys)
-                        self.metrics.counter("batch.vectorized").inc(
-                            len(group_keys))
-                    else:
-                        outcome = None
-                        for key in group_keys:
-                            raw.insert(key, 1)
+                with deadline_scope(deadline):
+                    outcome = shard.insert_many([keys[i] for i in indices],
+                                                timeout=timeout)
             except Exception as exc:
                 failures.extend(
                     BulkFailure(slot, keys[slot], exc, _retryable(exc))
                     for slot in indices)
                 continue
-            if isinstance(outcome, BulkResult):
-                failures.extend(
-                    BulkFailure(indices[f.index], f.key, f.error,
-                                f.retryable)
-                    for f in outcome.failures)
-            self._account(shard, shard_id, len(indices))
+            failures.extend(
+                BulkFailure(indices[f.index], f.key, f.error, f.retryable)
+                for f in outcome.failures)
+            self.metrics.counter("batch.vectorized").inc(len(indices))
+            self.router.note_shard_ops(shard_id, len(indices))
         self.metrics.counter("batch.ops").inc(len(keys))
         failures.sort(key=lambda f: f.index)
         return BulkResult(len(keys), failures=failures)
 
     # -- plumbing ----------------------------------------------------------
-    def _routed(self, op: tuple):
-        """Apply one op through the router's point path (the migrating
-        fallback — dual routing lives there)."""
-        verb, key = op[0], op[1]
-        if verb == "query":
-            return self.router.query(key)
-        if verb == "contains":
-            return self.router.contains(key, op[2] if len(op) > 2 else 1)
-        if verb == "set":
-            if len(op) < 3:
-                raise ValueError(f"set op needs a count: {op!r}")
-            self.router.set(key, op[2])
-            return None
-        getattr(self.router, verb)(key, op[2] if len(op) > 2 else 1)
-        return None
-
     def _grouped(self, keys: Sequence[object]):
         by_shard: dict[int, list[int]] = {}
         for idx, owner in enumerate(self.router.shard_of_many(keys)):
@@ -297,55 +252,16 @@ class ShardBatcher:
         for shard_id in sorted(by_shard):
             yield shard_id, self.router.shards[shard_id], by_shard[shard_id]
 
-    def _account(self, shard, shard_id: int, n: int) -> None:
-        if hasattr(shard, "add_operations"):
-            shard.add_operations(n)
-        self.router.note_shard_ops(shard_id, n)
 
-
-def _apply(raw, op: tuple):
-    """Apply one op tuple to an unlocked handle; returns the op's value."""
+def _apply(handle, op: tuple):
+    """Apply one op tuple through a handle's (or the router's) point
+    verbs; returns the op's value (``None`` for mutations)."""
     verb, key = op[0], op[1]
-    if verb == "insert":
-        raw.insert(key, op[2] if len(op) > 2 else 1)
-        return None
-    if verb == "delete":
-        count = op[2] if len(op) > 2 else 1
-        _check_deletable(raw, key, count)
-        raw.delete(key, count)
-        return None
-    if verb == "set":
-        if len(op) < 3:
-            raise ValueError(f"set op needs a count: {op!r}")
-        return _apply_set(raw, key, op[2])
     if verb == "query":
-        return raw.query(key)
+        return handle.query(key)
     if verb == "contains":
-        return raw.contains(key, op[2] if len(op) > 2 else 1)
-    raise ValueError(f"unknown verb {verb!r}")  # pragma: no cover
-
-
-def _check_deletable(raw, key: object, count: int) -> None:
-    """Mirror ConcurrentSBF's guard: an in-memory MS/RM delete below zero
-    must fail cleanly *before* touching counters (DurableSBF checks this
-    itself before logging)."""
-    if isinstance(raw, DurableSBF) or not hasattr(raw, "method"):
-        return  # DurableSBF / remote shards run this guard themselves
-    if count > 0 and raw.method.name != "mi" \
-            and raw.min_counter(key) < count:
-        raise ValueError(
-            f"deleting {count} of {key!r} would drive a counter negative")
-
-
-def _apply_set(raw, key: object, count: int):
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if isinstance(raw, DurableSBF) or hasattr(raw, "set"):
-        raw.set(key, count)
-        return None
-    current = raw.query(key)
-    if count > current:
-        raw.insert(key, count - current)
-    elif count < current:
-        raw.delete(key, current - count)
+        return handle.contains(key, op[2] if len(op) > 2 else 1)
+    if verb == "set" and len(op) < 3:
+        raise ValueError(f"set op needs a count: {op!r}")
+    getattr(handle, verb)(key, op[2] if len(op) > 2 else 1)
     return None

@@ -26,9 +26,9 @@ them, and the batcher carries the deadline down the stack via
 working the moment the caller stops waiting.
 
 **Graceful shutdown.**  :meth:`close` stops the worker, drains every
-queued request, checkpoints durable shards (their WAL/snapshot dance),
-and fails anything submitted afterwards — an engine never drops
-acknowledged work on the floor.
+queued request, checkpoints and closes every shard (durable shards run
+their WAL/snapshot dance), and fails anything submitted afterwards — an
+engine never drops acknowledged work on the floor.
 
 Latency accounting uses the injected clock from the metrics registry
 (:mod:`repro.serve.metrics`), so tests measure queueing behaviour with a
@@ -43,7 +43,6 @@ from collections import deque
 from concurrent.futures import Future
 from typing import Callable, Sequence
 
-from repro.persist.durable import DurableSBF
 from repro.serve.batch import ShardBatcher
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.resilience import Deadline, DeadlineExceeded
@@ -103,8 +102,8 @@ class ServingEngine:
             :data:`SHED_OLDEST`; defaults to :func:`reject_new`.
         maintenance_every: run :meth:`maintain` once per this many pump
             rounds (including idle rounds, so an idle fleet still probes
-            ejected replicas back in).  HA fleets want this; plain fleets
-            pay nothing (no shard exposes ``tick``).
+            ejected replicas back in).  HA fleets want this; for other
+            shards ``tick`` is the protocol's no-op default.
         metrics: registry to report through (defaults to the router's).
     """
 
@@ -257,7 +256,7 @@ class ServingEngine:
         return len(popped)
 
     def maintain(self) -> int:
-        """Run one maintenance round: tick every shard that has one.
+        """Run one maintenance round: tick every shard.
 
         For :class:`~repro.serve.ha.ReplicaSet` shards a tick probes
         ejected replicas (draining their hint logs on recovery) — the
@@ -266,15 +265,11 @@ class ServingEngine:
         replica.  Returns the number of shards ticked.
         """
         self._pumps_since_maintenance = 0
-        ticked = 0
-        for shard in self.router.shards:
-            tick = getattr(shard, "tick", None)
-            if callable(tick):
-                tick()
-                ticked += 1
-        if ticked:
-            self.metrics.counter("engine.maintenance_rounds").inc()
-        return ticked
+        shards = self.router.shards
+        for shard in shards:
+            shard.tick()
+        self.metrics.counter("engine.maintenance_rounds").inc()
+        return len(shards)
 
     def drain(self) -> int:
         """Pump until the queue is empty; returns total requests served."""
@@ -310,13 +305,12 @@ class ServingEngine:
 
     # -- graceful shutdown -------------------------------------------------
     def close(self) -> dict:
-        """Drain, checkpoint durable shards, and seal the front door.
+        """Drain, checkpoint and close every shard, and seal the front door.
 
-        Replica-set shards are looked *through*: each durable replica is
-        checkpointed and closed, then the set itself is closed (sealing
-        its hint logs — an undrained hint survives on disk and replays
-        when the set is rebuilt).  Returns a small report: requests
-        drained and shards checkpointed.  Safe to call twice.
+        A replica set checkpoints its replicas and closes its hint logs
+        (an undrained hint survives on disk and replays when the set is
+        rebuilt).  Returns a small report: requests drained and shards
+        whose ``checkpoint()`` produced a cut.  Safe to call twice.
         """
         with self._lock:
             already = self._closed
@@ -326,15 +320,9 @@ class ServingEngine:
         checkpointed = 0
         if not already:
             for shard in self.router.shards:
-                group = getattr(shard, "replicas", None)
-                for handle in (group if group is not None else (shard,)):
-                    raw = getattr(handle, "raw", None)
-                    if isinstance(raw, DurableSBF):
-                        handle.checkpoint()
-                        raw.close()
-                        checkpointed += 1
-                if group is not None:
-                    shard.close()
+                if shard.checkpoint() is not None:
+                    checkpointed += 1
+                shard.close()
             self.metrics.counter("engine.closed").inc()
         return {"drained": drained, "checkpointed": checkpointed}
 

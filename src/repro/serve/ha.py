@@ -66,13 +66,13 @@ from __future__ import annotations
 
 import os.path
 from collections import deque
-from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.sbf import SpectralBloomFilter
 from repro.db.transport import DeliveryFailed
+from repro.handle import BulkFailure, BulkResult, ShardHandle
 from repro.hashing.blocked import BlockedHashFamily
 from repro.hashing.families import make_family
 from repro.persist import ConcurrentSBF, LockTimeout
@@ -85,7 +85,7 @@ from repro.persist.wal import (
     replay,
 )
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.remote import BulkFailure, BulkResult, RemoteShardError
+from repro.serve.remote import RemoteShardError
 from repro.serve.repair import DEFAULT_REPAIR_BLOCKS, RepairReport, \
     repair_replicas
 from repro.serve.resilience import (
@@ -271,8 +271,8 @@ class _Replica:
         self.breaker = breaker
 
 
-class ReplicaSet:
-    """``rf`` replicas of one logical shard behind the shard surface.
+class ReplicaSet(ShardHandle):
+    """``rf`` replicas of one logical shard behind the shard-handle protocol.
 
     Drop-in wherever a shard handle goes — a
     :class:`~repro.serve.router.ShardedSBF` shard list, under the
@@ -428,15 +428,14 @@ class ReplicaSet:
                  "latency_ewma": r.breaker.latency_ewma}
                 for r in self._replicas]
 
-    @property
-    def sbf(self) -> SpectralBloomFilter:
+    def local_filter(self) -> SpectralBloomFilter | None:
         """The first local replica's in-memory filter (routing/compat
-        introspection); raises ``AttributeError`` on remote-only sets."""
+        introspection); ``None`` when every replica is remote."""
         for replica in self._replicas:
-            sbf = getattr(replica.handle, "sbf", None)
+            sbf = replica.handle.local_filter()
             if sbf is not None:
                 return sbf
-        raise AttributeError("no local replica exposes .sbf")
+        return None
 
     # -- internal plumbing -------------------------------------------------
     def _counter(self, event: str):
@@ -604,9 +603,6 @@ class ReplicaSet:
     def query(self, key: object) -> int:
         return self._read("query", lambda handle: handle.query(key))
 
-    def contains(self, key: object, threshold: int = 1) -> bool:
-        return self.query(key) >= threshold
-
     @property
     def total_count(self) -> int:
         return self._read("total_count",
@@ -682,12 +678,14 @@ class ReplicaSet:
         return max(answers)
 
     # -- bulk operations ---------------------------------------------------
-    def query_many(self, keys: Sequence[object]) -> np.ndarray:
-        """Quorum estimates for a key batch, as an int64 array.
+    def query_many(self, keys: Sequence[object], *,
+                   timeout: float | None = None) -> BulkResult:
+        """Quorum estimates for a key batch.
 
         Every slot needs ``read_consistency`` fresh answers; the combine
-        is an elementwise ``max``.  Raises :class:`Unavailable` if any
-        slot falls short.
+        is an elementwise ``max``.  A slot that falls short fails with
+        :class:`Unavailable` in the result; when no slot got its quorum
+        the call raises it.
         """
         keys = list(keys)
         op_deadline = current_deadline()
@@ -721,31 +719,33 @@ class ReplicaSet:
             self._note_ok(replica)
             replica.breaker.record_success(clock() - start)
             ok = np.ones(len(keys), dtype=bool)
-            if isinstance(result, BulkResult):
-                values = result.values
-                for failure in result.failures:
-                    ok[failure.index] = False
-            else:
-                values = np.asarray(result, dtype=np.int64)
-            best = np.where(ok, np.maximum(best, values), best)
+            for failure in result.failures:
+                ok[failure.index] = False
+            best = np.where(ok, np.maximum(best, result.values), best)
             answered += ok
         self._bump(len(keys))
         self._maybe_tick()
-        short = int((answered < needed).sum())
+        short = np.flatnonzero(answered < needed).tolist()
         if short:
             self._counter("unavailable").inc()
-            raise Unavailable(
-                f"query_many: {short} of {len(keys)} key(s) fell short "
-                f"of {needed} fresh answer(s)", needed=needed,
-                got=int(answered.min()) if len(keys) else 0)
-        return best
+            error = Unavailable(
+                f"query_many: {len(short)} of {len(keys)} key(s) fell "
+                f"short of {needed} fresh answer(s)", needed=needed,
+                got=int(answered.min()))
+            if len(short) == len(keys):
+                raise error
+            best[short] = 0   # a failed slot holds 0, per BulkResult
+        return BulkResult(len(keys), best, [
+            BulkFailure(i, keys[i], error, retryable=True) for i in short])
 
     def insert_many(self, keys: Sequence[object],
-                    counts: Sequence[int] | None = None) -> BulkResult:
+                    counts: Sequence[int] | None = None, *,
+                    timeout: float | None = None) -> BulkResult:
         return self._bulk_write("insert", keys, counts)
 
     def delete_many(self, keys: Sequence[object],
-                    counts: Sequence[int] | None = None) -> BulkResult:
+                    counts: Sequence[int] | None = None, *,
+                    timeout: float | None = None) -> BulkResult:
         return self._bulk_write("delete", keys, counts)
 
     def _bulk_write(self, verb: str, keys: Sequence[object],
@@ -796,16 +796,15 @@ class ReplicaSet:
             self._note_ok(replica)
             replica.breaker.record_success(clock() - start)
             ok = np.ones(len(keys), dtype=np.int64)
-            if isinstance(result, BulkResult):
-                retry_idx = []
-                for failure in result.failures:
-                    ok[failure.index] = 0
-                    if failure.retryable:
-                        retry_idx.append(failure.index)
-                    else:
-                        semantic.setdefault(failure.index, failure.error)
-                if retry_idx:
-                    missed.append((replica, retry_idx))
+            retry_idx = []
+            for failure in result.failures:
+                ok[failure.index] = 0
+                if failure.retryable:
+                    retry_idx.append(failure.index)
+                else:
+                    semantic.setdefault(failure.index, failure.error)
+            if retry_idx:
+                missed.append((replica, retry_idx))
             applied += ok
         self._bump(len(keys))
         failures: list[BulkFailure] = []
@@ -962,18 +961,7 @@ class ReplicaSet:
         self._counter("repairs").inc()
         return report
 
-    # -- fleet plumbing (router/batcher/engine hooks) ----------------------
-    @contextmanager
-    def exclusive(self, timeout: float | None = None,
-                  ) -> Iterator["ReplicaSet"]:
-        """Batching hook: yields self — replication must see every
-        operation, so batches run through the set's own surface (each
-        replica holds its own locks per call)."""
-        yield self
-
-    def add_operations(self, n: int) -> None:
-        """Batching hook: operations already counted per replica call."""
-
+    # -- lifecycle -----------------------------------------------------------
     def checkpoint(self) -> list:
         """Checkpoint every up replica; returns their results in replica
         order (``None`` placeholders for ejected replicas)."""

@@ -61,17 +61,17 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.sbf import SpectralBloomFilter
-from repro.core.serialize import (WireFormatError, dump_sbf, load_sbf,
-                                  open_frame, seal_frame)
+from repro.core.serialize import (WireFormatError, load_sbf, open_frame,
+                                  seal_frame)
 from repro.db.site import Network
 from repro.db.transport import DeliveryFailed
+from repro.handle import BulkFailure, BulkResult, FilterHandle
 from repro.hashing.blocked import BlockedHashFamily
 from repro.hashing.families import make_family
 from repro.persist.wal import SCALAR_KEY_TYPES
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.remote import (REQUEST_MAGIC, RESPONSE_MAGIC, BulkFailure,
-                                BulkResult, RemoteShard, RemoteShardError,
-                                ShardServer)
+from repro.serve.remote import (REQUEST_MAGIC, RESPONSE_MAGIC, RemoteShard,
+                                RemoteShardError, ShardServer)
 from repro.serve.router import ShardedSBF
 
 #: pool-administration frames (spawn handshake/snapshot/restore/shutdown)
@@ -165,17 +165,14 @@ class PoolShardServer(ShardServer):
                 f"expected {expect} for {n} key(s)")
         keys = np.frombuffer(self._payload[:width], dtype="<i8")
         if op == "query_many":
-            values = np.asarray(self.handle.query_many(keys), dtype=np.int64)
+            values = self.handle.query_many(keys).raise_first().values
             self._response_payload = values.astype("<i8").tobytes()
             return "bin"
         counts = np.frombuffer(self._payload[width:], dtype="<i8")
         if counts.size and int(counts.min()) < 0:
             raise WireFormatError(
                 f"bulk op {op!r} needs counts >= 0, got {int(counts.min())}")
-        if op == "insert_many":
-            self.handle.insert_many(keys, counts)
-        else:
-            self.handle.delete_many(keys, counts)
+        getattr(self.handle, op)(keys, counts).raise_first()
         return n
 
 
@@ -191,9 +188,9 @@ def _worker_admin(server: PoolShardServer, frame: bytes,
             return False, seal_frame(ADMIN_RESPONSE_MAGIC, {"ok": True})
         if op == "snapshot":
             return False, seal_frame(ADMIN_RESPONSE_MAGIC, {"ok": True},
-                                     dump_sbf(server.handle))
+                                     server.handle.checkpoint())
         if op == "restore":
-            server.handle = load_sbf(payload)
+            server.handle = FilterHandle(load_sbf(payload))
             return False, seal_frame(ADMIN_RESPONSE_MAGIC, {"ok": True})
         raise WireFormatError(f"unknown pool admin op {op!r}")
     except Exception as exc:

@@ -28,16 +28,15 @@ the metrics registry, so transport health is visible in the same
 from __future__ import annotations
 
 import zlib
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.serialize import WireFormatError, open_frame, seal_frame
 from repro.db.site import Network
 from repro.db.transport import DeliveryFailed, ReliableChannel
+from repro.handle import BulkFailure, BulkResult, ShardHandle, as_handle
 from repro.persist.wal import SCALAR_KEY_TYPES
-from repro.serve import repair as _repair
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.resilience import current_deadline
 
@@ -70,82 +69,6 @@ def _retryable(exc: Exception) -> bool:
     return isinstance(exc, (DeliveryFailed, LockTimeout))
 
 
-class BulkFailure:
-    """One key of a bulk operation that did not apply.
-
-    Attributes:
-        index: the key's position in the submitted batch.
-        key: the key itself.
-        error: the exception instance that felled it.
-        retryable: ``True`` when resubmitting the same key can succeed
-            (transport gave up, a lock timed out) — the signal hinted
-            handoff keys on; ``False`` for semantic rejections (bad key
-            type, a delete below zero) that would fail identically again.
-    """
-
-    __slots__ = ("index", "key", "error", "retryable")
-
-    def __init__(self, index: int, key: object, error: Exception,
-                 retryable: bool):
-        self.index = index
-        self.key = key
-        self.error = error
-        self.retryable = retryable
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "retryable" if self.retryable else "permanent"
-        return (f"BulkFailure(index={self.index}, key={self.key!r}, "
-                f"{kind}: {type(self.error).__name__})")
-
-
-class BulkResult:
-    """Structured outcome of a bulk operation: what applied, what failed.
-
-    Instead of raising on the first :class:`DeliveryFailed` (losing all
-    information about the rest of the batch), bulk paths return this —
-    callers retry precisely the :attr:`failures` marked retryable.
-
-    Attributes:
-        n: batch size submitted.
-        values: for query batches, the estimates as an int64 array
-            (failed slots hold 0 — check :attr:`failures`); ``None`` for
-            mutation batches.
-        failures: the keys that did not apply, as :class:`BulkFailure`
-            entries in batch order.
-    """
-
-    __slots__ = ("n", "values", "failures")
-
-    def __init__(self, n: int, values: np.ndarray | None = None,
-                 failures: list[BulkFailure] | None = None):
-        self.n = int(n)
-        self.values = values
-        self.failures = failures if failures is not None else []
-
-    @property
-    def applied(self) -> int:
-        """Keys that applied (or answered) successfully."""
-        return self.n - len(self.failures)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def retryable(self) -> list[BulkFailure]:
-        return [f for f in self.failures if f.retryable]
-
-    def raise_first(self) -> "BulkResult":
-        """Raise the first failure's error, if any — opt back into the
-        old all-or-nothing behaviour."""
-        if self.failures:
-            raise self.failures[0].error
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"BulkResult(applied={self.applied}/{self.n}, "
-                f"failures={len(self.failures)})")
-
-
 def _validate_request(payload: bytes) -> None:
     open_frame(payload, REQUEST_MAGIC)
 
@@ -157,14 +80,17 @@ def _validate_response(payload: bytes) -> None:
 class ShardServer:
     """Server side: owns a shard handle and answers one request frame.
 
-    *handle* is any local serving handle — a
+    *handle* is any local shard handle — a
     :class:`~repro.persist.ConcurrentSBF` (typical: it brings its own
-    locking) or a bare :class:`~repro.persist.DurableSBF` /
-    :class:`~repro.core.sbf.SpectralBloomFilter`.
+    locking), a bare :class:`~repro.persist.DurableSBF`, or a
+    :class:`~repro.core.sbf.SpectralBloomFilter` (served through a
+    :class:`~repro.handle.FilterHandle`).  Local handles apply bulk
+    batches all-or-nothing, so a batch either answers whole or fails as
+    one chunk on the client.
     """
 
     def __init__(self, handle):
-        self.handle = handle
+        self.handle = as_handle(handle)
         self.requests_served = 0
         self.requests_failed = 0
 
@@ -194,7 +120,7 @@ class ShardServer:
         if op == "total_count":
             return handle.total_count
         if op == "params":
-            sbf = getattr(handle, "sbf", handle)
+            sbf = handle.local_filter()
             return {"m": sbf.m, "k": sbf.k, "seed": sbf.seed,
                     "method": sbf.method.name}
         if op == "checkpoint":
@@ -216,12 +142,7 @@ class ShardServer:
         count = meta.get("count", 1)
         if not isinstance(count, int) or isinstance(count, bool):
             raise WireFormatError(f"count must be an integer, got {count!r}")
-        if op == "insert":
-            handle.insert(key, count)
-        elif op == "delete":
-            handle.delete(key, count)
-        else:  # set
-            _set_on(handle, key, count)
+        getattr(handle, op)(key, count)  # insert / delete / set
         return None
 
     def _dispatch_bulk(self, op: str, meta: dict):
@@ -236,7 +157,7 @@ class ShardServer:
                     f"{type(key).__name__}")
         handle = self.handle
         if op == "query_many":
-            return np.asarray(handle.query_many(keys)).tolist()
+            return handle.query_many(keys).raise_first().values.tolist()
         counts = meta.get("counts")
         if (not isinstance(counts, list) or len(counts) != len(keys)
                 or any(not isinstance(c, int) or isinstance(c, bool)
@@ -244,10 +165,7 @@ class ShardServer:
             raise WireFormatError(
                 f"bulk op {op!r} needs counts (ints >= 0) matching its "
                 f"{len(keys)} key(s)")
-        if op == "insert_many":
-            handle.insert_many(keys, counts)
-        else:
-            handle.delete_many(keys, counts)
+        getattr(handle, op)(keys, counts).raise_first()
         return len(keys)
 
     def _dispatch_repair(self, op: str, meta: dict):
@@ -258,14 +176,14 @@ class ShardServer:
                 f"repair ops need a positive n_blocks, got {n_blocks!r}")
         handle = self.handle
         if op == "blocksums":
-            return _repair.block_checksums(handle, n_blocks)
+            return handle.block_checksums(n_blocks)
         blocks = meta.get("blocks")
         if not isinstance(blocks, list):
             raise WireFormatError(
                 f"repair op {op!r} needs a block list, got "
                 f"{type(blocks).__name__}")
         if op == "readblocks":
-            spans = _repair.read_blocks(handle, n_blocks, blocks)
+            spans = handle.read_blocks(n_blocks, blocks)
             return [[block, values] for block, values in spans.items()]
         spans = {}
         for entry in blocks:
@@ -274,30 +192,17 @@ class ShardServer:
                     f"writeblocks entries are [block, values] pairs, got "
                     f"{entry!r}")
             spans[entry[0]] = entry[1]
-        return _repair.write_blocks(handle, n_blocks, spans,
-                                    total_count=meta.get("total_count"))
+        return handle.write_blocks(n_blocks, spans,
+                                   total_count=meta.get("total_count"))
 
 
-def _set_on(handle, key, count: int) -> None:
-    if hasattr(handle, "set"):
-        handle.set(key, count)
-        return
-    current = handle.query(key)
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if count > current:
-        handle.insert(key, count - current)
-    elif count < current:
-        handle.delete(key, current - count)
-
-
-class RemoteShard:
-    """Client side: the shard surface, served over two reliable channels.
+class RemoteShard(ShardHandle):
+    """Client side: the shard-handle protocol over two reliable channels.
 
     Fits anywhere a local shard does — in a
     :class:`~repro.serve.router.ShardedSBF` shard list, under the
-    batcher — with :meth:`exclusive` degenerating to a no-op (the server
-    side holds the real locks; remote ops are one round trip each).
+    batcher.  The server side holds the real locks (remote ops are one
+    round trip each) and the filter: there is no local one.
 
     Args:
         server: the :class:`ShardServer` reachable through *network* (the
@@ -424,7 +329,8 @@ class RemoteShard:
 
     # -- bulk operations (structured partial failure) ----------------------
     def insert_many(self, keys: Sequence[object],
-                    counts: Sequence[int] | None = None) -> BulkResult:
+                    counts: Sequence[int] | None = None, *,
+                    timeout: float | None = None) -> BulkResult:
         """Insert a key batch; returns a :class:`BulkResult`.
 
         The batch travels in :attr:`bulk_chunk`-sized frames.  A chunk
@@ -435,12 +341,14 @@ class RemoteShard:
         return self._bulk("insert_many", keys, counts)
 
     def delete_many(self, keys: Sequence[object],
-                    counts: Sequence[int] | None = None) -> BulkResult:
+                    counts: Sequence[int] | None = None, *,
+                    timeout: float | None = None) -> BulkResult:
         """Delete a key batch; returns a :class:`BulkResult` (a chunk the
         server rejects — e.g. a delete below zero — fails permanently)."""
         return self._bulk("delete_many", keys, counts)
 
-    def query_many(self, keys: Sequence[object]) -> BulkResult:
+    def query_many(self, keys: Sequence[object], *,
+                   timeout: float | None = None) -> BulkResult:
         """Estimates for a key batch; :attr:`BulkResult.values` holds the
         answers (failed slots are 0 and listed in ``failures``)."""
         return self._bulk("query_many", keys, None)
@@ -503,15 +411,6 @@ class RemoteShard:
                    for block, values in blocks.items()]
         return self._call("writeblocks", n_blocks=int(n_blocks),
                           blocks=payload, total_count=total_count)
-
-    @contextmanager
-    def exclusive(self, timeout: float | None = None) -> Iterator["RemoteShard"]:
-        """Batching hook: yields self — remote ops are each one round
-        trip, serialised server-side, so there is nothing to hold here."""
-        yield self
-
-    def add_operations(self, n: int) -> None:
-        """Batching hook: server-side accounting happens per request."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RemoteShard({self.client!r} -> {self.server_name!r})"

@@ -29,20 +29,16 @@ Only Minimum Selection filters are repairable this way: MI shares the
 counter-only representation but RM keeps a secondary filter whose state
 a counter copy would silently miss, so non-MS methods are refused.
 
-Handles are dispatched by capability: anything exposing
-``block_checksums`` / ``read_blocks`` / ``write_blocks`` (a
-:class:`~repro.serve.remote.RemoteShard`) is driven over the wire;
-local handles (:class:`~repro.persist.ConcurrentSBF`, bare filters) are
-scanned under their exclusive lock.
+Both phases ride verbs of the shard-handle protocol
+(:meth:`~repro.handle.ShardHandle.block_checksums` / ``read_blocks`` /
+``write_blocks``): local handles scan their filter under their exclusive
+lock, a :class:`~repro.serve.remote.RemoteShard` ships them over the
+wire.
 """
 
 from __future__ import annotations
 
-import zlib
-from contextlib import contextmanager
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import Sequence
 
 #: default repair-grid resolution (spans per scan)
 DEFAULT_REPAIR_BLOCKS = 64
@@ -88,95 +84,10 @@ class RepairReport:
                 f"converged={self.converged})")
 
 
-def block_span(m: int, n_blocks: int, block: int) -> tuple[int, int]:
-    """Half-open counter span ``[start, end)`` of repair block *block*."""
-    return block * m // n_blocks, (block + 1) * m // n_blocks
-
-
-def _check_grid(m: int, n_blocks: int) -> int:
-    if not 1 <= n_blocks <= m:
-        raise ValueError(
-            f"n_blocks must be in [1, m={m}], got {n_blocks}")
-    return int(n_blocks)
-
-
-@contextmanager
-def _frozen_sbf(handle) -> Iterator[object]:
-    """Yield the raw in-memory filter of a local handle, frozen if the
-    handle can freeze (ConcurrentSBF), plain otherwise."""
-    if hasattr(handle, "exclusive") and hasattr(handle, "sbf"):
-        with handle.exclusive():
-            yield handle.sbf
-        return
-    yield getattr(handle, "sbf", handle)
-
-
-def _span_checksum(sbf, start: int, end: int) -> int:
-    values = sbf.counters.get_many(np.arange(start, end, dtype=np.int64))
-    return zlib.crc32(np.ascontiguousarray(
-        values, dtype="<i8").tobytes()) & 0xFFFFFFFF
-
-
 def block_checksums(handle, n_blocks: int = DEFAULT_REPAIR_BLOCKS,
                     ) -> list[int]:
     """One CRC32 per repair block over *handle*'s counter values."""
-    if hasattr(handle, "block_checksums"):
-        return handle.block_checksums(n_blocks)
-    with _frozen_sbf(handle) as sbf:
-        n_blocks = _check_grid(sbf.m, n_blocks)
-        return [_span_checksum(sbf, *block_span(sbf.m, n_blocks, b))
-                for b in range(n_blocks)]
-
-
-def read_blocks(handle, n_blocks: int, blocks: Sequence[int],
-                ) -> dict[int, list[int]]:
-    """Counter values of the given repair blocks, ``{block: values}``."""
-    if hasattr(handle, "read_blocks"):
-        return handle.read_blocks(n_blocks, blocks)
-    with _frozen_sbf(handle) as sbf:
-        n_blocks = _check_grid(sbf.m, n_blocks)
-        out = {}
-        for block in blocks:
-            start, end = block_span(sbf.m, n_blocks, int(block))
-            out[int(block)] = sbf.counters.get_many(
-                np.arange(start, end, dtype=np.int64)).tolist()
-        return out
-
-
-def write_blocks(handle, n_blocks: int, blocks: dict[int, Sequence[int]],
-                 *, total_count: int | None = None) -> int:
-    """Overwrite repair blocks with the given counter values.
-
-    Returns the number of counters written.  Refuses non-MS filters
-    locally (their state is not fully captured by the counter vector).
-    """
-    if hasattr(handle, "write_blocks"):
-        return handle.write_blocks(n_blocks, blocks,
-                                   total_count=total_count)
-    with _frozen_sbf(handle) as sbf:
-        n_blocks = _check_grid(sbf.m, n_blocks)
-        _require_ms(sbf)
-        written = 0
-        for block, values in blocks.items():
-            start, end = block_span(sbf.m, n_blocks, int(block))
-            values = np.asarray(values, dtype=np.int64)
-            if values.size != end - start:
-                raise ValueError(
-                    f"block {block} spans {end - start} counters, got "
-                    f"{values.size} values")
-            sbf.counters.set_many(np.arange(start, end, dtype=np.int64),
-                                  values)
-            written += int(values.size)
-        if total_count is not None:
-            sbf.total_count = int(total_count)
-        return written
-
-
-def _require_ms(sbf) -> None:
-    if sbf.method.name != "ms":
-        raise ValueError(
-            f"anti-entropy repair requires Minimum Selection (all state "
-            f"in the counter vector); got method {sbf.method.name!r}")
+    return handle.block_checksums(n_blocks)
 
 
 def _reachable_total(handle) -> int | None:
@@ -212,7 +123,7 @@ def repair_replicas(replicas: Sequence[object], *,
     report = RepairReport(reference, n_blocks)
     ref = replicas[reference]
     ref_total = totals[reference]
-    ref_sums = block_checksums(ref, n_blocks)
+    ref_sums = ref.block_checksums(n_blocks)
     for i, handle in enumerate(replicas):
         if i == reference:
             continue
@@ -220,7 +131,7 @@ def repair_replicas(replicas: Sequence[object], *,
             report.skipped.append(i)
             continue
         try:
-            sums = block_checksums(handle, n_blocks)
+            sums = handle.block_checksums(n_blocks)
         except Exception:
             report.skipped.append(i)
             continue
@@ -228,11 +139,11 @@ def repair_replicas(replicas: Sequence[object], *,
         diff = [b for b in range(n_blocks) if sums[b] != ref_sums[b]]
         if not diff and totals[i] == ref_total:
             continue
-        payload = read_blocks(ref, n_blocks, diff) if diff else {}
-        report.counters_copied += write_blocks(
-            handle, n_blocks, payload, total_count=ref_total)
+        payload = ref.read_blocks(n_blocks, diff) if diff else {}
+        report.counters_copied += handle.write_blocks(
+            n_blocks, payload, total_count=ref_total)
         report.copied[i] = diff
-        after = block_checksums(handle, n_blocks)
+        after = handle.block_checksums(n_blocks)
         if after != ref_sums or handle.total_count != ref_total:
             report.converged = False
     return report

@@ -19,10 +19,10 @@ the paper's own blocked hashing (§1.1.3 / [MW94]).
   and union-exact, but each shard then hashes its keys over all ``m``
   counters — per-shard estimates carry *less* collision noise than one
   big filter, so answers are one-sided-correct yet not bit-identical;
-- each shard is an independently lockable serving handle — a
-  :class:`~repro.persist.ConcurrentSBF` over a plain or
-  :class:`~repro.persist.DurableSBF` filter — so disjoint-shard traffic
-  never contends;
+- each shard is a handle of the shard-handle protocol
+  (:mod:`repro.handle`), typically a :class:`~repro.persist.ConcurrentSBF`
+  over a plain or :class:`~repro.persist.DurableSBF` filter, so
+  disjoint-shard traffic never contends;
 - all shards share one parameter set ``(m, k, seed, family)``, which
   makes them *unionable*: the multiset union of all shards is exactly the
   filter an unsharded deployment would have built (counter for counter),
@@ -91,9 +91,8 @@ class ShardedSBF:
     """A hash-partitioned fleet of spectral-filter shards.
 
     Args:
-        shards: the serving handles, one per shard.  Anything with the
-            shard surface works (``insert`` / ``delete`` / ``set`` /
-            ``query`` / ``contains`` / ``total_count``) — in practice
+        shards: the serving handles, one per shard — any
+            :class:`~repro.handle.ShardHandle`: in practice
             :class:`~repro.persist.ConcurrentSBF` handles locally and
             :class:`~repro.serve.remote.RemoteShard` adapters for shards
             living behind a :class:`~repro.db.transport.ReliableChannel`.
@@ -118,7 +117,7 @@ class ShardedSBF:
         # introspect); otherwise the first local shard's.  Fleets with
         # neither fall back to canonical-key assignment, which the data
         # plane must have used to place the keys in the first place.
-        local = [s.sbf for s in shards if hasattr(s, "sbf")]
+        local = self._local_filters()
         if family is None:
             family = local[0].family if local else None
         elif not isinstance(family, BlockedHashFamily):
@@ -164,10 +163,14 @@ class ShardedSBF:
                                         timeout=timeout))
         return cls(shards, metrics=metrics)
 
+    def _local_filters(self) -> list[SpectralBloomFilter]:
+        return [sbf for sbf in (s.local_filter() for s in self._shards)
+                if sbf is not None]
+
     def _check_compatible(self) -> None:
         """All local shards must share (m, k, seed, family) — the property
         that makes union, reshard, and the manifest meaningful."""
-        local = [s.sbf for s in self._shards if hasattr(s, "sbf")]
+        local = self._local_filters()
         for other in local[1:]:
             if not local[0].is_compatible(other):
                 raise ValueError(
@@ -329,7 +332,7 @@ class ShardedSBF:
         for i, shard in enumerate(self._shards):
             entry = {"shard": i, "ops": self._shard_ops[i],
                      "total_count": shard.total_count}
-            sbf = getattr(shard, "sbf", None)
+            sbf = shard.local_filter()
             if sbf is not None:
                 fill = sbf.fill_ratio()
                 if fill >= 1.0:
@@ -349,12 +352,12 @@ class ShardedSBF:
         return report
 
     # -- whole-fleet moments ----------------------------------------------
-    def _local_shards(self, operation: str) -> list[ConcurrentSBF]:
-        for shard in self._shards:
-            if not (hasattr(shard, "exclusive") and hasattr(shard, "sbf")):
+    def _local_shards(self, operation: str) -> list:
+        for i, shard in enumerate(self._shards):
+            if shard.local_filter() is None:
                 raise ValueError(
-                    f"{operation} requires local (lockable) shards; shard "
-                    f"{self._shards.index(shard)} is {type(shard).__name__}")
+                    f"{operation} requires local shards; shard {i} is "
+                    f"{type(shard).__name__}")
         return list(self._shards)
 
     def _frozen(self, operation: str, stack: ExitStack,
@@ -381,7 +384,7 @@ class ShardedSBF:
                 f"{operation} is unavailable while a rolling reshard is "
                 f"in flight; finish (run/commit) or abort it first")
 
-    def reshard(self, new_n: int, *, stripes: int | None = None,
+    def reshard(self, new_n: int, *,
                 timeout: float | None = None) -> "ShardedSBF":
         """Reshard the fleet to *new_n* shards, in place.
 
@@ -393,9 +396,11 @@ class ShardedSBF:
         completion — block-range migration behind dual routing, no
         full-fleet freeze; use :meth:`start_reshard` to drive the
         migration step-by-step under live traffic instead.  The router is
-        rewired in place (and returned for chaining).  Durable shards are
-        refused either way: their on-disk lineage cannot be silently
-        rearranged — checkpoint and rebuild via the manifest instead.
+        rewired in place (and returned for chaining).  New shards are the
+        old ones' :meth:`~repro.handle.ShardHandle.respawn`, so durable
+        and replicated shards are refused either way: their on-disk
+        lineage or replicas cannot be silently rearranged — rebuild via
+        the manifest instead.  *timeout* bounds the freeze.
         """
         if new_n < 1:
             raise ValueError(f"new_n must be >= 1, got {new_n}")
@@ -407,27 +412,15 @@ class ShardedSBF:
                     f"blocked hashing, counter vectors can be unioned but "
                     f"not split, so new_n must divide the current shard "
                     f"count (pre-split the fleet larger next time)")
-            self.start_reshard(new_n, stripes=stripes,
-                               timeout=timeout).run()
+            self.start_reshard(new_n).run()
             return self
-        for shard in self._local_shards("reshard"):
-            if hasattr(shard, "replicas"):
-                raise ValueError(
-                    "reshard of replicated shards is not supported; "
-                    "rebuild the fleet (replicated_fleet) at the new "
-                    "shard count and repair replicas into it")
-            if isinstance(shard.raw, DurableSBF):
-                raise ValueError(
-                    "reshard of durable shards would orphan their WAL/"
-                    "snapshot lineage; checkpoint, then rebuild via "
-                    "dump_manifest()/load_manifest()")
         with ExitStack() as stack:
             old = self._frozen("reshard", stack, timeout)
             groups: list[list[SpectralBloomFilter]] = [
                 [] for _ in range(new_n)]
             ops = [0] * new_n
             for i, shard in enumerate(old):
-                groups[i % new_n].append(shard.sbf)
+                groups[i % new_n].append(shard.local_filter())
                 ops[i % new_n] += self._shard_ops[i]
             merged = []
             for group in groups:
@@ -435,13 +428,10 @@ class ShardedSBF:
                 for sbf in group[1:]:
                     union = union.union(sbf)
                 merged.append(union)
-            stripes = stripes if stripes is not None else old[0].stripes
-            lock_timeout = old[0].timeout
             # Swap inside the frozen section: no operation can interleave
             # between the cut and the new fleet taking over.
-            self._shards = [ConcurrentSBF(sbf, stripes=stripes,
-                                          timeout=lock_timeout)
-                            for sbf in merged]
+            self._shards = [old[j].respawn(sbf)
+                            for j, sbf in enumerate(merged)]
             with self._ops_lock:
                 self._shard_ops = ops
             family = merged[0].family
@@ -451,8 +441,7 @@ class ShardedSBF:
         self.metrics.gauge("router.shards").set(new_n)
         return self
 
-    def start_reshard(self, new_n: int, *, stripes: int | None = None,
-                      timeout: float | None = None) -> "RollingReshard":
+    def start_reshard(self, new_n: int) -> "RollingReshard":
         """Begin a rolling reshard to *new_n* shards; returns the handle.
 
         The fleet keeps serving throughout: call
@@ -463,7 +452,8 @@ class ShardedSBF:
         :meth:`RollingReshard.abort` to drop the new fleet with nothing
         lost.  Requires blocked hashing and local in-memory Minimum
         Selection shards (counter spans must be splittable and exactly
-        copyable — see the module docstring).
+        copyable — see the module docstring); new shards are the first
+        old shard's :meth:`~repro.handle.ShardHandle.respawn`.
         """
         if new_n < 1:
             raise ValueError(f"new_n must be >= 1, got {new_n}")
@@ -473,28 +463,14 @@ class ShardedSBF:
                 "rolling reshard needs blocked hashing (counter vectors "
                 "are only splittable block-wise); this fleet routes by "
                 "canonical key")
-        for shard in self._shards:
-            if hasattr(shard, "replicas"):
-                raise ValueError(
-                    "rolling reshard of replicated shards is not "
-                    "supported; rebuild the fleet (replicated_fleet) at "
-                    "the new shard count and repair replicas into it")
         old = self._local_shards("start_reshard")
         for shard in old:
-            if isinstance(shard.raw, DurableSBF):
-                raise ValueError(
-                    "rolling reshard of durable shards would orphan their "
-                    "WAL/snapshot lineage; checkpoint, then rebuild via "
-                    "dump_manifest()/load_manifest()")
-            if shard.sbf.method.name != "ms":
+            method = shard.local_filter().method.name
+            if method != "ms":
                 raise ValueError(
                     f"rolling reshard requires Minimum Selection (all "
-                    f"state in the counter vector); got method "
-                    f"{shard.sbf.method.name!r}")
-        stripes = stripes if stripes is not None else old[0].stripes
-        lock_timeout = timeout if timeout is not None else old[0].timeout
-        new_shards = [ConcurrentSBF(old[0].sbf._spawn_like(),
-                                    stripes=stripes, timeout=lock_timeout)
+                    f"state in the counter vector); got method {method!r}")
+        new_shards = [old[0].respawn(old[0].local_filter()._spawn_like())
                       for _ in range(new_n)]
         migration = _Migration(len(old), new_n, new_shards)
         handle = RollingReshard(self, migration)
@@ -513,7 +489,7 @@ class ShardedSBF:
         self._no_migration("dump_manifest")
         with ExitStack() as stack:
             shards = self._frozen("dump_manifest", stack, timeout)
-            sections = [dump_sbf(shard.sbf) for shard in shards]
+            sections = [dump_sbf(shard.local_filter()) for shard in shards]
         meta = {"version": 1, "n_shards": len(sections)}
         return seal_sections(MANIFEST_MAGIC, meta, sections)
 
@@ -631,7 +607,7 @@ class RollingReshard:
         family = self._router._family
         old = self._router._shards[i]
         with old.exclusive():
-            src = old.sbf
+            src = old.local_filter()
             k = src.k
             for block in range(family.n_blocks):
                 if block % migration.old_n != i:
@@ -646,8 +622,9 @@ class RollingReshard:
                 # shard locks are held at once (dual writers take them
                 # one after the other), so lock order cannot cycle.
                 with dst.exclusive():
-                    dst.sbf.counters.set_many(idx, values)
-                    dst.sbf.total_count += int(values.sum()) // k
+                    copy = dst.local_filter()
+                    copy.counters.set_many(idx, values)
+                    copy.total_count += int(values.sum()) // k
             migration.migrated[i] = True
         return i
 

@@ -3,8 +3,9 @@
 The serving stack (:class:`~repro.serve.batch.ShardBatcher`,
 :class:`~repro.serve.engine.ServingEngine`, the admission policies, the
 deadline/retry-budget machinery) speaks one contract — a router with
-``shards`` / ``shard_of_many`` / point verbs, whose shard handles expose
-``exclusive`` sections.  :class:`TenantDirectory` implements that
+``shards`` / ``shard_of_many`` / point verbs, whose shards speak the
+shard-handle protocol (:mod:`repro.handle`).  :class:`TenantDirectory`
+implements that
 contract over a :class:`~repro.tenancy.tree.SpectralBloofiTree`, so a
 multi-tenant fleet plugs into the existing engine **unchanged**:
 
@@ -12,7 +13,7 @@ multi-tenant fleet plugs into the existing engine **unchanged**:
   directory routes each to a per-tenant slot and strips the tenant
   before the leaf sees the key;
 - every mounted tenant owns one stable slot backed by a thin
-  :class:`_TenantLeaf` adapter that delegates each operation to the tree
+  :class:`_TenantLeaf` handle that delegates each operation to the tree
   **by tenant id at call time** (so the tree may split, merge, and
   rebalance its nodes under live traffic without any adapter going
   stale — an unmounted tenant's slot simply starts failing with
@@ -25,8 +26,8 @@ multi-tenant fleet plugs into the existing engine **unchanged**:
   multi-tenant query ("which tenants hold x?") stays available as
   :meth:`TenantDirectory.query_tenants` on the directory itself.
 
-The adapters also forward the engine's maintenance surface (``tick``,
-``replicas``, ``raw``, ``checkpoint``, ``close``), so
+The slots forward the protocol's lifecycle verbs (``tick``,
+``checkpoint``, ``close``) to the leaf handle, so
 ``ServingEngine.maintain()`` probes replicated leaves and
 ``ServingEngine.close()`` checkpoints durable leaves through the
 directory just as it would through a :class:`~repro.serve.router.
@@ -36,14 +37,12 @@ ShardedSBF`.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from typing import Sequence
 
 import numpy as np
 
-from repro.persist.durable import DurableSBF
+from repro.handle import BulkFailure, BulkResult, ShardHandle
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.remote import BulkFailure, BulkResult
 from repro.tenancy.tree import SpectralBloofiTree, UnknownTenant
 
 
@@ -184,13 +183,15 @@ class TenantDirectory:
                 f"slots={len(self._shards)})")
 
 
-class _TenantLeaf:
-    """One tenant's routing slot: a shard-shaped view of a tree leaf.
+class _TenantLeaf(ShardHandle):
+    """One tenant's routing slot: a shard handle over a tree leaf.
 
     Stateless beyond the tenant id — every call resolves the leaf
     through the tree at call time, so rebalancing never invalidates a
     slot.  Composite keys are stripped here; the tree (and the leaf
-    handle below it) see plain keys.
+    handle below it) see plain keys.  The tree holds its own lock per
+    operation (delta propagation must be atomic tree-wide, not
+    per-leaf), so :meth:`exclusive` is the protocol's pass-through.
     """
 
     __slots__ = ("_directory", "tenant")
@@ -210,14 +211,6 @@ class _TenantLeaf:
                 f"key routed to tenant {self.tenant!r} names {tenant!r}")
         return key
 
-    # -- locking: the tree serialises internally ---------------------------
-    @contextmanager
-    def exclusive(self, timeout: float | None = None):
-        """The batcher's group-lock hook.  The tree holds its own lock
-        per operation (delta propagation must be atomic tree-wide, not
-        per-leaf), so the group section is a pass-through."""
-        yield self
-
     # -- point ops (composite keys) ----------------------------------------
     def insert(self, composite: object, count: int = 1) -> None:
         self._tree.insert(self.tenant, self._key(composite), count)
@@ -231,100 +224,63 @@ class _TenantLeaf:
     def query(self, composite: object) -> int:
         return self._tree.query_tenant(self.tenant, self._key(composite))
 
-    def contains(self, composite: object, threshold: int = 1) -> bool:
-        return self.query(composite) >= threshold
-
     # -- bulk ops ----------------------------------------------------------
-    def query_many(self, composites: Sequence[object]) -> np.ndarray:
+    def query_many(self, composites: Sequence[object], *,
+                   timeout: float | None = None) -> BulkResult:
         keys = [self._key(c) for c in composites]
-        outcome = self._tree.query_tenant_many(self.tenant, keys)
-        if isinstance(outcome, BulkResult):
-            return outcome
-        return np.asarray(outcome, dtype=np.int64)
+        return self._tree.query_tenant_many(self.tenant, keys)
 
-    def insert_many(self, composites: Sequence[object]):
+    def insert_many(self, composites: Sequence[object], counts=None, *,
+                    timeout: float | None = None) -> BulkResult:
         keys = [self._key(c) for c in composites]
-        return self._tree.insert_many(self.tenant, keys)
+        return self._tree.insert_many(self.tenant, keys, counts)
 
-    def delete_many(self, composites: Sequence[object]) -> None:
+    def delete_many(self, composites: Sequence[object], counts=None, *,
+                    timeout: float | None = None) -> BulkResult:
         keys = [self._key(c) for c in composites]
-        self._tree.delete_many(self.tenant, keys)
+        return self._tree.delete_many(self.tenant, keys, counts)
 
-    # -- accounting / engine maintenance surface ---------------------------
-    @property
-    def handle(self) -> object:
-        return self._tree.handle_of(self.tenant)
-
+    # -- accounting / lifecycle --------------------------------------------
     @property
     def total_count(self) -> int:
-        total = getattr(self.handle, "total_count", None)
-        return int(total) if total is not None else 0
+        return self._tree.view_of(self.tenant).total_count
 
-    @property
-    def raw(self):
-        """The durable/in-memory filter behind the leaf, for the
-        engine's close-time checkpoint sweep (a bare DurableSBF leaf is
-        its own raw handle)."""
+    def _on_leaf(self, verb: str):
+        """Run a lifecycle verb on the leaf handle — an unmounted
+        tenant's slot has nothing to tick, checkpoint or close."""
         try:
-            handle = self.handle
+            view = self._tree.view_of(self.tenant)
         except UnknownTenant:
             return None
-        if isinstance(handle, DurableSBF):
-            return handle
-        return getattr(handle, "raw", None)
-
-    @property
-    def replicas(self):
-        """Replica handles when the leaf is a replica set (lets
-        ``ServingEngine.close()`` look through the slot), else ``None``."""
-        try:
-            return getattr(self.handle, "replicas", None)
-        except UnknownTenant:
-            return None
+        return getattr(view, verb)()
 
     def tick(self) -> None:
-        """Forward the engine's maintenance tick to leaves that take one
-        (replica sets probe ejected replicas here).  An unmounted
-        tenant's slot has nothing to tick."""
-        try:
-            handle = self.handle
-        except UnknownTenant:
-            return
-        tick = getattr(handle, "tick", None)
-        if callable(tick):
-            tick()
+        self._on_leaf("tick")
 
     def checkpoint(self):
-        return self.handle.checkpoint()
+        return self._on_leaf("checkpoint")
 
     def close(self) -> None:
-        handle = self.handle
-        close = getattr(handle, "close", None)
-        if callable(close):
-            close()
+        self._on_leaf("close")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"_TenantLeaf({self.tenant!r})"
 
 
-class _Unrouted:
+class _Unrouted(ShardHandle):
     """Slot 0: where unroutable keys go to fail politely.
 
     Malformed composites and unknown tenants group here; every operation
     fails with :class:`UnknownTenant` *per slot* — point ops raise
-    inside the batcher's per-op guard, bulk queries return a
-    :class:`~repro.serve.remote.BulkResult` whose every slot failed —
-    so one bad key never fells its batch-mates.
+    inside the batcher's per-op guard, bulk verbs return a
+    :class:`~repro.handle.BulkResult` whose every slot failed — so one
+    bad key never fells its batch-mates.
     """
 
     __slots__ = ("_directory",)
 
     def __init__(self, directory: TenantDirectory):
         self._directory = directory
-
-    @contextmanager
-    def exclusive(self, timeout: float | None = None):
-        yield self
 
     def _refuse(self, composite: object) -> UnknownTenant:
         try:
@@ -336,33 +292,28 @@ class _Unrouted:
     def insert(self, composite: object, count: int = 1) -> None:
         raise self._refuse(composite)
 
-    delete = insert
-
-    def set(self, composite: object, count: int) -> None:
-        raise self._refuse(composite)
+    delete = set = insert
 
     def query(self, composite: object) -> int:
         raise self._refuse(composite)
 
-    def contains(self, composite: object, threshold: int = 1) -> bool:
-        raise self._refuse(composite)
-
-    def query_many(self, composites: Sequence[object]) -> BulkResult:
+    def query_many(self, composites: Sequence[object], *,
+                   timeout: float | None = None) -> BulkResult:
         return BulkResult(
             len(composites),
             values=np.zeros(len(composites), dtype=np.int64),
-            failures=[BulkFailure(i, c, self._refuse(c), False)
-                      for i, c in enumerate(composites)])
+            failures=self._refuse_all(composites))
 
-    def insert_many(self, composites: Sequence[object]) -> BulkResult:
-        return BulkResult(
-            len(composites),
-            failures=[BulkFailure(i, c, self._refuse(c), False)
-                      for i, c in enumerate(composites)])
+    def insert_many(self, composites: Sequence[object], counts=None, *,
+                    timeout: float | None = None) -> BulkResult:
+        return BulkResult(len(composites),
+                          failures=self._refuse_all(composites))
 
-    def delete_many(self, composites: Sequence[object]) -> None:
-        if composites:
-            raise self._refuse(composites[0])
+    delete_many = insert_many
+
+    def _refuse_all(self, composites: Sequence[object]) -> list:
+        return [BulkFailure(i, c, self._refuse(c), False)
+                for i, c in enumerate(composites)]
 
     @property
     def total_count(self) -> int:

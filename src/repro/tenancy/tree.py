@@ -11,9 +11,9 @@ that inner nodes hold **counter-wise unions** (sums), so the tree prunes
 Structure and invariants:
 
 - every leaf wraps one tenant's serving handle (a plain
-  :class:`~repro.core.sbf.SpectralBloomFilter`, a
-  :class:`~repro.persist.ConcurrentSBF`, a
-  :class:`~repro.persist.DurableSBF`, or a replicated
+  :class:`~repro.core.sbf.SpectralBloomFilter`, or any handle of the
+  shard-handle protocol: a :class:`~repro.persist.ConcurrentSBF`, a
+  :class:`~repro.persist.DurableSBF`, a replicated
   :class:`~repro.serve.ha.ReplicaSet`) — any method, any backend — and
   every filter in the tree shares one hash family ``(m, k, seed)``, so a
   key's ``k`` counter positions are computed **once** per query and are
@@ -22,9 +22,10 @@ Structure and invariants:
   union (sum) of its children's *signatures* — the Minimum-Selection
   encoding of the multiset inserted below it.  For additive leaf methods
   (MS, RM, TRM — every insert adds ``count`` to all ``k`` primary
-  counters) the leaf's own counter vector *is* its signature; Minimal
-  Increase leaves keep an explicit signature vector alongside, because
-  their counters advance sub-additively;
+  counters) a bare filter's own counter vector *is* its signature;
+  Minimal Increase leaves keep an explicit signature vector alongside,
+  because their counters advance sub-additively, and so do wrapped
+  handles (a replica set's local filter can lag behind hinted writes);
 - inserts and deletes apply to the leaf first, then propagate the same
   ``k``-position delta up the root path (O(k · height) scalar adds, or
   one aggregated scatter-add per ancestor for bulk batches) — so the
@@ -85,6 +86,7 @@ from repro.core.serialize import (
     open_sections,
     seal_sections,
 )
+from repro.handle import BulkResult, as_handle
 from repro.hashing.families import make_family
 from repro.hashing.vectorized import canonicalize_many, matrix_for
 from repro.serve.metrics import MetricsRegistry
@@ -107,13 +109,14 @@ class _Node:
 
     ``children is None`` marks a leaf.  ``array`` is the inner node's
     counter-wise union of its children's signatures; on leaves,
-    ``signature`` is the explicitly-tracked signature vector (``None``
-    when the leaf's own counters serve as the signature — the additive
-    methods).
+    ``handle`` is the mounted handle, ``view`` the same handle as a
+    :class:`~repro.handle.ShardHandle` (every leaf op goes through it),
+    and ``signature`` the explicitly-tracked signature vector (``None``
+    when the leaf's own counters serve as the signature).
     """
 
     __slots__ = ("parent", "children", "array", "n_leaves",
-                 "tenant", "handle", "signature")
+                 "tenant", "handle", "view", "signature")
 
     def __init__(self):
         self.parent: _Node | None = None
@@ -122,6 +125,7 @@ class _Node:
         self.n_leaves = 0
         self.tenant: object = None
         self.handle: object = None
+        self.view = None
         self.signature: np.ndarray | None = None
 
     @classmethod
@@ -137,6 +141,7 @@ class _Node:
         node = cls()
         node.tenant = tenant
         node.handle = handle
+        node.view = as_handle(handle)
         node.signature = signature
         node.n_leaves = 1
         return node
@@ -149,21 +154,6 @@ class _Node:
         if self.is_leaf:
             return f"_Node(leaf {self.tenant!r})"
         return f"_Node(inner, {len(self.children)} children)"
-
-
-def _leaf_sbf(handle: object) -> SpectralBloomFilter | None:
-    """The in-memory filter behind a leaf handle, or ``None``.
-
-    ``ConcurrentSBF`` / ``DurableSBF`` / ``ReplicaSet`` all expose
-    ``.sbf``; a plain filter is its own.  Remote-only handles have none.
-    """
-    if isinstance(handle, SpectralBloomFilter):
-        return handle
-    try:
-        sbf = getattr(handle, "sbf", None)
-    except AttributeError:  # ReplicaSet with no local replica
-        return None
-    return sbf if isinstance(sbf, SpectralBloomFilter) else None
 
 
 def _counters_array(sbf: SpectralBloomFilter) -> np.ndarray:
@@ -316,9 +306,10 @@ class SpectralBloofiTree:
                     method=method, backend=backend,
                     method_options=method_options,
                     backend_options=backend_options)
-            vector, explicit = self._mount_signature(handle, signature)
-            leaf = _Node.leaf(tenant, handle,
-                              vector.copy() if explicit else None)
+            leaf = _Node.leaf(tenant, handle, None)
+            vector, explicit = self._mount_signature(leaf, signature)
+            if explicit:
+                leaf.signature = vector.copy()
             parent = self._mount_point()
             leaf.parent = parent
             parent.children.append(leaf)
@@ -333,17 +324,18 @@ class SpectralBloofiTree:
             self._update_shape_gauges()
         return handle
 
-    def _mount_signature(self, handle: object,
+    def _mount_signature(self, leaf: _Node,
                          signature: np.ndarray | None,
                          ) -> tuple[np.ndarray, bool]:
-        """``(vector, explicit)`` for a handle entering the tree.
+        """``(vector, explicit)`` for a leaf entering the tree.
 
         *explicit* marks leaves whose signature the tree must track
         itself: Minimal-Increase filters (sub-additive counters) and
-        handles with no readable local filter or with replica fan-out
-        (whose counters may lag acknowledged writes behind hints).
+        every handle but a bare filter — one with no readable local
+        filter, or whose local filter may lag acknowledged writes (a
+        replica set's hints).
         """
-        sbf = _leaf_sbf(handle)
+        sbf = leaf.view.local_filter()
         if sbf is not None:
             if sbf.m != self.m or not self.family.is_compatible(sbf.family):
                 raise ValueError(
@@ -358,17 +350,16 @@ class SpectralBloofiTree:
             if vector.size and int(vector.min()) < 0:
                 raise ValueError("signature counters must be >= 0")
             return vector.copy(), True
-        replicated = getattr(handle, "replicas", None) is not None
         if sbf is not None:
-            vector = _counters_array(sbf)
-            explicit = replicated or sbf.method.name not in _ADDITIVE_METHODS
-            return vector, explicit
-        if getattr(handle, "total_count", None) == 0:
+            explicit = sbf is not leaf.handle \
+                or sbf.method.name not in _ADDITIVE_METHODS
+            return _counters_array(sbf), explicit
+        if leaf.view.total_count == 0:
             return np.zeros(self.m, dtype=np.int64), True
         raise TypeError(
-            f"cannot derive a mount signature from {type(handle).__name__} "
-            f"(no readable local filter); mount it empty or pass "
-            f"signature=")
+            f"cannot derive a mount signature from "
+            f"{type(leaf.handle).__name__} (no readable local filter); "
+            f"mount it empty or pass signature=")
 
     def _mount_point(self) -> _Node:
         """The least-loaded leaf-parent node (keeps the tree balanced)."""
@@ -409,10 +400,7 @@ class SpectralBloofiTree:
             return node.array
         if node.signature is not None:
             return node.signature
-        sbf = _leaf_sbf(node.handle)
-        if sbf is None:  # pragma: no cover - mount() forbids this state
-            raise TypeError(f"leaf {node.tenant!r} lost its local filter")
-        return _counters_array(sbf)
+        return _counters_array(node.view.local_filter())
 
     # -- rebalancing -------------------------------------------------------
     @property
@@ -520,7 +508,7 @@ class SpectralBloofiTree:
             return
         with self._lock:
             leaf = self._leaf(tenant)
-            leaf.handle.insert(key, count)
+            leaf.view.insert(key, count)
             self._apply_point(leaf, key, count)
             self.metrics.counter("tenancy.inserts").inc()
 
@@ -528,7 +516,8 @@ class SpectralBloofiTree:
         """Remove *count* occurrences of *key* from *tenant*.
 
         Refused cleanly (no partial application, ancestors untouched)
-        when the leaf's counters could not absorb the decrement.
+        when the leaf's counters could not absorb the decrement — every
+        handle's delete is all-or-nothing.
         """
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
@@ -536,12 +525,7 @@ class SpectralBloofiTree:
             return
         with self._lock:
             leaf = self._leaf(tenant)
-            sbf = _leaf_sbf(leaf.handle)
-            if sbf is not None and sbf.min_counter(key) < count:
-                raise ValueError(
-                    f"deleting {count} of {key!r} would drive a counter "
-                    f"of tenant {tenant!r} negative")
-            leaf.handle.delete(key, count)
+            leaf.view.delete(key, count)
             self._apply_point(leaf, key, -count)
             self.metrics.counter("tenancy.deletes").inc()
 
@@ -569,51 +553,46 @@ class SpectralBloofiTree:
                 array[position] += count
             node = node.parent
 
-    def insert_many(self, tenant: object, keys, counts=None):
+    def insert_many(self, tenant: object, keys, counts=None) -> BulkResult:
         """Bulk insert through the leaf's vectorised kernels.
 
-        One hashing pass covers the leaf *and* every ancestor: the
-        ``(n, k)`` position matrix drives the leaf's bulk kernel and one
-        aggregated scatter-add per ancestor.  Returns whatever the leaf
-        handle's ``insert_many`` returns (``None``, or a partial-failure
-        :class:`~repro.serve.remote.BulkResult` for replicated leaves —
-        hinted writes are still counted in the ancestors, which stays
-        one-sided while handoff drains).
+        One hashing pass covers the ancestors: the ``(n, k)`` position
+        matrix drives one aggregated scatter-add per ancestor, over the
+        slots the leaf's :class:`~repro.handle.BulkResult` reports as
+        landed (hinted writes on replicated leaves land, which stays
+        one-sided while handoff drains).  Returns that result.
         """
+        return self._bulk(tenant, keys, counts, +1)
+
+    def delete_many(self, tenant: object, keys, counts=None) -> BulkResult:
+        """Bulk delete; all-or-nothing per leaf handle, like
+        :meth:`~repro.core.sbf.SpectralBloomFilter.delete_many`."""
+        return self._bulk(tenant, keys, counts, -1)
+
+    def _bulk(self, tenant: object, keys, counts, sign: int) -> BulkResult:
         with self._lock:
             leaf = self._leaf(tenant)
             keys, counts = _normalise_batch(keys, counts)
-            if not len(keys):
-                return None
-            outcome = (leaf.handle.insert_many(keys) if counts is None
-                       else leaf.handle.insert_many(keys, counts))
-            self._apply_bulk(leaf, keys, counts, +1)
-            self.metrics.counter("tenancy.inserts").inc(len(keys))
+            verb = leaf.view.insert_many if sign > 0 \
+                else leaf.view.delete_many
+            outcome = verb(keys, counts)
+            if len(keys):
+                self._apply_bulk(leaf, keys, counts, sign, outcome)
+            self.metrics.counter(
+                "tenancy.inserts" if sign > 0 else "tenancy.deletes",
+            ).inc(outcome.applied)
             return outcome
 
-    def delete_many(self, tenant: object, keys, counts=None) -> None:
-        """Bulk delete; all-or-nothing on array-shaped leaf backends
-        (they pre-validate), mirroring
-        :meth:`~repro.core.sbf.SpectralBloomFilter.delete_many`."""
-        with self._lock:
-            leaf = self._leaf(tenant)
-            keys, counts = _normalise_batch(keys, counts)
-            if not len(keys):
-                return
-            if counts is None:
-                leaf.handle.delete_many(keys)
-            else:
-                leaf.handle.delete_many(keys, counts)
-            self._apply_bulk(leaf, keys, counts, -1)
-            self.metrics.counter("tenancy.deletes").inc(len(keys))
-
-    def _apply_bulk(self, leaf: _Node, keys, counts, sign: int) -> None:
+    def _apply_bulk(self, leaf: _Node, keys, counts, sign: int,
+                    outcome: BulkResult) -> None:
         canon = canonicalize_many(keys)
         matrix = matrix_for(self.family, canon)
         flat = matrix.ravel()
-        deltas = np.repeat(
-            np.full(len(keys), sign, dtype=np.int64) if counts is None
-            else sign * counts, self.k)
+        deltas = (np.full(len(keys), sign, dtype=np.int64) if counts is None
+                  else sign * counts)
+        for failure in outcome.failures:
+            deltas[failure.index] = 0  # a slot that never landed
+        deltas = np.repeat(deltas, self.k)
         if leaf.signature is not None:
             np.add.at(leaf.signature, flat, deltas)
         node = leaf.parent
@@ -645,7 +624,7 @@ class SpectralBloofiTree:
                     direct = _direct_counters(node.handle)
                     estimate = (int(direct[positions].min())
                                 if direct is not None
-                                else node.handle.query(key))
+                                else node.view.query(key))
                     if estimate > 0:
                         answers[node.tenant] = estimate
                 elif node.n_leaves and int(node.array[positions].min()) > 0:
@@ -698,16 +677,9 @@ class SpectralBloofiTree:
                     results[slot][node.tenant] = int(estimate)
             return
         slots = alive.tolist()
-        bulk = getattr(node.handle, "query_many", None)
-        if bulk is not None:
-            estimates = bulk([keys[i] for i in slots])
-            if isinstance(estimates, np.ndarray):
-                for slot, estimate in zip(slots, estimates.tolist()):
-                    if estimate > 0:
-                        results[slot][node.tenant] = estimate
-                return
-        for slot in slots:
-            estimate = node.handle.query(keys[slot])
+        estimates = node.view.query_many([keys[i] for i in slots])
+        for slot, estimate in zip(slots,
+                                  estimates.raise_first().values.tolist()):
             if estimate > 0:
                 results[slot][node.tenant] = estimate
 
@@ -715,31 +687,24 @@ class SpectralBloofiTree:
         """Single-tenant estimate — straight to the owning leaf, no
         descent (what the directory front routes through)."""
         with self._lock:
-            return self._leaf(tenant).handle.query(key)
+            return self._leaf(tenant).view.query(key)
 
-    def query_tenant_many(self, tenant: object, keys):
-        """Single-tenant bulk estimates; passes the leaf handle's result
-        through untouched (ndarray, or a partial-failure ``BulkResult``
-        for replicated leaves)."""
+    def query_tenant_many(self, tenant: object, keys) -> BulkResult:
+        """Single-tenant bulk estimates: the leaf handle's
+        :class:`~repro.handle.BulkResult`."""
         with self._lock:
-            handle = self._leaf(tenant).handle
-            bulk = getattr(handle, "query_many", None)
-            if bulk is not None:
-                return bulk(keys)
-            return np.fromiter((handle.query(key) for key in keys),
-                               dtype=np.int64, count=len(keys))
+            return self._leaf(tenant).view.query_many(keys)
+
+    def view_of(self, tenant: object):
+        """*tenant*'s leaf handle as a :class:`~repro.handle.ShardHandle`."""
+        return self._leaf(tenant).view
 
     @property
     def total_count(self) -> int:
-        """Total multiplicity across the fleet (root-union mass / k)."""
+        """Total multiplicity across the fleet."""
         with self._lock:
-            return sum(self._leaf_total(leaf)
+            return sum(leaf.view.total_count
                        for leaf in self._leaves.values())
-
-    @staticmethod
-    def _leaf_total(leaf: _Node) -> int:
-        total = getattr(leaf.handle, "total_count", None)
-        return int(total) if total is not None else 0
 
     # ------------------------------------------------------------------
     # snapshot / restore (multi-section wire manifest)
@@ -759,7 +724,7 @@ class SpectralBloofiTree:
 
             def encode(node: _Node):
                 if node.is_leaf:
-                    sbf = _leaf_sbf(node.handle)
+                    sbf = node.view.local_filter()
                     if sbf is None:
                         raise TypeError(
                             f"tenant {node.tenant!r} has no readable local "

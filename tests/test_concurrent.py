@@ -8,6 +8,7 @@ typed :class:`LockTimeout` instead of hanging when a lock genuinely cannot
 be had.
 """
 
+import sys
 import threading
 import time
 
@@ -118,6 +119,31 @@ class TestConcurrentStress:
         durable.close()
         recovered, _ = recover(str(tmp_path))
         assert recovered.counters.to_list() == expected.counters.to_list()
+
+    def test_disjoint_stripe_writers_lose_no_update(self):
+        # Writers on disjoint stripes all call the wrapped filter's verbs,
+        # whose total_count is a shared accumulator; a tiny switch
+        # interval makes a lost read-modify-write show here.
+        handle = ConcurrentSBF(SpectralBloomFilter(4096, 4, seed=3),
+                               stripes=16, timeout=30.0)
+
+        def writer(thread_id, errors, barrier):
+            try:
+                barrier.wait(timeout=30)
+                for i in range(200):
+                    handle.insert(f"w{thread_id}-{i}", 2)
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(writer, lambda i, errors, barrier:
+                         (i, errors, barrier))
+        finally:
+            sys.setswitchinterval(interval)
+        assert handle.total_count == THREADS * 200 * 2
+        assert handle.check_integrity() == []
 
     def test_concurrent_sets_are_serialised(self):
         handle = ConcurrentSBF(SpectralBloomFilter(1024, 4, seed=5),

