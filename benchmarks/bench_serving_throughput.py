@@ -1,7 +1,7 @@
 """Serving throughput — batched sharded path vs naive one-op-at-a-time.
 
 The serving engine's pitch (DESIGN.md §7) is that batching amortises the
-per-operation fixed costs: the canonical-key hash, a striped-lock
+per-operation fixed costs: the canonical-key hash, a shard-lock
 acquire/release, ``k`` Python-level hash evaluations, and the metrics
 update.  This benchmark measures exactly that claim on the array backend:
 

@@ -18,8 +18,7 @@ tenant directory here.
 - ``total_count`` — the multiplicity ``N`` the handle holds;
 - **lifecycle defaults** — :meth:`~ShardHandle.exclusive` yields the
   handle itself, :meth:`~ShardHandle.checkpoint` writes nothing,
-  :meth:`~ShardHandle.close`, :meth:`~ShardHandle.tick` and
-  :meth:`~ShardHandle.add_operations` do nothing,
+  :meth:`~ShardHandle.close` and :meth:`~ShardHandle.tick` do nothing,
   :meth:`~ShardHandle.local_filter` is ``None`` (remote handles have no
   in-memory filter) and :meth:`~ShardHandle.respawn` refuses;
 - **anti-entropy verbs** — ``block_checksums`` / ``read_blocks`` /
@@ -203,9 +202,6 @@ class ShardHandle(ABC):
 
     def tick(self) -> None:
         """Periodic maintenance (replica sets probe ejected replicas)."""
-
-    def add_operations(self, n: int) -> None:
-        """Credit *n* ops applied inside an :meth:`exclusive` section."""
 
     def local_filter(self) -> SpectralBloomFilter | None:
         """The in-memory filter behind the handle (unlocked)."""

@@ -11,8 +11,9 @@ Everything the in-memory SBF stack lacks to serve as a durable system:
   integrity audit;
 - :mod:`repro.persist.durable` — :class:`DurableSBF`, the write-ahead
   serving handle tying the three together;
-- :mod:`repro.persist.concurrent` — :class:`ConcurrentSBF`, striped
-  locking with bounded waits for multi-threaded serving;
+- :mod:`repro.persist.concurrent` — :class:`ConcurrentSBF`, one
+  reader-writer lock per shard with bounded waits for multi-threaded
+  serving;
 - :mod:`repro.persist.crashsim` — deterministic filesystem fault
   injection (torn writes, lost renames/fsyncs), the disk sibling of
   :mod:`repro.db.faults`.

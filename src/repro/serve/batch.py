@@ -1,7 +1,7 @@
 """Request batching: one lock acquisition per shard per batch.
 
 The naive serving path pays, per operation, a canonical-key hash, a
-striped-lock acquire/release, ``k`` Python-level hash evaluations, and a
+shard-lock acquire/release, ``k`` Python-level hash evaluations, and a
 metrics update.  Under a query stream those fixed costs dominate the
 actual counter work.  :class:`ShardBatcher` amortises them:
 
@@ -15,8 +15,8 @@ actual counter work.  :class:`ShardBatcher` amortises them:
   — every method, every backend, every key type, bit-identical to the
   scalar path by construction.  Durable shards log one ``insert_many``
   WAL record per shard group; remote shards ship it in chunked frames;
-  ``query_many`` rides the handle's shared read path, so concurrent bulk
-  readers overlap;
+  ``query_many`` takes the read side of the shard's lock, so concurrent
+  bulk readers overlap;
 - **isolation of failures** — a failing operation (e.g. a delete that
   would drive a counter negative, or a remote shard whose channel gave
   up) is captured *in its result slot* as the exception instance; the
@@ -148,7 +148,6 @@ class ShardBatcher:
                 for idx in group:
                     results[idx] = exc
                 continue
-            shard.add_operations(len(group))
             self.router.note_shard_ops(shard_id, len(group))
         self.metrics.counter("batch.ops").inc(len(ops))
         self.metrics.counter("batch.shard_batches").inc(len(by_shard))

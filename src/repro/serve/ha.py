@@ -990,8 +990,7 @@ def replicated_fleet(n_shards: int, m: int, k: int, *, rf: int = 3,
                      read_consistency: str = QUORUM,
                      write_consistency: str = ONE,
                      eject_after: int = 3, probe_every: int = 64,
-                     hint_dir: str | None = None,
-                     stripes: int = 16, timeout: float = 5.0,
+                     hint_dir: str | None = None, timeout: float = 5.0,
                      replica_factory: Callable[[int, int], object]
                      | None = None,
                      metrics: MetricsRegistry | None = None,
@@ -1030,7 +1029,7 @@ def replicated_fleet(n_shards: int, m: int, k: int, *, rf: int = 3,
                     SpectralBloomFilter(m, k, seed=seed, method=method,
                                         backend=backend,
                                         hash_family=hash_family),
-                    stripes=stripes, timeout=timeout))
+                    timeout=timeout))
         shards.append(ReplicaSet(
             replicas, name=f"shard{s}",
             read_consistency=read_consistency,

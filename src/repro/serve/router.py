@@ -135,8 +135,7 @@ class ShardedSBF:
     @classmethod
     def create(cls, n_shards: int, m: int, k: int, *, seed: int = 0,
                method: object = "ms", backend: object = "array",
-               hash_family: object = "blocked",
-               stripes: int = 16, timeout: float = 5.0,
+               hash_family: object = "blocked", timeout: float = 5.0,
                durable_root: str | None = None, fsync: object = "always",
                metrics: MetricsRegistry | None = None) -> "ShardedSBF":
         """Build a fresh fleet of *n_shards* identically-parameterised shards.
@@ -159,8 +158,7 @@ class ShardedSBF:
                                          factory=factory, fsync=fsync)
             else:
                 handle = factory()
-            shards.append(ConcurrentSBF(handle, stripes=stripes,
-                                        timeout=timeout))
+            shards.append(ConcurrentSBF(handle, timeout=timeout))
         return cls(shards, metrics=metrics)
 
     def _local_filters(self) -> list[SpectralBloomFilter]:
@@ -271,7 +269,6 @@ class ShardedSBF:
             with old_shard.exclusive() as raw:
                 if not migration.migrated[old_id]:
                     _apply(raw, (verb, key, count))
-                    old_shard.add_operations(1)
                     return
         # Dual write, old fleet first (it stays fully authoritative —
         # abort must lose nothing).  The new shard's copy of this key's
@@ -494,8 +491,7 @@ class ShardedSBF:
         return seal_sections(MANIFEST_MAGIC, meta, sections)
 
     @classmethod
-    def load_manifest(cls, data: bytes, *, stripes: int = 16,
-                      timeout: float = 5.0,
+    def load_manifest(cls, data: bytes, *, timeout: float = 5.0,
                       metrics: MetricsRegistry | None = None,
                       ) -> "ShardedSBF":
         """Rebuild a fleet from a :meth:`dump_manifest` frame.
@@ -515,8 +511,8 @@ class ShardedSBF:
             raise WireFormatError(
                 f"manifest declares {n} shard(s) but carries "
                 f"{len(sections)} section(s)")
-        shards = [ConcurrentSBF(load_sbf(frame), stripes=stripes,
-                                timeout=timeout) for frame in sections]
+        shards = [ConcurrentSBF(load_sbf(frame), timeout=timeout)
+                  for frame in sections]
         return cls(shards, metrics=metrics)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

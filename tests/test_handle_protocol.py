@@ -274,7 +274,6 @@ def test_lifecycle_defaults_hold(kind):
     handle = kind.handle
     handle.insert(kind.key("k"), 3)
     handle.tick()
-    handle.add_operations(2)
     with handle.exclusive() as inner:
         assert inner.query(kind.key("k")) == 3
     assert handle.query(kind.key("k")) == 3

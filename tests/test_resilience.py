@@ -598,6 +598,18 @@ def test_batcher_fails_expired_slot_without_felling_the_batch():
     assert router.query("b") == 1
 
 
+def test_tight_deadline_does_not_fail_an_uncontended_shard_group():
+    # A shard-mate with a nearly spent deadline caps its group's lock
+    # wait, but a free lock needs no wait: the whole group must run.
+    router = ShardedSBF.create(1, M, K, seed=SEED)
+    tight = Deadline(1e-6, clock=FakeClock())   # still clock: never expires
+    results = ShardBatcher(router).execute(
+        [("insert", "a"), ("insert", "b"), ("query", "b")],
+        deadlines=[tight, None, None])
+    assert results == [None, None, 1]
+    assert router.total_count == 2
+
+
 def test_router_point_path_refuses_expired_ambient_deadline():
     clock = FakeClock()
     metrics = MetricsRegistry(clock=clock)

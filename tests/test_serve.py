@@ -113,7 +113,7 @@ def test_refused_delete_changes_nothing(path):
 def test_bulk_queries_ride_the_shared_read_path():
     # Bulk readers overlap: while another reader holds shard 0's read
     # side, the batcher's query_many still answers — it only reads, so
-    # it must not queue for the mutator side of the gate.
+    # it must not queue for the write side of the shard's lock.
     router, reference = make_router(2), make_reference()
     batcher = ShardBatcher(router)
     keys = workload(300)
@@ -121,12 +121,12 @@ def test_bulk_queries_ride_the_shared_read_path():
     for key in keys:
         reference.insert(key)
     shard = router.shards[0]
-    shard._enter_gate(read=True, timeout=1.0)
+    shard._lock.acquire_read(1.0)
     try:
         assert batcher.query_many(keys, timeout=0.1) \
             == [reference.query(key) for key in keys]
     finally:
-        shard._gate.exit_read()
+        shard._lock.release_read()
 
 
 def test_mutating_batch_matches_scalar_path():
