@@ -97,6 +97,18 @@ def aggregate_deltas(indices: np.ndarray, deltas: np.ndarray,
     return si[starts], np.add.reduceat(sd, starts)
 
 
+def underflows(counters, positions, count: int) -> bool:
+    """Would deleting *count* of one key drive a counter negative?
+
+    A delete lowers each of the key's positions once per occurrence, and
+    the ``k`` positions may repeat, so a distinct counter must hold
+    *count* times its multiplicity — the one-key case of the aggregated
+    bulk check (:func:`aggregate_deltas`).
+    """
+    return any(counters.get(i) < count * positions.count(i)
+               for i in set(positions))
+
+
 def gather_rows(counters, matrix: np.ndarray) -> np.ndarray:
     """Counter values at every position of the ``(n, k)`` matrix."""
     n, k = matrix.shape

@@ -336,10 +336,12 @@ class RecurringMinimum(Method):
             else not self._has_recurring_minimum(tuple(values))
         if in_secondary:
             # "decrease its counters in the secondary SBF, unless at least
-            # one of them is 0" (§3.3).
-            secondary_values = self.secondary.counter_values(key)
-            if all(v >= count for v in secondary_values):
-                self.secondary.delete(key, count)
+            # one of them is 0" (§3.3) — a counter the key's positions
+            # repeat must cover the decrement once per repeat.
+            secondary = self.secondary
+            if not kernels.underflows(secondary.counters,
+                                      secondary.indices(key), count):
+                secondary.delete(key, count)
 
     def estimate(self, key: object) -> int:
         values = self.sbf.counter_values(key)
@@ -428,8 +430,7 @@ class RecurringMinimum(Method):
         for j in np.flatnonzero(in_secondary).tolist():
             srow = secondary.family.indices_hashed(int(canon[j]))
             count = int(counts[j])
-            values = [secondary.counters.get(i) for i in srow]
-            if all(v >= count for v in values):
+            if not kernels.underflows(secondary.counters, srow, count):
                 for i in srow:
                     secondary.counters.add(i, -count)
                 secondary.total_count -= count

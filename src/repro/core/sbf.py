@@ -151,8 +151,8 @@ class SpectralBloomFilter:
         """
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        if count and self.method.name != "mi" \
-                and self.min_counter(key) < count:
+        if count and self.method.name != "mi" and kernels.underflows(
+                self.counters, self.indices(key), count):
             raise ValueError(
                 f"deleting {count} of {key!r} would drive a counter "
                 f"negative (estimate {self.min_counter(key)})")

@@ -10,6 +10,11 @@ tenant directory here.
 - **point verbs** — ``insert`` / ``delete`` / ``set`` / ``query`` /
   ``contains``.  A refused op (a delete that would drive a counter
   negative) raises and changes nothing;
+- **the group verb** — :meth:`~ShardHandle.execute` runs a shard group
+  of point ops in one call and returns one outcome per op: the default
+  freezes the handle once and loops over the point verbs; handles with a
+  fixed cost per call override it (one lock acquisition, one fsync, one
+  wire frame per group);
 - **bulk verbs** — ``insert_many`` / ``delete_many`` / ``query_many``
   return a :class:`BulkResult`.  A bulk verb that raises applied
   nothing; a slot that failed while others landed is named in
@@ -44,6 +49,9 @@ import numpy as np
 
 from repro.core.sbf import SpectralBloomFilter
 from repro.core.serialize import dump_sbf
+
+#: the point verbs an op tuple of :meth:`ShardHandle.execute` may name
+POINT_VERBS = frozenset({"insert", "delete", "set", "query", "contains"})
 
 
 class BulkFailure:
@@ -184,6 +192,43 @@ class ShardHandle(ABC):
     def total_count(self) -> int:
         """Total multiplicity held (the paper's ``N``)."""
 
+    # -- the group verb ----------------------------------------------------
+    def execute(self, ops: Sequence[tuple], deadlines: Sequence | None = None,
+                *, timeout: float | None = None) -> list:
+        """Run a shard group of point ops; one outcome per op, in order.
+
+        Each op is ``(verb, key[, count_or_threshold])`` with a verb of
+        :data:`POINT_VERBS`.  A slot holds the op's value, ``None`` for a
+        mutation, or the exception instance that felled it — the
+        :meth:`~repro.serve.batch.ShardBatcher.execute` convention.
+        *deadlines* parallels *ops* (``None`` entries are unbounded): each
+        op runs inside its own
+        :func:`~repro.serve.resilience.deadline_scope`, and one already
+        expired when its turn comes fails unexecuted.  *timeout* bounds
+        the handle's own lock wait.  Raises only when nothing applied
+        (a lock wait past *timeout*).
+
+        The default freezes the handle once (:meth:`exclusive`) and runs
+        the point verbs in order — the right shape wherever one call is
+        cheap.  Handles with a fixed cost per call override it.
+        """
+        # Imported here: repro.serve's package init imports this module.
+        from repro.serve.resilience import deadline_scope
+        if deadlines is None:
+            deadlines = [None] * len(ops)
+        results: list = [None] * len(ops)
+        with self.exclusive(timeout) as raw:
+            for idx, op in enumerate(ops):
+                try:
+                    deadline = deadlines[idx]
+                    if deadline is not None:
+                        deadline.check(op[0], unexecuted=True)
+                    with deadline_scope(deadline):
+                        results[idx] = _apply(raw, op)
+                except Exception as exc:
+                    results[idx] = exc
+        return results
+
     # -- lifecycle defaults ------------------------------------------------
     @contextmanager
     def exclusive(self, timeout: float | None = None,
@@ -264,6 +309,20 @@ class ShardHandle(ABC):
             if total_count is not None:
                 sbf.total_count = int(total_count)
             return written
+
+
+def _apply(handle, op: tuple):
+    """Apply one op tuple through a handle's (or the router's) point
+    verbs; returns the op's value (``None`` for mutations)."""
+    verb, key = op[0], op[1]
+    if verb == "query":
+        return handle.query(key)
+    if verb == "contains":
+        return handle.contains(key, op[2] if len(op) > 2 else 1)
+    if verb == "set" and len(op) < 3:
+        raise ValueError(f"set op needs a count: {op!r}")
+    getattr(handle, verb)(key, op[2] if len(op) > 2 else 1)
+    return None
 
 
 def _repair_block(m: int, n_blocks: int, block: int) -> np.ndarray:

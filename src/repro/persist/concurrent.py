@@ -8,7 +8,8 @@ shard**:
 
 - **shared readers** — ``query`` and ``query_many`` mutate nothing, so
   any number of them hold the read side together;
-- **one writer** — every mutation, ``set``, :meth:`~ConcurrentSBF.exclusive`,
+- **one writer** — every mutation, ``set``, a shard group
+  (:meth:`~ConcurrentSBF.execute`), :meth:`~ConcurrentSBF.exclusive`,
   checkpoints and integrity audits hold the write side, alone: the
   wrapped handle's verbs run one at a time (its ``total_count``
   accumulator and write-ahead log append in order), and a checkpoint
@@ -201,6 +202,13 @@ class ConcurrentSBF(ShardHandle):
         consistent because no writer runs while any reader is inside.
         """
         return self._read(timeout, self._handle.query_many, keys)
+
+    def execute(self, ops, deadlines=None, *,
+                timeout: float | None = None) -> list:
+        """Run a shard group under one write-side acquisition (bounded by
+        *timeout*) through the wrapped handle's own ``execute`` — a
+        durable handle's group commit included."""
+        return self._write(timeout, self._handle.execute, ops, deadlines)
 
     # -- reads -----------------------------------------------------------
     def query(self, key: object, *, timeout: float | None = None) -> int:

@@ -14,7 +14,10 @@ acknowledged mutation survives a process crash:
   snapshot plus the still-intact log;
 - :meth:`open` is the crash-recovery entry point: point it at a
   directory and it either recovers the persisted state or starts fresh
-  from *factory*.
+  from *factory*;
+- :meth:`execute` is group commit: a shard group's mutations each log
+  their own record, and the fsyncs the policy owes collapse into one,
+  taken before any op of the group is acknowledged.
 
 Keys must be JSON scalars (the WAL's key discipline); reads are plain
 pass-throughs.  It speaks the shard-handle protocol
@@ -173,6 +176,31 @@ class DurableSBF(ShardHandle):
             self.wal.log_delete_many(keys, counts)
             self.sbf.delete_many(keys, counts)
         return BulkResult(len(keys))
+
+    # -- group commit ------------------------------------------------------
+    def execute(self, ops: Sequence[tuple], deadlines=None, *,
+                timeout: float | None = None) -> list:
+        """Run a shard group with one fsync (group commit).
+
+        Every mutation is validated, logged as its own record and applied
+        exactly as its point verb would, so records, bytes and recovery
+        are unchanged; only the fsyncs the policy owes collapse into at
+        most one (:meth:`WriteAheadLog.group`), taken before this returns
+        — so before any op of the group is acknowledged.  If that fsync
+        fails, every applied mutation's slot gets its error (none of them
+        may be acknowledged); nothing is raised.
+        """
+        results = None
+        try:
+            with self.wal.group():
+                results = super().execute(ops, deadlines, timeout=timeout)
+        except Exception as exc:
+            if results is None:
+                raise
+            for idx, outcome in enumerate(results):
+                if outcome is None:          # an applied mutation
+                    results[idx] = exc
+        return results
 
     # -- reads -----------------------------------------------------------
     def query(self, key: object) -> int:

@@ -27,6 +27,13 @@ Fsync policy (the classic durability/throughput dial):
 - ``"checkpoint"`` — fsync only at checkpoints (and explicit
   :meth:`sync` calls); fastest, loses up to a whole checkpoint interval.
 
+Group commit: inside :meth:`WriteAheadLog.group` every operation still
+appends its own record, but the fsyncs the policy owes collapse into at
+most one, taken as the block exits — so a caller that acknowledges the
+group's operations only after the block (as
+:meth:`~repro.persist.DurableSBF.execute` does) keeps the policy's
+promise at one fsync per group.
+
 Bodies are JSON, so logged keys must be JSON scalars (``str``/``int``/
 ``float``/``bool``/``None``) — the natural key types of a serving system;
 :meth:`log_insert` rejects anything else up front rather than letting a
@@ -40,6 +47,7 @@ import os.path
 import struct
 import threading
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -239,6 +247,9 @@ class WriteAheadLog:
         self.fsync_policy = fsync
         self._lock = threading.Lock()
         self._since_sync = 0
+        #: thread inside :meth:`group` (its owed fsyncs wait for the exit)
+        self._grouping: int | None = None
+        self._sync_owed = False
         self.appends = 0
         existed = self.io.exists(self.path)
         _, scan = replay(self.path, io=self.io)
@@ -283,6 +294,10 @@ class WriteAheadLog:
                 f"got {type(key).__name__}")
         if not isinstance(count, int) or isinstance(count, bool):
             raise TypeError(f"count must be an int, got {count!r}")
+        return self._write(op, key, count)
+
+    def _write(self, op: int, key: object, count) -> int:
+        """Append one validated record; fsync when the policy says so."""
         with self._lock:
             seq = self.next_seq
             self._file.write(_encode(seq, op, key, count))
@@ -290,8 +305,11 @@ class WriteAheadLog:
             self.appends += 1
             self._since_sync += 1
             if self._policy_every and self._since_sync >= self._policy_every:
-                self.io.fsync(self._file)
-                self._since_sync = 0
+                if self._grouping == threading.get_ident():
+                    self._sync_owed = True
+                else:
+                    self.io.fsync(self._file)
+                    self._since_sync = 0
         return seq
 
     def log_insert(self, key: object, count: int = 1) -> int:
@@ -322,16 +340,7 @@ class WriteAheadLog:
                     or count < 0:
                 raise ValueError(
                     f"bulk counts must be ints >= 0, got {count!r}")
-        with self._lock:
-            seq = self.next_seq
-            self._file.write(_encode(seq, op, keys, counts))
-            self.next_seq = seq + 1
-            self.appends += 1
-            self._since_sync += 1
-            if self._policy_every and self._since_sync >= self._policy_every:
-                self.io.fsync(self._file)
-                self._since_sync = 0
-        return seq
+        return self._write(op, keys, counts)
 
     def log_insert_many(self, keys: list, counts: list) -> int:
         """Append one record covering a whole insert batch.
@@ -346,6 +355,26 @@ class WriteAheadLog:
         return self._append_bulk(OP_DELETE_MANY, keys, counts)
 
     # -- durability points -------------------------------------------------
+    @contextmanager
+    def group(self) -> Iterator["WriteAheadLog"]:
+        """Group commit for the calling thread's appends inside the block.
+
+        Each append still writes its own record, but the fsyncs the
+        policy owes wait for the block's exit and collapse into one (none
+        under ``"checkpoint"``, none if no append was due one).  That
+        fsync raising means no append of the block may be acknowledged.
+        Appends from other threads keep their own fsyncs; one thread at a
+        time may hold a group open.
+        """
+        self._grouping = threading.get_ident()
+        try:
+            yield self
+        finally:
+            self._grouping = None
+            if self._sync_owed:
+                self._sync_owed = False
+                self.sync()
+
     def sync(self) -> None:
         """Force everything appended so far to disk, whatever the policy."""
         with self._lock:

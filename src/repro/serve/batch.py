@@ -1,14 +1,16 @@
-"""Request batching: one lock acquisition per shard per batch.
+"""Request batching: one call per shard per batch.
 
 The naive serving path pays, per operation, a canonical-key hash, a
 shard-lock acquire/release, ``k`` Python-level hash evaluations, and a
 metrics update.  Under a query stream those fixed costs dominate the
 actual counter work.  :class:`ShardBatcher` amortises them:
 
-- **coalescing** — a batch of point operations is grouped by owner shard;
-  each shard's group runs inside a single
-  :meth:`~repro.handle.ShardHandle.exclusive` section, so the locking
-  cost is paid once per shard per batch instead of once per operation;
+- **coalescing** — a batch of point operations is grouped by owner shard
+  and each shard's group is one
+  :meth:`~repro.handle.ShardHandle.execute` call, so a shard's fixed cost
+  per call is paid once per group: a concurrent shard takes its lock
+  once, a durable shard fsyncs once (group commit), a remote or pool
+  shard makes one round trip per ``bulk_chunk`` ops;
 - **vectorised multi-query / multi-insert** — homogeneous batches call
   each shard's bulk verbs (``insert_many`` / ``query_many``), which hash
   the whole group in one numpy pass and drive the method's bulk kernels
@@ -40,14 +42,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.handle import BulkFailure, BulkResult
+from repro.handle import POINT_VERBS, BulkFailure, BulkResult, _apply
 from repro.persist import LockTimeout
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.remote import _retryable
 from repro.serve.resilience import DeadlineExceeded, deadline_scope
-
-#: operation verbs accepted by :meth:`ShardBatcher.execute`
-VERBS = frozenset({"insert", "delete", "set", "query", "contains"})
 
 
 class ShardBatcher:
@@ -61,7 +60,15 @@ class ShardBatcher:
     def __init__(self, router, *,
                  metrics: MetricsRegistry | None = None):
         self.router = router
-        self.metrics = metrics or router.metrics
+        self.metrics = metrics = metrics or router.metrics
+        # Bound once: a lookup by name takes the registry-wide lock.
+        self._ops = metrics.counter("batch.ops")
+        self._shard_batches = metrics.counter("batch.shard_batches")
+        self._vectorized = metrics.counter("batch.vectorized")
+        self._migrating_fallback = metrics.counter(
+            "batch.migrating_fallback")
+        self._size = metrics.histogram("batch.size",
+                                       (1, 4, 16, 64, 256, 1024))
 
     # -- generic mixed batches --------------------------------------------
     def execute(self, ops: Sequence[tuple], *,
@@ -78,19 +85,20 @@ class ShardBatcher:
 
         *deadlines* is a parallel sequence of per-op
         :class:`~repro.serve.resilience.Deadline` objects (``None``
-        entries mean unbounded).  Each op runs inside its own
-        :func:`~repro.serve.resilience.deadline_scope`, so deadline-aware
-        shard handles (replica sets, remote shards) stop retrying when
-        that op's caller stops waiting; an op already expired when its
-        turn comes is failed in its slot without touching the shard.
-        A shard group whose lock acquisition fails (:class:`LockTimeout`)
-        fails its slots instead of felling the whole batch.
+        entries mean unbounded).  An op already expired at grouping is
+        failed in its slot without touching the shard; each shard group
+        is one :meth:`~repro.handle.ShardHandle.execute` call carrying its
+        members' deadlines, so deadline-aware shard handles (replica
+        sets, remote shards) stop retrying when an op's caller stops
+        waiting.  A shard group whose lock acquisition fails
+        (:class:`LockTimeout`) fails its slots instead of felling the
+        whole batch.
         """
         results: list = [None] * len(ops)
         for idx, op in enumerate(ops):
-            if not op or op[0] not in VERBS:
+            if not op or op[0] not in POINT_VERBS:
                 raise ValueError(f"op {idx} must start with one of "
-                                 f"{sorted(VERBS)}, got {op!r}")
+                                 f"{sorted(POINT_VERBS)}, got {op!r}")
         if deadlines is None:
             deadlines = [None] * len(ops)
         elif len(deadlines) != len(ops):
@@ -104,8 +112,8 @@ class ShardBatcher:
                         results[idx] = _apply(self.router, op)
                 except Exception as exc:
                     results[idx] = exc
-            self.metrics.counter("batch.ops").inc(len(ops))
-            self.metrics.counter("batch.migrating_fallback").inc(len(ops))
+            self._ops.inc(len(ops))
+            self._migrating_fallback.inc(len(ops))
             return results
         by_shard: dict[int, list[int]] = {}
         owners = self.router.shard_of_many([op[1] for op in ops])
@@ -123,7 +131,6 @@ class ShardBatcher:
             by_shard.setdefault(owner, []).append(idx)
         for shard_id in sorted(by_shard):
             group = by_shard[shard_id]
-            shard = self.router.shards[shard_id]
             # The group's lock wait must fit the tightest member deadline:
             # a caller with 5ms left cannot spend 5s queueing for a lock.
             lock_timeout = timeout
@@ -133,26 +140,19 @@ class ShardBatcher:
                     lock_timeout = left if lock_timeout is None \
                         else min(lock_timeout, left)
             try:
-                with shard.exclusive(lock_timeout) as raw:
-                    for idx in group:
-                        try:
-                            deadline = deadlines[idx]
-                            if deadline is not None:
-                                deadline.check(ops[idx][0],
-                                               unexecuted=True)
-                            with deadline_scope(deadline):
-                                results[idx] = _apply(raw, ops[idx])
-                        except Exception as exc:
-                            results[idx] = exc
+                outcomes = self.router.shards[shard_id].execute(
+                    [ops[idx] for idx in group],
+                    [deadlines[idx] for idx in group], timeout=lock_timeout)
             except (LockTimeout, DeadlineExceeded) as exc:
                 for idx in group:
                     results[idx] = exc
                 continue
+            for idx, outcome in zip(group, outcomes):
+                results[idx] = outcome
             self.router.note_shard_ops(shard_id, len(group))
-        self.metrics.counter("batch.ops").inc(len(ops))
-        self.metrics.counter("batch.shard_batches").inc(len(by_shard))
-        self.metrics.histogram("batch.size", (1, 4, 16, 64, 256, 1024)
-                               ).observe(len(ops))
+        self._ops.inc(len(ops))
+        self._shard_batches.inc(len(by_shard))
+        self._size.observe(len(ops))
         return results
 
     # -- vectorised homogeneous batches -----------------------------------
@@ -175,8 +175,8 @@ class ShardBatcher:
                     results[slot] = self.router.query(key)
                 except Exception as exc:
                     results[slot] = exc
-            self.metrics.counter("batch.ops").inc(len(keys))
-            self.metrics.counter("batch.migrating_fallback").inc(len(keys))
+            self._ops.inc(len(keys))
+            self._migrating_fallback.inc(len(keys))
             return results
         for shard_id, shard, indices in self._grouped(keys):
             if deadline is not None:
@@ -188,11 +188,11 @@ class ShardBatcher:
             except Exception as exc:
                 outcome = [exc] * len(indices)
             else:
-                self.metrics.counter("batch.vectorized").inc(len(indices))
+                self._vectorized.inc(len(indices))
                 self.router.note_shard_ops(shard_id, len(indices))
             for slot, estimate in zip(indices, outcome):
                 results[slot] = estimate
-        self.metrics.counter("batch.ops").inc(len(keys))
+        self._ops.inc(len(keys))
         return results
 
     def insert_many(self, keys: Sequence[object], *,
@@ -218,8 +218,8 @@ class ShardBatcher:
                 except Exception as exc:
                     failures.append(
                         BulkFailure(slot, key, exc, _retryable(exc)))
-            self.metrics.counter("batch.ops").inc(len(keys))
-            self.metrics.counter("batch.migrating_fallback").inc(len(keys))
+            self._ops.inc(len(keys))
+            self._migrating_fallback.inc(len(keys))
             return BulkResult(len(keys), failures=failures)
         for shard_id, shard, indices in self._grouped(keys):
             try:
@@ -236,9 +236,9 @@ class ShardBatcher:
             failures.extend(
                 BulkFailure(indices[f.index], f.key, f.error, f.retryable)
                 for f in outcome.failures)
-            self.metrics.counter("batch.vectorized").inc(len(indices))
+            self._vectorized.inc(len(indices))
             self.router.note_shard_ops(shard_id, len(indices))
-        self.metrics.counter("batch.ops").inc(len(keys))
+        self._ops.inc(len(keys))
         failures.sort(key=lambda f: f.index)
         return BulkResult(len(keys), failures=failures)
 
@@ -247,20 +247,7 @@ class ShardBatcher:
         by_shard: dict[int, list[int]] = {}
         for idx, owner in enumerate(self.router.shard_of_many(keys)):
             by_shard.setdefault(owner, []).append(idx)
-        self.metrics.counter("batch.shard_batches").inc(len(by_shard))
+        self._shard_batches.inc(len(by_shard))
         for shard_id in sorted(by_shard):
             yield shard_id, self.router.shards[shard_id], by_shard[shard_id]
 
-
-def _apply(handle, op: tuple):
-    """Apply one op tuple through a handle's (or the router's) point
-    verbs; returns the op's value (``None`` for mutations)."""
-    verb, key = op[0], op[1]
-    if verb == "query":
-        return handle.query(key)
-    if verb == "contains":
-        return handle.contains(key, op[2] if len(op) > 2 else 1)
-    if verb == "set" and len(op) < 3:
-        raise ValueError(f"set op needs a count: {op!r}")
-    getattr(handle, verb)(key, op[2] if len(op) > 2 else 1)
-    return None

@@ -120,8 +120,20 @@ class ServingEngine:
             raise ValueError(
                 f"maintenance_every must be >= 1, got {maintenance_every}")
         self.router = router
-        self.metrics = metrics or router.metrics
-        self.batcher = ShardBatcher(router, metrics=self.metrics)
+        self.metrics = metrics = metrics or router.metrics
+        self.batcher = ShardBatcher(router, metrics=metrics)
+        # Bound once: a lookup by name takes the registry-wide lock.
+        self._accepted = metrics.counter("engine.accepted")
+        self._rejected = metrics.counter("engine.rejected_total")
+        self._shed = metrics.counter("engine.shed_total")
+        self._expired = metrics.counter("engine.deadline_expired_total")
+        self._failed = metrics.counter("engine.failed")
+        self._served = metrics.counter("engine.served")
+        self._maintenance = metrics.counter("engine.maintenance_rounds")
+        self._depth = metrics.gauge("engine.queue_depth")
+        self._queue_wait = metrics.histogram("engine.queue_wait_seconds")
+        self._batch_seconds = metrics.histogram("engine.batch_seconds")
+        self._latency = metrics.histogram("engine.latency_seconds")
         self.max_queue = int(max_queue)
         self.batch_size = int(batch_size)
         self.policy = policy or reject_new
@@ -165,7 +177,7 @@ class ServingEngine:
             depth = len(self._queue)
             decision = self.policy(depth, self.max_queue, op)
             if decision == REJECT:
-                self.metrics.counter("engine.rejected_total").inc()
+                self._rejected.inc()
                 raise Overloaded(
                     f"queue depth {depth} at bound {self.max_queue}; "
                     f"{verb} refused", depth, self.max_queue)
@@ -177,7 +189,7 @@ class ServingEngine:
                     f"one of {ACCEPT!r}, {REJECT!r}, {SHED_OLDEST!r}")
             request = _Request(op, self.metrics.clock(), deadline)
             self._queue.append(request)
-            self.metrics.gauge("engine.queue_depth").set(len(self._queue))
+            self._depth.set(len(self._queue))
         if shed is not None:
             if shed.deadline is not None and shed.deadline.expired:
                 # The victim was already dead on arrival of the shed: its
@@ -185,17 +197,17 @@ class ServingEngine:
                 # event, counted once — a deadline expiry, not a shed
                 # (the queue slot was free either way), surfacing as one
                 # typed DeadlineExceeded with the unexecuted guarantee.
-                self.metrics.counter("engine.deadline_expired_total").inc()
-                self.metrics.counter("engine.failed").inc()
+                self._expired.inc()
+                self._failed.inc()
                 shed.future.set_exception(DeadlineExceeded(
                     f"{shed.op[0]} expired while queued (evicted by a "
                     f"newer arrival)", unexecuted=True))
             else:
-                self.metrics.counter("engine.shed_total").inc()
+                self._shed.inc()
                 shed.future.set_exception(Overloaded(
                     f"shed after {self.max_queue} newer arrivals",
                     self.max_queue, self.max_queue))
-        self.metrics.counter("engine.accepted").inc()
+        self._accepted.inc()
         return request.future
 
     @property
@@ -218,20 +230,20 @@ class ServingEngine:
         with self._lock:
             popped = [self._queue.popleft()
                       for _ in range(min(budget, len(self._queue)))]
-            self.metrics.gauge("engine.queue_depth").set(len(self._queue))
+            self._depth.set(len(self._queue))
         if not popped:
             return 0
-        now = self.metrics.clock()
-        queue_wait = self.metrics.histogram("engine.queue_wait_seconds")
+        clock = self.metrics.clock
+        now = clock()
         batch: list[_Request] = []
         for request in popped:
-            queue_wait.observe(now - request.enqueued_at)
+            self._queue_wait.observe(now - request.enqueued_at)
             if request.deadline is not None and request.deadline.expired:
                 # The caller stopped waiting while the request queued;
                 # executing it now would burn shard time on an answer
                 # nobody reads.
-                self.metrics.counter("engine.deadline_expired_total").inc()
-                self.metrics.counter("engine.failed").inc()
+                self._expired.inc()
+                self._failed.inc()
                 request.future.set_exception(DeadlineExceeded(
                     f"{request.op[0]} expired after queueing "
                     f"{now - request.enqueued_at:.4f}s", unexecuted=True))
@@ -239,20 +251,19 @@ class ServingEngine:
                 batch.append(request)
         if not batch:
             return len(popped)
-        with self.metrics.timed("engine.batch_seconds"):
-            results = self.batcher.execute(
-                [r.op for r in batch],
-                deadlines=[r.deadline for r in batch])
-        done = self.metrics.clock()
-        latency = self.metrics.histogram("engine.latency_seconds")
+        start = clock()
+        results = self.batcher.execute([r.op for r in batch],
+                                       deadlines=[r.deadline for r in batch])
+        done = clock()
+        self._batch_seconds.observe(done - start)
         for request, result in zip(batch, results):
-            latency.observe(done - request.enqueued_at)
+            self._latency.observe(done - request.enqueued_at)
             if isinstance(result, BaseException):
-                self.metrics.counter("engine.failed").inc()
+                self._failed.inc()
                 request.future.set_exception(result)
             else:
                 request.future.set_result(result)
-        self.metrics.counter("engine.served").inc(len(batch))
+        self._served.inc(len(batch))
         return len(popped)
 
     def maintain(self) -> int:
@@ -268,7 +279,7 @@ class ServingEngine:
         shards = self.router.shards
         for shard in shards:
             shard.tick()
-        self.metrics.counter("engine.maintenance_rounds").inc()
+        self._maintenance.inc()
         return len(shards)
 
     def drain(self) -> int:

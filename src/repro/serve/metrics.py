@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from typing import Callable, Sequence
 
 from repro.db.transport import ChannelStats
@@ -113,11 +114,7 @@ class Histogram:
         self._lock = lock
 
     def observe(self, value: float) -> None:
-        slot = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                slot = i
-                break
+        slot = bisect_left(self.bounds, value)   # first bound >= value
         with self._lock:
             self.buckets[slot] += 1
             self.count += 1

@@ -71,7 +71,7 @@ from repro.hashing.families import make_family
 from repro.persist.wal import SCALAR_KEY_TYPES
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.remote import (REQUEST_MAGIC, RESPONSE_MAGIC, RemoteShard,
-                                RemoteShardError, ShardServer)
+                                ShardServer, _remote_error)
 from repro.serve.router import ShardedSBF
 
 #: pool-administration frames (spawn handshake/snapshot/restore/shutdown)
@@ -87,6 +87,11 @@ _SHM_HEADER = 8
 _SHM_ELIGIBLE_METHODS = ("ms", "mi")
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+#: request ops after which the parent-held snapshot is stale (an
+#: ``execute`` frame counts when one of its entries names a mutation)
+_MUTATING_OPS = frozenset({"insert", "delete", "set", "insert_many",
+                           "delete_many", "writeblocks"})
 
 
 def _shm_eligible(spec: dict) -> bool:
@@ -260,8 +265,8 @@ class ProcessShard(RemoteShard):
 
     def _call(self, op: str, **fields):
         result = super()._call(op, **fields)
-        if op in ("insert", "delete", "set", "insert_many", "delete_many",
-                  "writeblocks"):
+        if op in _MUTATING_OPS or op == "execute" and any(
+                entry[0] in _MUTATING_OPS for entry in fields["ops"]):
             self._pool._note_mutation(self._index)
         return result
 
@@ -650,14 +655,8 @@ class ProcessShardPool:
                 continue
             meta, payload = open_frame(answer, RESPONSE_MAGIC)
             if not meta.get("ok"):
-                kind = meta.get("kind")
-                error_text = meta.get("error", "remote failure")
-                error: Exception
-                if kind in ("ValueError", "WireFormatError"):
-                    error = ValueError(f"worker-{owner}: {error_text}")
-                else:
-                    error = RemoteShardError(
-                        f"worker-{owner}: {kind}: {error_text}")
+                error = _remote_error(f"worker-{owner}", meta.get("kind"),
+                                      meta.get("error", "remote failure"))
                 failures.extend(BulkFailure(i, keys[i], error, False)
                                 for i in idxs)
                 continue

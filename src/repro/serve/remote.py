@@ -16,6 +16,11 @@ affected request's future (the batcher isolates per-op failures), so an
 unreachable shard degrades that shard's keys — the rest of the fleet
 keeps serving.
 
+A shard group (:meth:`RemoteShard.execute`) travels as one ``execute``
+request per ``bulk_chunk`` ops, each entry ``[verb, key, arg?]``; the
+server validates every entry, runs the frame through its own handle's
+``execute`` and answers every slot in one response.
+
 Keys must be JSON scalars (the WAL's :data:`~repro.persist.wal.SCALAR_KEY_TYPES`
 discipline — the request header is JSON, so richer keys would not
 round-trip faithfully).
@@ -35,10 +40,21 @@ import numpy as np
 from repro.core.serialize import WireFormatError, open_frame, seal_frame
 from repro.db.site import Network
 from repro.db.transport import DeliveryFailed, ReliableChannel
-from repro.handle import BulkFailure, BulkResult, ShardHandle, as_handle
+from repro.handle import (
+    POINT_VERBS,
+    BulkFailure,
+    BulkResult,
+    ShardHandle,
+    _apply,
+    as_handle,
+)
 from repro.persist.wal import SCALAR_KEY_TYPES
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.resilience import current_deadline
+from repro.serve.resilience import (
+    DeadlineExceeded,
+    current_deadline,
+    deadline_scope,
+)
 
 #: remote-shard frame magics ("Repro Shard reQuest / resPonse v1")
 REQUEST_MAGIC = b"RSQ1"
@@ -48,7 +64,8 @@ RESPONSE_MAGIC = b"RSP1"
 _SERVER_VERBS = frozenset({"insert", "delete", "set", "query", "contains",
                            "total_count", "params", "checkpoint",
                            "insert_many", "delete_many", "query_many",
-                           "blocksums", "readblocks", "writeblocks"})
+                           "blocksums", "readblocks", "writeblocks",
+                           "execute"})
 
 #: bulk verbs whose request carries key/count batches
 _BULK_VERBS = frozenset({"insert_many", "delete_many", "query_many"})
@@ -67,6 +84,49 @@ def _retryable(exc: Exception) -> bool:
     and lock timeouts are transient; semantic rejections are not."""
     from repro.persist import LockTimeout
     return isinstance(exc, (DeliveryFailed, LockTimeout))
+
+
+def _remote_error(server_name: str, kind: object, error: object,
+                  ) -> Exception:
+    """The local exception for a failure the server reported: the types a
+    client can reconstruct keep their type, the rest become
+    :class:`RemoteShardError`."""
+    if kind in ("ValueError", "WireFormatError"):
+        return ValueError(f"{server_name}: {error}")
+    if kind == "LockTimeout":
+        from repro.persist import LockTimeout
+        return LockTimeout(f"{server_name}: {error}")
+    return RemoteShardError(f"{server_name}: {kind}: {error}")
+
+
+def _op_entry(op) -> list:
+    """One point op as an ``execute`` wire entry ``[verb, key, arg?]``.
+
+    Validates the op the way the server must treat outside input: a point
+    verb, a JSON-scalar key, an int argument, and a count for ``set``
+    (a query's argument is dropped — the verb ignores it).
+
+    Raises:
+        TypeError: the key is not a JSON scalar.
+        WireFormatError: the op is otherwise malformed.
+    """
+    if not isinstance(op, (list, tuple)) or not 2 <= len(op) <= 3 \
+            or not isinstance(op[0], str) or op[0] not in POINT_VERBS:
+        raise WireFormatError(
+            f"execute entries are [verb, key, arg?] with a verb of "
+            f"{sorted(POINT_VERBS)}, got {op!r}")
+    verb, key = op[0], op[1]
+    if not isinstance(key, SCALAR_KEY_TYPES):
+        raise TypeError(f"remote-shard keys must be JSON scalars "
+                        f"(str/int/float/bool/None), got "
+                        f"{type(key).__name__}")
+    if len(op) < 3 or verb == "query":
+        if verb == "set":
+            raise WireFormatError(f"set op needs a count: {op!r}")
+        return [verb, key]
+    if not isinstance(op[2], int) or isinstance(op[2], bool):
+        raise WireFormatError(f"count must be an integer, got {op[2]!r}")
+    return [verb, key, op[2]]
 
 
 def _validate_request(payload: bytes) -> None:
@@ -130,20 +190,12 @@ class ShardServer:
             return self._dispatch_bulk(op, meta)
         if op in ("blocksums", "readblocks", "writeblocks"):
             return self._dispatch_repair(op, meta)
-        key = meta.get("key")
-        if not isinstance(key, SCALAR_KEY_TYPES):
-            raise WireFormatError(
-                f"remote-shard keys must be JSON scalars, got "
-                f"{type(key).__name__}")
-        if op == "query":
-            return handle.query(key)
-        if op == "contains":
-            return handle.contains(key, int(meta.get("threshold", 1)))
-        count = meta.get("count", 1)
-        if not isinstance(count, int) or isinstance(count, bool):
-            raise WireFormatError(f"count must be an integer, got {count!r}")
-        getattr(handle, op)(key, count)  # insert / delete / set
-        return None
+        if op == "execute":
+            return self._dispatch_execute(meta.get("ops"))
+        # A point verb: the same checks as one execute entry.
+        arg = meta.get("threshold" if op == "contains" else "count")
+        entry = [op, meta.get("key")] + ([] if arg is None else [arg])
+        return _apply(handle, tuple(_op_entry(entry)))
 
     def _dispatch_bulk(self, op: str, meta: dict):
         keys = meta.get("keys")
@@ -167,6 +219,18 @@ class ShardServer:
                 f"{len(keys)} key(s)")
         getattr(handle, op)(keys, counts).raise_first()
         return len(keys)
+
+    def _dispatch_execute(self, entries) -> list:
+        """A shard group: every entry is validated before any runs, then
+        the frame is one call to the handle's own ``execute``.  A failed
+        slot answers ``[kind, message]`` (a success is never a list)."""
+        if not isinstance(entries, list):
+            raise WireFormatError(f"execute needs an op list, got "
+                                  f"{type(entries).__name__}")
+        ops = [tuple(_op_entry(entry)) for entry in entries]
+        return [[type(out).__name__, str(out)]
+                if isinstance(out, Exception) else out
+                for out in self.handle.execute(ops)]
 
     def _dispatch_repair(self, op: str, meta: dict):
         n_blocks = meta.get("n_blocks")
@@ -283,13 +347,8 @@ class RemoteShard(ShardHandle):
         meta, _ = open_frame(answer, RESPONSE_MAGIC)
         if meta.get("ok"):
             return meta.get("result")
-        kind, error = meta.get("kind"), meta.get("error", "remote failure")
-        if kind in ("ValueError", "WireFormatError"):
-            raise ValueError(f"{self.server_name}: {error}")
-        if kind == "LockTimeout":
-            from repro.persist import LockTimeout
-            raise LockTimeout(f"{self.server_name}: {error}")
-        raise RemoteShardError(f"{self.server_name}: {kind}: {error}")
+        raise _remote_error(self.server_name, meta.get("kind"),
+                            meta.get("error", "remote failure"))
 
     @staticmethod
     def _scalar(key: object) -> object:
@@ -326,6 +385,59 @@ class RemoteShard(ShardHandle):
 
     def checkpoint(self):
         return self._call("checkpoint")
+
+    # -- shard groups (one frame per bulk_chunk ops) -----------------------
+    def execute(self, ops: Sequence[tuple], deadlines=None, *,
+                timeout: float | None = None) -> list:
+        """Run a shard group as one request frame per :attr:`bulk_chunk`
+        ops; one outcome per op, in order.
+
+        An op that fails client-side validation (a non-scalar key, ``set``
+        without a count) fails its own slot and never leaves the client.
+        A member whose deadline has expired by the time its frame is
+        built fails unexecuted and stays off the frame; the frame runs
+        under the tightest deadline of the members that ride it.  A frame
+        whose delivery fails (either leg) fails every slot it carried —
+        retryably, for a transport give-up.  The server holds the locks,
+        so *timeout* is unused.
+        """
+        results: list = [None] * len(ops)
+        entries: dict[int, list] = {}
+        for idx, op in enumerate(ops):
+            try:
+                entries[idx] = _op_entry(op)
+            except (TypeError, ValueError) as exc:
+                results[idx] = exc
+        pending = list(entries)
+        for lo in range(0, len(pending), self.bulk_chunk):
+            frame, tightest = [], None
+            for idx in pending[lo:lo + self.bulk_chunk]:
+                deadline = deadlines[idx] if deadlines is not None else None
+                if deadline is not None:
+                    if deadline.expired:
+                        try:
+                            deadline.check(ops[idx][0], unexecuted=True)
+                        except DeadlineExceeded as exc:
+                            results[idx] = exc
+                        continue
+                    if tightest is None \
+                            or deadline.expires_at < tightest.expires_at:
+                        tightest = deadline
+                frame.append(idx)
+            if not frame:
+                continue
+            try:
+                with deadline_scope(tightest):
+                    outcomes = self._call(
+                        "execute", ops=[entries[idx] for idx in frame])
+            except Exception as exc:
+                for idx in frame:
+                    results[idx] = exc
+                continue
+            for idx, outcome in zip(frame, outcomes):
+                results[idx] = (_remote_error(self.server_name, *outcome)
+                                if isinstance(outcome, list) else outcome)
+        return results
 
     # -- bulk operations (structured partial failure) ----------------------
     def insert_many(self, keys: Sequence[object],

@@ -76,6 +76,7 @@ from repro.core.serialize import (
     open_sections,
     seal_sections,
 )
+from repro.handle import _apply
 from repro.hashing.blocked import BlockedHashFamily
 from repro.hashing.keys import canonical_key
 from repro.hashing.vectorized import indices_matrix
@@ -265,7 +266,6 @@ class ShardedSBF:
             # flag inside the section: the step flips it under this same
             # lock, so the write provably lands either before the copy
             # (and is copied) or after (and takes the dual path below).
-            from repro.serve.batch import _apply
             with old_shard.exclusive() as raw:
                 if not migration.migrated[old_id]:
                     _apply(raw, (verb, key, count))

@@ -75,7 +75,11 @@ def build_pair(method, backend, family, seed=3):
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_bulk_equals_scalar_across_backends(method, backend):
-    rng = random.Random(hash((method, backend)) & 0xFFFF)
+    assert_bulk_equals_scalar(method, backend,
+                              random.Random(hash((method, backend)) & 0xFFFF))
+
+
+def assert_bulk_equals_scalar(method, backend, rng):
     scalar, bulk = build_pair(method, backend, "modmul")
     keys = mixed_keys(rng, 400)
     counts = [rng.randrange(1, 6) for _ in keys]
@@ -93,6 +97,39 @@ def test_bulk_equals_scalar_across_backends(method, backend):
         scalar.delete(key, 1)
     bulk.delete_many(deletions)
     assert full_state(scalar) == full_state(bulk)
+
+
+@pytest.mark.parametrize("method,backend,seed", [
+    ("rm", "array", 16447), ("trm", "compact", 49312),
+    ("trm", "stream", 1789)])
+def test_deletes_cover_a_counter_repeated_among_the_k(method, backend, seed):
+    # Each seed draws a key whose secondary-filter positions repeat a
+    # counter holding less than count x its multiplicity: the guard must
+    # skip that shadow decrement, scalar and bulk alike.
+    assert_bulk_equals_scalar(method, backend, random.Random(seed))
+
+
+def test_refused_delete_of_a_key_with_a_repeated_position_changes_nothing():
+    sbf = SpectralBloomFilter(64, 3, method="ms", backend="array", seed=5)
+    key = next(k for k in range(10_000)
+               if len(set(sbf.indices(k))) == 2)
+    twice = max(set(sbf.indices(key)), key=sbf.indices(key).count)
+    once = next(i for i in sbf.indices(key) if i != twice)
+    other = next(k for k in range(10_000, 20_000)
+                 if once in sbf.indices(k) and twice not in sbf.indices(k))
+    sbf.insert(key)
+    sbf.insert(other)
+    # Every counter of `key` holds >= 2, but the repeated one holds 2 and
+    # deleting 2 would lower it by 4.
+    assert sbf.min_counter(key) == 2 and sbf.counters.get(twice) == 2
+    before = full_state(sbf)
+    with pytest.raises(ValueError, match="negative"):
+        sbf.delete(key, 2)
+    with pytest.raises(ValueError, match="negative"):
+        sbf.delete_many([key], [2])
+    assert full_state(sbf) == before and sbf.check_integrity() == []
+    sbf.delete(key, 1)
+    assert sbf.query(key) == 0 and sbf.check_integrity() == []
 
 
 @pytest.mark.parametrize("family", FAMILIES)

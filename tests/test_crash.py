@@ -216,6 +216,60 @@ class TestExhaustiveCheckpointCrashes:
                                      f"fsync #{n}")
 
 
+#: ops per ``execute`` call in the group-commit schedules
+GROUP = 3
+
+
+def drive_grouped(io, directory):
+    """Run OPS through ``execute``, GROUP ops a call; returns the ops
+    ``execute`` acknowledged.  A simulated crash inside a group lands in
+    its slots, and then no op of that group may be acknowledged."""
+    handle = DurableSBF.open(directory, factory=factory, io=io)
+    acked = 0
+    for lo in range(0, len(OPS), GROUP):
+        outcomes = handle.execute(OPS[lo:lo + GROUP])
+        failed = [isinstance(o, Exception) for o in outcomes]
+        if any(failed):
+            assert all(failed), outcomes
+            return acked
+        acked += len(outcomes)
+    return acked
+
+
+class TestGroupCommitCrashes:
+    """The same contract when ``execute`` does the acknowledging: a crash
+    inside a group recovers the pre-group state plus a prefix of the
+    group's records."""
+
+    def _assert_recovers_a_group_prefix(self, directory, acked, label):
+        sbf, _ = recover(directory, factory=factory, io=FileIO())
+        assert sbf.counters.to_list() in reference_states()[
+            acked:acked + GROUP + 1], f"[{label}] acked={acked}"
+        assert sbf.check_integrity() == [], label
+
+    def test_acked_equals_durable_under_fsync_always(self, tmp_path):
+        probe = FileIO()
+        assert drive_grouped(probe, str(tmp_path / "probe")) == len(OPS)
+        for offset in range(probe.bytes_written + 1):
+            directory = str(tmp_path / f"g{offset}")
+            acked = drive_grouped(CrashIO(crash_after_bytes=offset),
+                                  directory)
+            self._assert_recovers_a_group_prefix(
+                directory, acked, f"crash_after_bytes={offset}")
+
+    def test_every_fsync_crash_inside_a_group(self, tmp_path):
+        probe = FileIO()
+        drive_grouped(probe, str(tmp_path / "probe"))
+        # One fsync per group: every group here holds a mutation.
+        assert probe.fsync_calls == -(-len(OPS) // GROUP)
+        for n in range(1, probe.fsync_calls + 1):
+            directory = str(tmp_path / f"gf{n}")
+            acked = drive_grouped(CrashIO(crash_on_fsync=n), directory)
+            assert acked == (n - 1) * GROUP
+            self._assert_recovers_a_group_prefix(directory, acked,
+                                                 f"fsync #{n}")
+
+
 class TestCorruptRecordsNeverApplied:
     def test_mid_log_bit_flip_recovers_the_clean_prefix(self, tmp_path):
         from repro.persist import flip_bit, replay

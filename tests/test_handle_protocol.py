@@ -270,6 +270,50 @@ def test_every_kind_answers_like_one_unsharded_filter(kind):
     assert kind.audit() == []
 
 
+POINT_VERBS = ("insert", "delete", "set", "query", "contains")
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_execute_answers_like_point_replay(kind, chunk):
+    """The stream's point ops through ``execute``, ``chunk`` ops a call:
+    every slot equals the reference op's outcome, a refused op fails its
+    own slot only, and refusals change nothing."""
+    ref = make_filter()
+    ops = [op for op in stream() if op[0] in POINT_VERBS]
+    refused = 0
+    for lo in range(0, len(ops), chunk):
+        group = ops[lo:lo + chunk]
+        outcomes = kind.handle.execute(
+            [(op[0], kind.key(op[1]), *op[2:]) for op in group])
+        assert len(outcomes) == len(group)
+        for op, outcome in zip(group, outcomes):
+            try:
+                expected = _on_reference(ref, op)
+            except ValueError:
+                assert isinstance(outcome, ValueError), (op, outcome)
+                assert "negative" in str(outcome)
+                refused += 1
+                continue
+            assert outcome == expected, (op, outcome)
+        assert kind.handle.total_count == ref.total_count
+    assert refused > 10
+    assert kind.audit() == []
+    assert kind.handle.query_many([kind.key(k) for k in PROBES]).tolist() \
+        == ref.query_many(PROBES).tolist()
+
+
+def test_execute_fails_bad_ops_in_their_own_slots(kind):
+    handle = kind.handle
+    outcomes = handle.execute([("insert", kind.key("a"), 2),
+                               ("set", kind.key("b")),
+                               ("delete", kind.key("a"), 10 ** 6),
+                               ("query", kind.key("a"))])
+    assert outcomes[0] is None and outcomes[3] == 2
+    assert isinstance(outcomes[1], ValueError) and "count" in str(outcomes[1])
+    assert isinstance(outcomes[2], ValueError)
+    assert handle.total_count == 2 and kind.audit() == []
+
+
 def test_lifecycle_defaults_hold(kind):
     handle = kind.handle
     handle.insert(kind.key("k"), 3)

@@ -15,6 +15,7 @@ from repro.core.serialize import WireFormatError, open_frame, seal_frame
 from repro.apps.sliding_window import SlidingWindowSBF
 from repro.apps.summary_cache import build_mesh
 from repro.persist import (
+    ConcurrentSBF,
     CrashIO,
     DurableSBF,
     FileIO,
@@ -409,6 +410,81 @@ class TestDurableSBF:
         reopened = DurableSBF.open(str(tmp_path), factory=rm_factory)
         assert {key: reopened.query(key) for key in "abcd"} == live
         assert reopened.sbf.check_integrity() == []
+
+
+class FailingFsyncIO(FileIO):
+    """A FileIO whose fsync raises an I/O error while ``failing``."""
+
+    failing = False
+
+    def _before_fsync(self) -> None:
+        if self.failing:
+            raise OSError(5, "simulated fsync failure")
+
+
+class TestGroupCommit:
+    @pytest.mark.parametrize("wrap", [False, True])
+    def test_always_fsyncs_once_per_group_with_a_mutation(self, tmp_path,
+                                                          wrap):
+        io = FileIO()
+        durable = DurableSBF.open(str(tmp_path), factory=factory, io=io)
+        handle = ConcurrentSBF(durable) if wrap else durable
+        base = io.fsync_calls
+        assert handle.execute([("insert", "a", 2), ("query", "a"),
+                               ("insert", "b"), ("delete", "a"),
+                               ("set", "c", 3)]) \
+            == [None, 2, None, None, None]
+        assert io.fsync_calls == base + 1
+        # Acknowledged means durable: a recovery that runs now, with the
+        # handle still open, finds every op of the group.
+        sbf, report = recover(str(tmp_path), factory=factory)
+        assert [sbf.query(k) for k in "abc"] == [1, 1, 3]
+        assert report.records_replayed == 4       # one record per mutation
+        # Queries only, or a refused mutation only: nothing to sync.
+        assert handle.execute([("query", "a"), ("contains", "b", 1)]) \
+            == [1, True]
+        refused = handle.execute([("delete", "zzz", 5)])
+        assert isinstance(refused[0], ValueError)
+        assert io.fsync_calls == base + 1
+        # Point verbs outside execute keep one fsync per append.
+        handle.insert("d")
+        handle.delete("d")
+        assert io.fsync_calls == base + 3
+        durable.close()
+
+    @pytest.mark.parametrize("policy", [1, 3, 4, "checkpoint"])
+    def test_owed_fsyncs_collapse_into_at_most_one(self, tmp_path, policy):
+        io = FileIO()
+        handle = DurableSBF.open(str(tmp_path), factory=factory, io=io,
+                                 fsync=policy)
+        every = 0 if policy == "checkpoint" else policy
+        base, since, expected = io.fsync_calls, 0, 0
+        for n in (1, 1, 2, 5, 1, 3, 7, 2):
+            handle.execute([("insert", f"k{i}") for i in range(n)]
+                           + [("query", "k0")])
+            since += n
+            if every and since >= every:
+                expected, since = expected + 1, 0
+            assert io.fsync_calls - base == expected, (policy, n)
+        handle.checkpoint()
+        assert io.fsync_calls - base > expected
+        handle.close()
+
+    def test_failed_group_fsync_fails_every_applied_mutation(self, tmp_path):
+        io = FailingFsyncIO()
+        handle = DurableSBF.open(str(tmp_path), factory=factory, io=io)
+        io.failing = True
+        outcomes = handle.execute([("insert", "a"), ("query", "a"),
+                                   ("delete", "nope", 3), ("set", "b", 2)])
+        assert isinstance(outcomes[0], OSError)
+        assert isinstance(outcomes[3], OSError)
+        assert outcomes[1] == 1                     # reads keep their value
+        assert isinstance(outcomes[2], ValueError)  # and refusals their own
+        io.failing = False
+        handle.insert("c")                           # the log still works
+        handle.close()
+        sbf, _ = recover(str(tmp_path), factory=factory)
+        assert [sbf.query(k) for k in "abc"] == [1, 2, 1]
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,7 @@ The acceptance contract of :mod:`repro.serve.procpool`:
 import numpy as np
 import pytest
 
+from repro.core.sbf import SpectralBloomFilter
 from repro.db.faults import FaultPolicy, FaultyNetwork
 from repro.db.transport import DeliveryFailed
 from repro.serve import ProcessShardPool, ServingEngine, ShardedSBF
@@ -250,3 +251,40 @@ def test_checkpoint_refreshes_snapshot_for_respawn():
         got = pool.query_many(list(range(80)))
         assert got.ok
         assert all(int(v) >= 3 for v in got.values)
+
+
+def test_engine_batch_is_one_round_trip_on_a_one_worker_pool():
+    with ProcessShardPool(1, 1 << 12, 4, seed=3) as pool:
+        oracle = SpectralBloomFilter(1 << 12, 4, seed=3,
+                                     hash_family="blocked")
+        engine = ServingEngine(pool.router, batch_size=64)
+        requests = pool.metrics.counter("engine.worker.0.requests")
+        before = requests.value
+        ops = [("insert", i % 40) if i % 4 else ("query", i % 40)
+               for i in range(64)]
+        futures = [engine.submit(*op) for op in ops]
+        assert engine.pump() == 64
+        assert requests.value == before + 1
+        for op, future in zip(ops, futures):
+            if op[0] == "insert":
+                oracle.insert(op[1])
+                assert future.result(timeout=0) is None
+            else:
+                assert future.result(timeout=0) == oracle.query(op[1])
+
+
+def test_snapshot_refreshes_only_after_a_mutating_frame():
+    # Recurring Minimum keeps no shared-memory segment, so the parent
+    # holds a snapshot: queries-only frames must leave it alone.
+    with ProcessShardPool(1, 1 << 10, 4, seed=3, method="rm",
+                          backend="array") as pool:
+        refreshed = []
+        snapshot = pool.snapshot_shard
+        pool.snapshot_shard = lambda i: (refreshed.append(i), snapshot(i))
+        shard = pool.shards[0]
+        assert shard.execute([("query", "a"), ("contains", "a", 1)]) \
+            == [0, False]
+        assert refreshed == []
+        assert shard.execute([("query", "a"), ("insert", "a", 2)]) \
+            == [0, None]
+        assert refreshed == [0]

@@ -610,6 +610,50 @@ def test_tight_deadline_does_not_fail_an_uncontended_shard_group():
     assert router.total_count == 2
 
 
+def _remote(name: str = "shard0") -> RemoteShard:
+    return RemoteShard(ShardServer(ConcurrentSBF(make_filter())),
+                       FaultyNetwork(), "router", name)
+
+
+def test_tight_deadline_does_not_fail_an_uncontended_remote_shard_group():
+    # The remote variant: the group's one frame runs under the tightest
+    # member deadline, which a still clock never expires.
+    router = ShardedSBF([_remote()], family=make_filter().family)
+    tight = Deadline(1e-6, clock=FakeClock())
+    results = ShardBatcher(router).execute(
+        [("insert", "a"), ("insert", "b"), ("query", "b")],
+        deadlines=[tight, None, None])
+    assert results == [None, None, 1]
+    assert router.shards[0].server.requests_served == 1     # one frame
+    assert router.total_count == 2
+
+
+def test_expired_member_fails_unexecuted_and_stays_off_the_frame():
+    clock = FakeClock()
+    remote = _remote()
+    expired = Deadline(0.0, clock=clock)
+    loose, tight = Deadline(9.0, clock=clock), Deadline(3.0, clock=clock)
+    clock.advance(0.01)
+    frames, scopes = [], []
+    call = remote._call
+
+    def spy(op, **fields):
+        frames.append(fields["ops"])
+        scopes.append(current_deadline())
+        return call(op, **fields)
+    remote._call = spy
+    outcomes = remote.execute(
+        [("insert", "a"), ("insert", "b"), ("insert", "c"), ("query", "b")],
+        [expired, loose, tight, None])
+    assert isinstance(outcomes[0], DeadlineExceeded)
+    assert outcomes[0].unexecuted
+    assert outcomes[1:] == [None, None, 1]
+    assert frames == [[["insert", "b"], ["insert", "c"], ["query", "b"]]]
+    assert scopes == [tight]
+    remote._call = call
+    assert remote.query("a") == 0
+
+
 def test_router_point_path_refuses_expired_ambient_deadline():
     clock = FakeClock()
     metrics = MetricsRegistry(clock=clock)

@@ -7,7 +7,7 @@ rejection — replay identically on every run.
 
 import pytest
 
-from repro.core.serialize import open_frame
+from repro.core.serialize import open_frame, seal_frame
 from repro.core.sbf import SpectralBloomFilter
 from repro.db.faults import FaultPolicy, FaultyNetwork
 from repro.db.transport import DeliveryFailed
@@ -21,7 +21,7 @@ from repro.serve import (
     RemoteShard,
     run_requests,
 )
-from repro.serve.remote import RESPONSE_MAGIC
+from repro.serve.remote import REQUEST_MAGIC, RESPONSE_MAGIC
 
 M, K, SEED = 1024, 4, 5
 
@@ -283,3 +283,75 @@ def test_remote_repair_verbs_round_trip():
     assert block_checksums(remote, 16) == block_checksums(local, 16)
     for i in range(60):
         assert remote.query(f"key:{i}") == local.query(f"key:{i}")
+
+
+# -- shard groups: one execute frame per bulk_chunk ops -------------------
+
+def test_execute_ships_one_frame_per_bulk_chunk():
+    remote = RemoteShard(ShardServer(make_handle()), FaultyNetwork(),
+                         "client", "shard0", bulk_chunk=8)
+    local = make_handle()
+    ops = [("insert", f"k:{i % 5}", 1 + i % 3) for i in range(19)] \
+        + [("delete", "k:1", 1), ("set", "k:2", 7), ("query", "k:0"),
+           ("contains", "k:2", 7), ("delete", "never", 3)]
+    outcomes = remote.execute(ops)
+    assert remote.server.requests_served == -(-len(ops) // 8)
+    for op, outcome in zip(ops, outcomes):
+        if op[1] == "never":
+            assert isinstance(outcome, ValueError)
+            assert "negative" in str(outcome)
+        elif op[0] in ("query", "contains"):
+            assert outcome == getattr(local, op[0])(*op[1:])
+        else:
+            assert outcome is None
+            getattr(local, op[0])(*op[1:])
+    assert remote.total_count == local.total_count
+
+
+@pytest.mark.chaos
+def test_lost_response_fails_every_slot_of_its_frame_retryably():
+    network = FaultyNetwork()
+    server = ShardServer(make_handle())
+    remote = RemoteShard(server, network, "client", "shard0",
+                         channel_options={"max_retries": 1}, bulk_chunk=4)
+    network.set_policy("shard0", "client", FaultPolicy(drop=0.5, seed=4))
+    ops = [("insert", f"k:{i}") for i in range(40)]
+    outcomes = remote.execute(ops)
+    lost = [isinstance(o, DeliveryFailed) for o in outcomes]
+    assert 0 < sum(lost) < len(ops)                 # genuinely partial
+    assert all(o is None for o, gone in zip(outcomes, lost) if not gone)
+    for frame in range(0, len(ops), 4):             # whole frames fail
+        assert len(set(lost[frame:frame + 4])) == 1
+    # Every request arrived, so every frame applied: only answers were
+    # lost, the at-least-once ambiguity DeliveryFailed is retryable for.
+    assert server.requests_served == len(ops) // 4
+    network.set_policy("shard0", "client", None)
+    local = make_handle()
+    keys = [key for _, key in ops]
+    local.insert_many(keys)
+    assert remote.query_many(keys).values.tolist() \
+        == local.query_many(keys).values.tolist()
+
+
+@pytest.mark.parametrize("entries,kind", [
+    ("not a list", "WireFormatError"),
+    ([["frobnicate", "k"]], "WireFormatError"),
+    ([["insert", ["k"]]], "TypeError"),
+    ([["insert", "k", True]], "WireFormatError"),
+    ([["set", "k"]], "WireFormatError"),
+], ids=["non-list", "unknown-verb", "non-scalar-key", "bool-count",
+        "set-without-count"])
+def test_malformed_execute_frames_get_typed_errors(entries, kind):
+    server = ShardServer(make_handle())
+    if isinstance(entries, list):
+        entries = [["insert", "good"], *entries]   # validated before any runs
+    response = server.handle_frame(
+        seal_frame(REQUEST_MAGIC, {"op": "execute", "ops": entries}))
+    meta, _ = open_frame(response, RESPONSE_MAGIC)
+    assert meta["ok"] is False and meta["kind"] == kind
+    assert server.handle.total_count == 0
+    # The server keeps serving.
+    response = server.handle_frame(seal_frame(
+        REQUEST_MAGIC, {"op": "execute",
+                        "ops": [["insert", "x", 2], ["query", "x"]]}))
+    assert open_frame(response, RESPONSE_MAGIC)[0]["result"] == [None, 2]
