@@ -110,13 +110,15 @@ class MinimumSelection(Method):
     supports_deletion = True
 
     def insert(self, key: object, count: int) -> None:
-        add = self.sbf.counters.add
-        for i in self.sbf.indices(key):
+        sbf = self.sbf
+        add = sbf.counters.add
+        for i in sbf.family.indices(key):
             add(i, count)
 
     def delete(self, key: object, count: int) -> None:
-        add = self.sbf.counters.add
-        for i in self.sbf.indices(key):
+        sbf = self.sbf
+        add = sbf.counters.add
+        for i in sbf.family.indices(key):
             add(i, -count)
 
     def estimate(self, key: object) -> int:

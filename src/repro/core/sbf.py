@@ -41,6 +41,16 @@ from repro.hashing.families import HashFamily, make_family
 from repro.storage.backends import CounterBackend, make_backend
 
 
+def check_threshold(threshold: int) -> None:
+    """The spectral-membership guard: refuse a negative *threshold*.
+
+    Every ``contains`` — the filter's and every serving layer's — runs
+    it, so a request the core refuses is refused on every path.
+    """
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
+
+
 class SpectralBloomFilter:
     """A multiset synopsis supporting frequency queries with one-sided error.
 
@@ -115,11 +125,12 @@ class SpectralBloomFilter:
     def counter_values(self, key: object) -> tuple[int, ...]:
         """The sequence ``v_x`` of *key*'s counter values (§2.2)."""
         get = self.counters.get
-        return tuple(get(i) for i in self.indices(key))
+        return tuple([get(i) for i in self.family.indices(key)])
 
     def min_counter(self, key: object) -> int:
         """``m_x`` — the minimal counter value of *key* (§2.2)."""
-        return min(self.counter_values(key))
+        get = self.counters.get
+        return min([get(i) for i in self.family.indices(key)])
 
     def insert(self, key: object, count: int = 1) -> None:
         """Record *count* occurrences of *key*."""
@@ -328,8 +339,7 @@ class SpectralBloomFilter:
         thresholds give the ad-hoc filtering the paper is named after.
         False positives only (for MS/RM).
         """
-        if threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {threshold}")
+        check_threshold(threshold)
         return self.query(key) >= threshold
 
     def __contains__(self, key: object) -> bool:

@@ -47,7 +47,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.sbf import SpectralBloomFilter
+from repro.core.sbf import SpectralBloomFilter, check_threshold
 from repro.core.serialize import dump_sbf
 
 #: the point verbs an op tuple of :meth:`ShardHandle.execute` may name
@@ -166,7 +166,9 @@ class ShardHandle(ABC):
         """Frequency estimate for *key*."""
 
     def contains(self, key: object, threshold: int = 1) -> bool:
-        """Spectral membership: is the estimate at least *threshold*?"""
+        """Spectral membership: is the estimate at least *threshold*?
+        A negative *threshold* is refused, as the filter refuses it."""
+        check_threshold(threshold)
         return self.query(key) >= threshold
 
     # -- bulk verbs (keys: a sequence; timeout: bounds the handle's own
@@ -219,12 +221,14 @@ class ShardHandle(ABC):
         results: list = [None] * len(ops)
         with self.exclusive(timeout) as raw:
             for idx, op in enumerate(ops):
+                deadline = deadlines[idx]
                 try:
-                    deadline = deadlines[idx]
-                    if deadline is not None:
-                        deadline.check(op[0], unexecuted=True)
-                    with deadline_scope(deadline):
+                    if deadline is None:
                         results[idx] = _apply(raw, op)
+                    else:
+                        deadline.check(op[0], unexecuted=True)
+                        with deadline_scope(deadline):
+                            results[idx] = _apply(raw, op)
                 except Exception as exc:
                     results[idx] = exc
         return results

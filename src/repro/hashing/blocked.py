@@ -16,6 +16,7 @@ accuracy delta as the block size shrinks.
 from __future__ import annotations
 
 from repro.hashing.families import HashFamily, MultiplyShiftFamily
+from repro.hashing.keys import canonical_key
 
 _MASK64 = (1 << 64) - 1
 
@@ -52,6 +53,10 @@ class BlockedHashFamily(HashFamily):
         # Selector over blocks and k probes mapped into the block width.
         self._selector = MultiplyShiftFamily(self.n_blocks, 1, seed ^ 0xB10C)
         self._inner = MultiplyShiftFamily(self.m, k, seed ^ 0x1AEA)
+        # The scalar path does both levels' multiply-shifts inline from
+        # these pairs (the vector kernel reads the two families).
+        self._block_a, self._block_b = self._selector._params[0]
+        self._probes = self._inner._params
 
     def _block_span(self, block: int) -> tuple[int, int]:
         start = block * self.m // self.n_blocks
@@ -59,10 +64,14 @@ class BlockedHashFamily(HashFamily):
         return start, max(1, end - start)
 
     def indices_hashed(self, hashed: int) -> tuple[int, ...]:
-        block = self._selector.indices_hashed(hashed)[0]
-        start, width = self._block_span(block)
-        return tuple(start + (i % width)
-                     for i in self._inner.indices_hashed(hashed))
+        m, n_blocks = self.m, self.n_blocks
+        block = (n_blocks
+                 * ((self._block_a * hashed + self._block_b) & _MASK64)) >> 64
+        # The span of _block_span; no block is empty, as n_blocks <= m.
+        start = block * m // n_blocks
+        width = (block + 1) * m // n_blocks - start
+        return tuple([start + ((m * ((a * hashed + b) & _MASK64)) >> 64)
+                      % width for a, b in self._probes])
 
     def block_of(self, key: object) -> int:
         """The block owning *key* — every probe of *key* lands inside it.
@@ -73,7 +82,8 @@ class BlockedHashFamily(HashFamily):
         exactly the slices of the one big filter (see
         :mod:`repro.serve.router`).
         """
-        return self._selector.indices(key)[0]
+        return (self.n_blocks * ((self._block_a * canonical_key(key)
+                                  + self._block_b) & _MASK64)) >> 64
 
     def blocks_touched(self, key: object) -> int:
         """Blocks a lookup for *key* reads — always 1 by construction."""

@@ -104,8 +104,8 @@ class ModuloMultiplyFamily(HashFamily):
 
     def indices_hashed(self, hashed: int) -> tuple[int, ...]:
         m = self.m
-        return tuple((m * ((a * hashed) & _MASK64)) >> 64
-                     for a in self._multipliers)
+        return tuple([(m * ((a * hashed) & _MASK64)) >> 64
+                      for a in self._multipliers])
 
 
 class MultiplyShiftFamily(HashFamily):
@@ -125,8 +125,8 @@ class MultiplyShiftFamily(HashFamily):
 
     def indices_hashed(self, hashed: int) -> tuple[int, ...]:
         m = self.m
-        return tuple((m * ((a * hashed + b) & _MASK64)) >> 64
-                     for a, b in self._params)
+        return tuple([(m * ((a * hashed + b) & _MASK64)) >> 64
+                      for a, b in self._params])
 
 
 class TabulationFamily(HashFamily):

@@ -19,17 +19,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _splitmix64(x: int) -> int:
-    """One round of the SplitMix64 finalizer (a 64-bit bijection)."""
-    x = (x + _SPLITMIX_GAMMA) & _MASK64
-    x ^= x >> 30
-    x = (x * _MIX1) & _MASK64
-    x ^= x >> 27
-    x = (x * _MIX2) & _MASK64
-    x ^= x >> 31
-    return x
-
-
 def canonical_key(key: object) -> int:
     """Map an arbitrary hashable key to a stable unsigned 64-bit integer.
 
@@ -43,23 +32,31 @@ def canonical_key(key: object) -> int:
         TypeError: for unsupported key types (e.g. lists, dicts).
     """
     if type(key) is int:
-        return _splitmix64(key & _MASK64)
-    if type(key) is bool:
-        return _splitmix64(int(key))
-    if isinstance(key, int):  # bool subclasses and IntEnum members
-        return _splitmix64(int(key) & _MASK64)
-    if isinstance(key, str):
-        data = b"s" + key.encode("utf-8")
-    elif isinstance(key, bytes):
-        data = b"b" + key
-    elif isinstance(key, float):
-        data = b"f" + key.hex().encode("ascii")
-    elif key is None:
-        data = b"n"
-    elif isinstance(key, tuple):
-        parts = [canonical_key(part).to_bytes(8, "little") for part in key]
-        data = b"t" + b"".join(parts)
+        x = key & _MASK64
+    elif isinstance(key, int):  # bool and IntEnum members
+        x = int(key) & _MASK64
     else:
-        raise TypeError(f"unsupported key type: {type(key).__name__}")
-    digest = hashlib.blake2b(data, digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+        if isinstance(key, str):
+            data = b"s" + key.encode("utf-8")
+        elif isinstance(key, bytes):
+            data = b"b" + key
+        elif isinstance(key, float):
+            data = b"f" + key.hex().encode("ascii")
+        elif key is None:
+            data = b"n"
+        elif isinstance(key, tuple):
+            parts = [canonical_key(part).to_bytes(8, "little")
+                     for part in key]
+            data = b"t" + b"".join(parts)
+        else:
+            raise TypeError(f"unsupported key type: {type(key).__name__}")
+        digest = hashlib.blake2b(data, digest_size=8).digest()
+        return int.from_bytes(digest, "little")
+    # One round of the SplitMix64 finalizer, inline: integer keys are the
+    # point path's common case.
+    x = (x + _SPLITMIX_GAMMA) & _MASK64
+    x ^= x >> 30
+    x = (x * _MIX1) & _MASK64
+    x ^= x >> 27
+    x = (x * _MIX2) & _MASK64
+    return x ^ (x >> 31)

@@ -43,6 +43,7 @@ from collections import deque
 from concurrent.futures import Future
 from typing import Callable, Sequence
 
+from repro.handle import POINT_VERBS
 from repro.serve.batch import ShardBatcher
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.resilience import Deadline, DeadlineExceeded
@@ -160,10 +161,19 @@ class ServingEngine:
         burn shard time (counted in ``engine.deadline_expired_total``).
 
         Raises:
+            ValueError: the op is malformed — *verb* is not one of
+                :data:`~repro.handle.POINT_VERBS`, or more than one
+                argument follows *key*.  Refused before it is queued or
+                counted, as a remote shard refuses it on the wire.
             Overloaded: refused by the admission policy (typed, carries
                 depth/limit so clients can back off informedly).
             RuntimeError: the engine is closed.
         """
+        if not isinstance(verb, str) or verb not in POINT_VERBS \
+                or len(args) > 1:
+            raise ValueError(
+                f"submit takes (verb, key[, count_or_threshold]) with a "
+                f"verb of {sorted(POINT_VERBS)}, got {(verb, key, *args)!r}")
         if timeout is not None:
             if deadline is not None:
                 raise ValueError("pass timeout or deadline, not both")
@@ -252,8 +262,13 @@ class ServingEngine:
         if not batch:
             return len(popped)
         start = clock()
-        results = self.batcher.execute([r.op for r in batch],
-                                       deadlines=[r.deadline for r in batch])
+        try:
+            results = self.batcher.execute(
+                [r.op for r in batch], deadlines=[r.deadline for r in batch])
+        except Exception as exc:
+            # Every popped request must resolve: fail the whole batch
+            # rather than strand its futures or kill the worker thread.
+            results = [exc] * len(batch)
         done = clock()
         self._batch_seconds.observe(done - start)
         for request, result in zip(batch, results):
@@ -356,17 +371,19 @@ def run_requests(engine: ServingEngine, ops: Sequence[tuple],
 
     Convenience for scripted workloads (benchmarks, examples): failures
     come back as exception instances in their slots, mirroring
-    :meth:`ShardBatcher.execute`.
+    :meth:`ShardBatcher.execute` — an op :meth:`ServingEngine.submit`
+    refuses (overload, a malformed op) included.
     """
     futures = []
     for op in ops:
         try:
             futures.append(engine.submit(*op))
-        except Overloaded as exc:
+        except (Overloaded, ValueError) as exc:
             future: Future = Future()
             future.set_exception(exc)
             futures.append(future)
-            engine.pump()
+            if isinstance(exc, Overloaded):
+                engine.pump()
     engine.drain()
     results = []
     for future in futures:

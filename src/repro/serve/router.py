@@ -69,7 +69,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.params import bloom_error
-from repro.core.sbf import SpectralBloomFilter
+from repro.core.sbf import SpectralBloomFilter, check_threshold
 from repro.core.serialize import (
     dump_sbf,
     load_sbf,
@@ -298,6 +298,7 @@ class ShardedSBF:
         return self._shards[old_id].query(key)
 
     def contains(self, key: object, threshold: int = 1) -> bool:
+        check_threshold(threshold)
         return self.query(key) >= threshold
 
     def _refuse_if_expired(self, what: str) -> None:

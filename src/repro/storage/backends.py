@@ -251,6 +251,13 @@ class ArrayBackend(CounterBackend):
             counts[i] = v
 
 
+#: the counter dtypes, narrowest first, each with the largest value it
+#: holds — a table because building ``np.iinfo`` per scalar add costs more
+#: than the add
+_DTYPE_MAX = {np.dtype(dt): int(np.iinfo(dt).max)
+              for dt in (np.uint8, np.uint16, np.uint32, np.uint64)}
+
+
 class NumpyBackend(CounterBackend):
     """Counters in a numpy array with automatic dtype widening.
 
@@ -264,13 +271,11 @@ class NumpyBackend(CounterBackend):
 
     name = "numpy"
 
-    _LADDER = (np.uint8, np.uint16, np.uint32, np.uint64)
-
     def __init__(self, m: int, dtype=np.uint8):
         if m <= 0:
             raise ValueError(f"m must be positive, got {m}")
         dt = np.dtype(dtype)
-        if dt not in {np.dtype(d) for d in self._LADDER}:
+        if dt not in _DTYPE_MAX:
             raise ValueError(
                 f"dtype must be one of uint8/16/32/64, got {dt}")
         self._counts = np.zeros(m, dtype=dt)
@@ -282,24 +287,29 @@ class NumpyBackend(CounterBackend):
 
     def ensure_capacity(self, max_value: int) -> None:
         """Widen the dtype until *max_value* fits without overflow."""
-        if max_value <= int(np.iinfo(self._counts.dtype).max):
+        # The bound follows the live array, not a cached dtype: a process
+        # pool worker swaps a shared-memory view in after construction.
+        if max_value <= _DTYPE_MAX[self._counts.dtype]:
             return
-        for dt in self._LADDER:
-            if max_value <= int(np.iinfo(dt).max):
+        for dt, bound in _DTYPE_MAX.items():
+            if max_value <= bound:
                 self._counts = self._counts.astype(dt)
                 return
         raise OverflowError(
             f"counter value {max_value} exceeds uint64 capacity")
 
     def get(self, i: int) -> int:
-        return int(self._counts[i])
+        return self._counts.item(i)
 
     def add(self, i: int, delta: int) -> int:
-        value = int(self._counts[i]) + delta
+        counts = self._counts
+        value = counts.item(i) + delta
         if value < 0:
             raise ValueError(f"counter {i} would become negative ({value})")
-        self.ensure_capacity(value)
-        self._counts[i] = value
+        if value > _DTYPE_MAX[counts.dtype]:
+            self.ensure_capacity(value)
+            counts = self._counts
+        counts[i] = value
         return value
 
     def set(self, i: int, value: int) -> None:
@@ -311,7 +321,7 @@ class NumpyBackend(CounterBackend):
         self._counts[i] = value
 
     def add_clamped(self, i: int, delta: int) -> int:
-        value = int(self._counts[i]) + delta
+        value = self._counts.item(i) + delta
         if value < 0:
             value = 0
         self.ensure_capacity(value)

@@ -41,6 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.sbf import check_threshold
 from repro.handle import BulkFailure, BulkResult, ShardHandle
 from repro.serve.metrics import MetricsRegistry
 from repro.tenancy.tree import SpectralBloofiTree, UnknownTenant
@@ -163,6 +164,7 @@ class TenantDirectory:
         return self.tree.query_tenant(tenant, key)
 
     def contains(self, composite: object, threshold: int = 1) -> bool:
+        check_threshold(threshold)
         return self.query(composite) >= threshold
 
     # -- the multi-tenant verbs (what the tree exists for) -----------------

@@ -1,12 +1,13 @@
-"""Differential testing across the three counter backends.
+"""Differential testing across the four counter backends.
 
-The array, compact (String-Array Index), and stream (coded stream)
-backends implement one contract with three very different mechanisms —
-plain list ops vs. bit-packed variable-width fields vs. prefix-free
-decode chains.  These tests drive *identical* seeded workloads through
-all three and demand counter-for-counter equality, so any divergence in
-``add`` / ``set`` / ``add_clamped`` semantics (clamping, width growth,
-chunk rebuilds) surfaces as a concrete failing counter index.
+The array, compact (String-Array Index), stream (coded stream) and numpy
+backends implement one contract with very different mechanisms — plain
+list ops vs. bit-packed variable-width fields vs. prefix-free decode
+chains vs. a fixed-width array that widens its dtype.  These tests drive
+*identical* seeded workloads through all of them and demand
+counter-for-counter equality, so any divergence in ``add`` / ``set`` /
+``add_clamped`` semantics (clamping, width growth, chunk rebuilds)
+surfaces as a concrete failing counter index.
 
 Also pins the configuration-preservation fix: filters derived through
 ``union`` / ``_spawn_like`` (and Recurring Minimum's secondary) keep the
@@ -15,12 +16,14 @@ live backend's constructor options instead of reverting to defaults.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.sbf import SpectralBloomFilter
 from repro.storage.backends import (
     ArrayBackend,
     CompactBackend,
+    NumpyBackend,
     StreamBackend,
 )
 
@@ -32,6 +35,7 @@ BACKENDS = [
     ("array", {}),
     ("compact", {"chunk_slack": 2, "group_slack": 8}),
     ("stream", {"codec": "steps"}),
+    ("numpy", {}),
 ]
 
 KEYS = [f"key-{i}" for i in range(48)]
@@ -42,11 +46,12 @@ def build(method, backend, options):
                                backend=backend, backend_options=options)
 
 
-def seeded_ops(seed, n_ops, allow_overdelete):
+def seeded_ops(seed, n_ops, allow_overdelete, scale=1):
     """A deterministic mixed insert/delete schedule.
 
     Tracks true multiplicities so that, unless *allow_overdelete*, every
     delete removes only what was inserted (the MS/RM precondition).
+    Insert and overdelete counts are multiplied by *scale*.
     """
     rng = random.Random(seed)
     truth: dict[str, int] = {}
@@ -55,13 +60,13 @@ def seeded_ops(seed, n_ops, allow_overdelete):
         key = rng.choice(KEYS)
         if rng.random() < 0.35 and (allow_overdelete or truth.get(key, 0)):
             if allow_overdelete:
-                count = rng.randint(1, 4)
+                count = rng.randint(1, 4) * scale
             else:
                 count = rng.randint(1, truth[key])
             truth[key] = max(0, truth.get(key, 0) - count)
             ops.append(("delete", key, count))
         else:
-            count = rng.randint(1, 5)
+            count = rng.randint(1, 5) * scale
             truth[key] = truth.get(key, 0) + count
             ops.append(("insert", key, count))
     return ops
@@ -73,24 +78,43 @@ def drive(sbf, ops):
     return sbf
 
 
+def drive_every_backend(method, ops) -> dict:
+    """Run *ops* on one filter per backend; every backend must end with
+    the array backend's counters, total, audit and answers."""
+    filters = {name: drive(build(method, name, opts), ops)
+               for name, opts in BACKENDS}
+    reference = filters["array"]
+    for name, sbf in filters.items():
+        assert sbf.counters.to_list() == reference.counters.to_list(), (
+            f"{name} backend diverged from array under method={method}")
+        assert sbf.total_count == reference.total_count
+        assert sbf.check_integrity() == reference.check_integrity()
+        for key in KEYS:
+            assert sbf.query(key) == reference.query(key), (
+                f"{name} query({key!r}) diverged under method={method}")
+    return filters
+
+
 class TestBackendEquivalence:
     @pytest.mark.parametrize("method", ["ms", "mi", "rm"])
     def test_identical_workloads_identical_counters(self, method):
         # MI deletes clamp at zero (the add_clamped path), so feed it
         # overdeletes on purpose; MS/RM require legal deletes.
-        ops = seeded_ops(seed=99, n_ops=400,
-                         allow_overdelete=(method == "mi"))
-        filters = [drive(build(method, name, opts), ops)
-                   for name, opts in BACKENDS]
-        reference = filters[0]
-        for sbf, (name, _) in zip(filters[1:], BACKENDS[1:]):
-            assert sbf.counters.to_list() == reference.counters.to_list(), (
-                f"{name} backend diverged from array under method={method}")
-            assert sbf.total_count == reference.total_count
-            assert sbf.check_integrity() == []
-            for key in KEYS:
-                assert sbf.query(key) == reference.query(key), (
-                    f"{name} query({key!r}) diverged under method={method}")
+        filters = drive_every_backend(method, seeded_ops(
+            seed=99, n_ops=400, allow_overdelete=(method == "mi")))
+        assert filters["array"].check_integrity() == []
+
+    @pytest.mark.parametrize("method", ["ms", "mi", "rm"])
+    def test_counters_past_16_bits_widen_identically(self, method):
+        # Counts in the tens of thousands carry counters past 255 and
+        # 65535, so the numpy backend's scalar add / set / add_clamped
+        # run across both dtype widenings.  (MI's clamped overdeletes may
+        # break its k*N bound; every backend must then report the same.)
+        filters = drive_every_backend(method, seeded_ops(
+            seed=21, n_ops=200, allow_overdelete=(method == "mi"),
+            scale=20_000))
+        assert max(filters["array"].counters) > 65535
+        assert filters["numpy"].counters.raw.dtype == np.uint32
 
     def test_add_clamped_single_touch_matches_generic(self):
         """The overridden single-touch add_clamped implementations agree
@@ -101,7 +125,8 @@ class TestBackendEquivalence:
             expected = max(0, start + delta)
             for cls, kwargs in [(ArrayBackend, {}),
                                 (CompactBackend, {"chunk_slack": 2}),
-                                (StreamBackend, {"codec": "steps"})]:
+                                (StreamBackend, {"codec": "steps"}),
+                                (NumpyBackend, {})]:
                 backend = cls(8, **kwargs)
                 backend.set(3, start)
                 returned = backend.add_clamped(3, delta)
@@ -123,8 +148,8 @@ class TestBackendEquivalence:
             union = left.union(right)
             assert union.check_integrity() == []
             merged[name] = union.counters.to_list()
-        assert merged["compact"] == merged["array"]
-        assert merged["stream"] == merged["array"]
+        for name in merged:
+            assert merged[name] == merged["array"], name
 
 
 class TestConfigurationPreservation:

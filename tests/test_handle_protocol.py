@@ -175,8 +175,10 @@ def stream(seed: int = 11, n: int = 260) -> list[tuple]:
             truth[key] += count
         elif r < 0.40:
             ops.append(("query", key))
-        elif r < 0.45:
+        elif r < 0.43:
             ops.append(("contains", key, rng.randint(1, 4)))
+        elif r < 0.45:
+            ops.append(("contains", key, -1))             # refused
         elif r < 0.55 and truth[key]:
             count = rng.randint(1, truth[key])
             ops.append(("delete", key, count))
@@ -243,6 +245,15 @@ def _on_handle(kind: Kind, op: tuple):
     return None
 
 
+def _same_refusal(error: Exception, reference: ValueError) -> bool:
+    """Whether a handle refused an op as the reference did: with the
+    reference's own message (a remote handle prefixes its server's name),
+    or, for a delete, which names the key as the handle addresses it,
+    with a counter that would go negative."""
+    return isinstance(error, ValueError) and (
+        str(reference) in str(error) or "negative" in str(error))
+
+
 def test_every_kind_answers_like_one_unsharded_filter(kind):
     assert isinstance(kind.handle, ShardHandle)
     ref = make_filter()
@@ -250,12 +261,13 @@ def test_every_kind_answers_like_one_unsharded_filter(kind):
     for step, op in enumerate(stream()):
         try:
             expected = _on_reference(ref, op)
-        except ValueError:
+        except ValueError as refusal:
             # The reference refused: the handle must refuse too, and the
             # refusal must change nothing.
             before = kind.handle.total_count
-            with pytest.raises(ValueError, match="negative"):
+            with pytest.raises(ValueError) as caught:
                 _on_handle(kind, op)
+            assert _same_refusal(caught.value, refusal), (step, op)
             assert kind.handle.total_count == before == ref.total_count
             assert kind.audit() == [], (step, op)
             refused += 1
@@ -289,9 +301,8 @@ def test_execute_answers_like_point_replay(kind, chunk):
         for op, outcome in zip(group, outcomes):
             try:
                 expected = _on_reference(ref, op)
-            except ValueError:
-                assert isinstance(outcome, ValueError), (op, outcome)
-                assert "negative" in str(outcome)
+            except ValueError as refusal:
+                assert _same_refusal(outcome, refusal), (op, outcome)
                 refused += 1
                 continue
             assert outcome == expected, (op, outcome)
@@ -410,8 +421,13 @@ def test_fleets_answer_like_one_unsharded_filter(kind, n_shards, tmp_path):
         ref.set(keys[1], 9)
         with pytest.raises(ValueError, match="negative"):
             router.delete("never-inserted", 10 ** 6)
-        refused = batcher.execute([("delete", "never-inserted", 10 ** 6)])
+        refused = batcher.execute([("delete", "never-inserted", 10 ** 6),
+                                   ("contains", keys[0], -1)])
         assert isinstance(refused[0], ValueError)
+        assert isinstance(refused[1], ValueError)
+        assert "threshold must be >= 0" in str(refused[1])
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            router.contains(keys[0], -1)
         assert router.total_count == ref.total_count
         probes = list(dict.fromkeys(keys)) \
             + [f"miss:{i}" for i in range(40)] + [-(i + 1) for i in range(40)]

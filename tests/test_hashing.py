@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.hashing import (
+    BlockedHashFamily,
     DoubleHashingFamily,
     ModuloMultiplyFamily,
     MultiplyShiftFamily,
@@ -136,3 +137,73 @@ class TestMakeFamily:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):
             make_family("nope", 10, 2)
+
+
+# ----------------------------------------------------------------------
+# golden positions: every WAL record and snapshot addresses its counters
+# through these values, so no rewrite of the scalar hash may move one
+# ----------------------------------------------------------------------
+GOLDEN_KEYS = [0, 1, -1, -(2 ** 63), 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5,
+               12345678901234, True, None, "user:42", "", b"\x00\xff", 3.5,
+               ("a", (1, None), b"x")]
+
+GOLDEN_CANONICAL = [
+    16294208416658607535, 10451216379200822465, 16490336266968443936,
+    5196802822362493915, 5196802822362493915, 16490336266968443936,
+    7134611160154358618, 11436527108125952656, 10451216379200822465,
+    13013184759947573853, 3924167688731281808, 16027976456189790694,
+    17060760031252185799, 16015823956660004921, 2980627500448114468]
+
+#: (family name, m, block_size) -> positions of GOLDEN_KEYS at k=3, seed=7
+GOLDEN_INDICES = {
+    ("modmul", 1000, None): [
+        (467, 132, 499), (8, 567, 767), (380, 885, 180), (402, 72, 749),
+        (402, 72, 749), (380, 885, 180), (273, 42, 695), (533, 731, 890),
+        (8, 567, 767), (136, 480, 567), (751, 883, 889), (505, 569, 743),
+        (124, 595, 651), (227, 575, 524), (639, 918, 871)],
+    ("multiply-shift", 1000, None): [
+        (486, 826, 904), (353, 823, 722), (667, 362, 605), (640, 987, 11),
+        (640, 987, 11), (667, 362, 605), (161, 720, 905), (910, 375, 135),
+        (353, 823, 722), (571, 211, 873), (726, 780, 846), (875, 791, 973),
+        (444, 812, 942), (587, 474, 968), (550, 418, 970)],
+    ("tabulation", 1000, None): [
+        (697, 862, 22), (224, 132, 721), (354, 101, 744), (66, 863, 160),
+        (66, 863, 160), (354, 101, 744), (335, 487, 610), (847, 172, 624),
+        (224, 132, 721), (863, 556, 468), (201, 672, 947), (898, 542, 558),
+        (497, 205, 491), (856, 768, 243), (449, 329, 226)],
+    ("double", 1000, None): [
+        (544, 682, 820), (753, 830, 907), (733, 494, 255), (787, 282, 777),
+        (787, 282, 777), (733, 494, 255), (680, 378, 76), (108, 444, 780),
+        (753, 830, 907), (172, 781, 390), (122, 152, 182), (250, 548, 846),
+        (942, 289, 636), (418, 896, 374), (745, 731, 717)],
+    ("blocked", 1000, None): [
+        (945, 950, 943), (527, 529, 527), (923, 914, 923), (704, 707, 713),
+        (704, 707, 713), (923, 914, 923), (166, 166, 176), (307, 301, 306),
+        (527, 529, 527), (761, 765, 769), (240, 250, 246), (187, 182, 190),
+        (435, 444, 441), (77, 80, 74), (208, 216, 215)],
+    # 16 blocks of 62 or 63 counters: the ragged layout
+    ("blocked", 1000, 64): [
+        (317, 343, 327), (300, 259, 270), (160, 151, 125), (799, 754, 772),
+        (799, 754, 772), (160, 151, 125), (996, 987, 964), (65, 116, 109),
+        (300, 259, 270), (679, 627, 668), (264, 299, 292), (34, 3, 14),
+        (562, 568, 601), (238, 217, 226), (386, 379, 435)],
+    ("blocked", 1, None): [(0, 0, 0)] * len(GOLDEN_KEYS),
+    ("modmul", 1, None): [(0, 0, 0)] * len(GOLDEN_KEYS),
+}
+
+
+@pytest.mark.parametrize("name,m,block_size", sorted(
+    GOLDEN_INDICES, key=repr))
+def test_golden_positions(name, m, block_size):
+    """``canonical_key`` and ``indices`` equal literals recorded before
+    the scalar hash was fused into one step."""
+    if block_size is None:
+        family = make_family(name, m, 3, seed=7)
+    else:
+        family = BlockedHashFamily(m, 3, seed=7, block_size=block_size)
+    assert [canonical_key(key) for key in GOLDEN_KEYS] == GOLDEN_CANONICAL
+    assert [tuple(family.indices(key)) for key in GOLDEN_KEYS] \
+        == GOLDEN_INDICES[name, m, block_size]
+    assert [tuple(family.indices_hashed(value))
+            for value in GOLDEN_CANONICAL] \
+        == GOLDEN_INDICES[name, m, block_size]

@@ -61,6 +61,8 @@ def test_routed_query_equals_unsharded(n_shards):
     for key in probes(keys):
         assert router.query(key) == reference.query(key)
         assert router.contains(key, 2) == reference.contains(key, 2)
+    with pytest.raises(ValueError, match="threshold must be >= 0"):
+        router.contains(keys[0], -1)
 
 
 @pytest.mark.parametrize("n_shards", SHARD_COUNTS)

@@ -268,3 +268,61 @@ def test_shed_oldest_live_victim_still_counts_as_shed():
     counters = engine.metrics.snapshot()["counters"]
     assert counters["engine.shed_total"] == 1
     assert counters.get("engine.deadline_expired_total", 0) == 0
+
+
+@pytest.mark.parametrize("op", [("bogus", "b"), ("insert", "a", 1, 2),
+                                ("contains", "a", 1, 2)])
+def test_submit_refuses_malformed_ops(op):
+    engine = ServingEngine(make_router(), max_queue=4, batch_size=8)
+    with pytest.raises(ValueError, match="verb"):
+        engine.submit(*op)
+    assert engine.queue_depth == 0
+    assert engine.metrics.snapshot()["counters"]["engine.accepted"] == 0
+    # run_requests reports the refusal in its slot; its neighbours serve.
+    results = run_requests(engine, [("insert", "a"), op, ("query", "a")])
+    assert results[0] is None
+    assert isinstance(results[1], ValueError)
+    assert results[2] == 1
+    assert engine.router.total_count == 1
+
+
+def test_a_batch_whose_execute_raises_fails_every_future(monkeypatch):
+    engine = ServingEngine(make_router(), max_queue=16, batch_size=8)
+    futures = [engine.submit("insert", key) for key in range(5)]
+
+    def broken(ops, **kwargs):
+        raise RuntimeError("batcher fell over")
+    monkeypatch.setattr(engine.batcher, "execute", broken)
+    assert engine.pump() == 5
+    for future in futures:
+        error = future.exception(timeout=0)
+        assert isinstance(error, RuntimeError)
+        assert "fell over" in str(error)
+    assert engine.metrics.snapshot()["counters"]["engine.failed"] == 5
+    assert engine.queue_depth == 0
+
+
+def test_background_worker_survives_a_refused_op_and_a_failed_batch(
+        monkeypatch):
+    engine = ServingEngine(make_router(), max_queue=64, batch_size=8)
+    execute = engine.batcher.execute
+    calls = []
+
+    def fails_once(ops, **kwargs):
+        calls.append(len(ops))
+        if len(calls) == 1:
+            raise RuntimeError("one bad batch")
+        return execute(ops, **kwargs)
+    monkeypatch.setattr(engine.batcher, "execute", fails_once)
+    engine.start()
+    try:
+        with pytest.raises(ValueError, match="verb"):
+            engine.submit("bogus", "b")
+        lost = engine.submit("insert", "a")
+        assert isinstance(lost.exception(timeout=10), RuntimeError)
+        assert engine.submit("insert", "a").result(timeout=10) is None
+        assert engine.submit("query", "a").result(timeout=10) == 1
+        assert engine._worker.is_alive()
+    finally:
+        engine.stop()
+    assert engine.router.total_count == 1

@@ -443,6 +443,8 @@ class TestDirectory:
         directory.set(("beta", "k"), 1)
         assert directory.query(("alpha", "k")) == 3
         assert directory.contains(("alpha", "k"), 3)
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            directory.contains(("alpha", "k"), -1)
         assert directory.query_tenants("k") == {"alpha": 3, "beta": 1}
         directory.delete(("alpha", "k"), 2)
         assert directory.query(("alpha", "k")) == 1

@@ -1,11 +1,17 @@
 """Tests for vectorised hashing and bulk ingestion."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import SpectralBloomFilter
-from repro.hashing import ModuloMultiplyFamily, MultiplyShiftFamily
+from repro.hashing import (
+    BlockedHashFamily,
+    ModuloMultiplyFamily,
+    MultiplyShiftFamily,
+)
 from repro.hashing.keys import canonical_key
 from repro.hashing.vectorized import (
     bulk_insert_ms,
@@ -22,14 +28,18 @@ class TestVectorisedHashing:
         scalar = [canonical_key(k) for k in keys]
         assert vec.tolist() == scalar
 
-    @pytest.mark.parametrize("cls", [ModuloMultiplyFamily,
-                                     MultiplyShiftFamily])
+    @pytest.mark.parametrize("cls", [
+        ModuloMultiplyFamily, MultiplyShiftFamily, BlockedHashFamily,
+        pytest.param(functools.partial(BlockedHashFamily, block_size=100),
+                     id="BlockedHashFamily-ragged")])
     def test_indices_match_scalar(self, cls):
         fam = cls(m=7919, k=5, seed=11)
         keys = np.arange(2000, dtype=np.uint64)
-        matrix = indices_matrix(fam, keys)
-        for row, key in zip(matrix[:200], keys[:200]):
-            assert tuple(row) == fam.indices(int(key))
+        high = np.uint64(2 ** 63) + np.arange(0, 2 ** 63, 2 ** 56,
+                                              dtype=np.uint64)
+        matrix = indices_matrix(fam, np.concatenate([keys[:200], high]))
+        for row, key in zip(matrix, keys[:200].tolist() + high.tolist()):
+            assert tuple(row) == fam.indices(key)
 
     def test_indices_in_range(self):
         fam = ModuloMultiplyFamily(m=101, k=3, seed=1)
