@@ -29,9 +29,7 @@ Why each kernel is exact:
   loop terminates in at most ``max per-counter multiplicity`` rounds —
   tens of numpy passes for a duplicate-heavy stream, against the
   thousands of conflict-free segments the previous formulation cut the
-  same stream into.  (:func:`conflict_free_segments` is retained: it
-  still documents and tests the segmentation bound, and remains the
-  ground truth the scheduling tests compare against.)
+  same stream into.
 - **MI delete** (:func:`mi_delete_kernel`): the clamped decrement
   ``v <- max(0, v - c)`` composes to ``max(0, v - sum(c))`` for any
   same-signed sequence (once clamped to zero it stays there), so the
@@ -146,44 +144,6 @@ def ms_add_kernel(counters, matrix: np.ndarray, counts: np.ndarray,
         deltas = np.repeat(counts.astype(np.int64) * sign, k)
         uniq, sums = aggregate_deltas(flat, deltas)
     counters.add_many(uniq, sums)
-
-
-def conflict_free_segments(matrix: np.ndarray) -> np.ndarray:
-    """Boundaries of maximal counter-disjoint runs of the row stream.
-
-    Returns ``bounds`` with segments ``[bounds[i], bounds[i+1])``; within
-    each segment no two *distinct* rows share a counter (duplicate
-    positions inside one row are allowed — the scalar path writes them
-    identically).
-    """
-    n, k = matrix.shape
-    flat = matrix.ravel()
-    sf, order = _grouped_order(flat)
-    # Each adjacent equal-counter pair in the grouped stream is a
-    # conflict: the later row (``rj``) must sit in a segment after the
-    # earlier one (``ri``), contributing a boundary requirement ``lp[rj]
-    # >= ri + 1``.  A duplicate position *within* one row would read as
-    # a self-conflict; clamping the contribution to ``rj - 1 + 1 = rj``
-    # keeps it valid (the row just starts its own segment — finer than
-    # necessary, never wrong) without a dedup pass.
-    conflict = sf[1:] == sf[:-1]
-    rj = order[1:][conflict] // k
-    ri = order[:-1][conflict] // k
-    contrib = np.minimum(ri, rj - 1) + 1
-    # Per-row maximum contribution via one more packed value-sort (group
-    # last = group max), then the running maximum over rows.  Rows fit
-    # in 31 bits and so do contributions (<= n), so the pack is exact.
-    if not rj.size:
-        return np.array([0, n])
-    packed = (rj << np.int64(31)) | contrib
-    packed.sort()
-    ends = np.flatnonzero(np.r_[packed[1:] >> np.int64(31)
-                                != packed[:-1] >> np.int64(31), True])
-    s = np.zeros(n, dtype=np.int64)
-    s[packed[ends] >> np.int64(31)] = packed[ends] & np.int64((1 << 31) - 1)
-    s = np.maximum.accumulate(s)
-    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-    return np.r_[starts, n]
 
 
 def mi_schedule(matrix: np.ndarray,

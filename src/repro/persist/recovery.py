@@ -86,7 +86,7 @@ def apply_record(sbf: SpectralBloomFilter, record: WALRecord) -> None:
 
 def recover(directory: str, *,
             factory: Callable[[], SpectralBloomFilter] | None = None,
-            io: FileIO | None = None, wal_name: str = WAL_NAME,
+            io: FileIO | None = None,
             strict: bool = True,
             ) -> tuple[SpectralBloomFilter, RecoveryReport]:
     """Rebuild the filter persisted under *directory*.
@@ -99,7 +99,6 @@ def recover(directory: str, *,
             snapshot is required.
         io: filesystem layer (a :class:`~repro.persist.crashsim.CrashIO`
             under test).
-        wal_name: WAL filename inside *directory*.
         strict: raise :class:`RecoveryError` if the rebuilt filter fails
             ``check_integrity()`` (set False to get the filter plus the
             issues in the report — e.g. for Minimal Increase filters whose
@@ -129,7 +128,7 @@ def recover(directory: str, *,
             f"no usable snapshot under {directory!r} and no factory to "
             f"build an empty filter")
 
-    wal_path = f"{directory}/{wal_name}"
+    wal_path = f"{directory}/{WAL_NAME}"
     records, scan = replay(wal_path, io=io, after_seq=snap_seq)
     for record in records:
         try:

@@ -122,11 +122,6 @@ class _ReferencePair:
     def bounds(self, key: object) -> tuple[int, int]:
         return self.lower.query(key), self.upper.query(key)
 
-    @property
-    def exact(self) -> bool:
-        """True when no outstanding ambiguity separates the pair."""
-        return self.lower.total_count == self.upper.total_count
-
 
 class OracleChecker:
     """Replays the acknowledged op stream and referees every answer.
@@ -237,19 +232,6 @@ class OracleChecker:
                 "fleet": fleet_total, "ok": ok,
                 "exact": lower_total == upper_total
                 and fleet_total == lower_total}
-
-    def audit_keys(self) -> list:
-        """A deterministic sample of keys worth re-querying at settle:
-        the heaviest acknowledged keys of each keyspace (plus their
-        tenant prefix where applicable)."""
-        sample = int(self._spec["oracle"]["audit_sample"])
-        keys: list = []
-        for tenant, pair in self._pairs.items():
-            # The pair cannot enumerate keys (it is a filter), so the
-            # runner supplies them; this hook exists for the runner's
-            # generator-tracked key set to be filtered per tenant.
-            del pair
-        return keys[:sample]
 
     def audit(self, keys, query_fn) -> int:
         """Re-query *keys* through *query_fn* and referee each answer.

@@ -84,18 +84,6 @@ class Topology:
 
     # -- naming ------------------------------------------------------------
     @property
-    def n_shards(self) -> int:
-        return self.router.n_shards
-
-    def replica_endpoints(self, shard: int) -> list[str]:
-        """Wire endpoint names of one logical shard's replicas."""
-        if self.kind == "replicated":
-            return [f"s{shard}r{r}" for r in range(self.cfg["rf"])]
-        if self.kind == "procpool":
-            return [f"worker-{shard}"]
-        raise SpecError(f"topology {self.kind!r} has no wire endpoints")
-
-    @property
     def client_name(self) -> str:
         return "coord" if self.kind == "replicated" else "pool"
 
@@ -173,11 +161,6 @@ def build_topology(spec: dict, clock: SimClock,
     cfg = dict(spec["topology"])
     cfg["seed"] = spec["seed"]
     kind = cfg["kind"]
-    if kind not in ("single", "tenants") and cfg["shards"] > 1 \
-            and cfg["hash_family"] != "blocked":
-        raise SpecError(
-            f"a multi-shard {kind!r} topology needs hash_family 'blocked' "
-            f"for bit-exact oracle comparison, got {cfg['hash_family']!r}")
     topology = Topology(kind, cfg, clock, metrics)
 
     if kind in ("single", "sharded"):

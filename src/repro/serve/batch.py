@@ -20,9 +20,10 @@ actual counter work.  :class:`ShardBatcher` amortises them:
   ``query_many`` takes the read side of the shard's lock, so concurrent
   bulk readers overlap;
 - **isolation of failures** — a failing operation (e.g. a delete that
-  would drive a counter negative, or a remote shard whose channel gave
-  up) is captured *in its result slot* as the exception instance; the
-  rest of the batch still executes.  Bulk verbs report per-key failures
+  would drive a counter negative, a remote shard whose channel gave up,
+  or a key the router cannot route, which never reaches a shard) is
+  captured *in its result slot* as the exception instance; the rest of
+  the batch still executes.  Bulk verbs report per-key failures
   in their :class:`~repro.handle.BulkResult`, which the batcher maps
   back onto submission-order slots.  The engine maps these onto the
   per-request futures.
@@ -116,8 +117,10 @@ class ShardBatcher:
             self._migrating_fallback.inc(len(ops))
             return results
         by_shard: dict[int, list[int]] = {}
-        owners = self.router.shard_of_many([op[1] for op in ops])
-        for idx, owner in enumerate(owners):
+        owners, unroutable = self._owners([op[1] for op in ops])
+        for idx, exc in unroutable.items():
+            results[idx] = exc
+        for idx, owner in owners:
             deadline = deadlines[idx]
             if deadline is not None and deadline.expired:
                 # Fail it here rather than dragging its group's lock
@@ -159,15 +162,17 @@ class ShardBatcher:
     def query_many(self, keys: Sequence[object], *,
                    timeout: float | None = None, deadline=None) -> list:
         """Frequency estimates for *keys*, in order, through each shard's
-        ``query_many``.  A key that could not be answered — its shard's
-        bulk result failed the slot, or the whole group failed — gets the
-        exception *instance* in its slot, mirroring :meth:`execute`.
-        *deadline* bounds the whole bulk call — it is scoped around each
-        shard group so deadline-aware handles stop mid-batch, and raises
-        :class:`~repro.serve.resilience.DeadlineExceeded` if it expires
-        before the batch is done."""
+        ``query_many``.  A key that could not be answered — the router
+        could not route it, its shard's bulk result failed the slot, or
+        the whole group failed — gets the exception *instance* in its
+        slot, mirroring :meth:`execute`.  *deadline* bounds the whole
+        bulk call — it is scoped around each shard group so
+        deadline-aware handles stop mid-batch, and raises
+        :class:`~repro.serve.resilience.DeadlineExceeded` (``unexecuted``,
+        as it is checked before each group runs) if it expires before the
+        batch is done."""
         if deadline is not None:
-            deadline.check("query_many")
+            deadline.check("query_many", unexecuted=True)
         results: list = [0] * len(keys)
         if self.router.migrating:
             for slot, key in enumerate(keys):
@@ -178,9 +183,12 @@ class ShardBatcher:
             self._ops.inc(len(keys))
             self._migrating_fallback.inc(len(keys))
             return results
-        for shard_id, shard, indices in self._grouped(keys):
+        groups, unroutable = self._grouped(keys)
+        for slot, exc in unroutable.items():
+            results[slot] = exc
+        for shard_id, shard, indices in groups:
             if deadline is not None:
-                deadline.check("query_many")
+                deadline.check("query_many", unexecuted=True)
             try:
                 with deadline_scope(deadline):
                     outcome = shard.query_many([keys[i] for i in indices],
@@ -205,11 +213,13 @@ class ShardBatcher:
         :class:`~repro.handle.BulkResult` over the whole batch: per-key
         failures reported by the shards' bulk results are re-indexed to
         submission order, and a shard group that fails outright (lock
-        timeout, channel give-up, the optional *deadline* expiring) fails
-        its keys in their slots instead of felling the batch.
+        timeout, channel give-up, the optional *deadline* expiring before
+        the group runs — ``unexecuted``) fails its keys in their slots
+        instead of felling the batch.  A key the router cannot route
+        fails its slot with a non-retryable failure.
         """
         if deadline is not None:
-            deadline.check("insert_many")
+            deadline.check("insert_many", unexecuted=True)
         failures: list[BulkFailure] = []
         if self.router.migrating:
             for slot, key in enumerate(keys):
@@ -221,10 +231,13 @@ class ShardBatcher:
             self._ops.inc(len(keys))
             self._migrating_fallback.inc(len(keys))
             return BulkResult(len(keys), failures=failures)
-        for shard_id, shard, indices in self._grouped(keys):
+        groups, unroutable = self._grouped(keys)
+        failures.extend(BulkFailure(slot, keys[slot], exc, False)
+                        for slot, exc in unroutable.items())
+        for shard_id, shard, indices in groups:
             try:
                 if deadline is not None:
-                    deadline.check("insert_many")
+                    deadline.check("insert_many", unexecuted=True)
                 with deadline_scope(deadline):
                     outcome = shard.insert_many([keys[i] for i in indices],
                                                 timeout=timeout)
@@ -243,11 +256,33 @@ class ShardBatcher:
         return BulkResult(len(keys), failures=failures)
 
     # -- plumbing ----------------------------------------------------------
-    def _grouped(self, keys: Sequence[object]):
+    def _owners(self, keys: Sequence[object]) -> tuple:
+        """``((index, owner shard) pairs, {index: routing error})``.
+
+        A key the router cannot route (say, a list) gets its error
+        instead of an owner and never reaches a shard; only a batch
+        holding one pays this per-key pass.
+        """
+        try:
+            return enumerate(self.router.shard_of_many(keys)), {}
+        except TypeError:
+            owned, unroutable = [], {}
+            for idx, key in enumerate(keys):
+                try:
+                    owned.append((idx, self.router.shard_of(key)))
+                except TypeError as exc:
+                    unroutable[idx] = exc
+            return owned, unroutable
+
+    def _grouped(self, keys: Sequence[object]) -> tuple:
+        """``([(shard id, shard, key indices), ...] in shard order,
+        {index: routing error})``."""
+        owners, unroutable = self._owners(keys)
         by_shard: dict[int, list[int]] = {}
-        for idx, owner in enumerate(self.router.shard_of_many(keys)):
+        for idx, owner in owners:
             by_shard.setdefault(owner, []).append(idx)
         self._shard_batches.inc(len(by_shard))
-        for shard_id in sorted(by_shard):
-            yield shard_id, self.router.shards[shard_id], by_shard[shard_id]
+        shards = self.router.shards
+        return [(shard_id, shards[shard_id], by_shard[shard_id])
+                for shard_id in sorted(by_shard)], unroutable
 

@@ -307,8 +307,9 @@ class ServingEngine:
             total += served
 
     # -- background serving ------------------------------------------------
-    def start(self, poll_interval: float = 0.001) -> None:
-        """Serve from a background worker until :meth:`stop` / :meth:`close`."""
+    def start(self) -> None:
+        """Serve from a background worker until :meth:`stop` / :meth:`close`
+        (an idle worker polls the queue every millisecond)."""
         if self._worker is not None and self._worker.is_alive():
             return
         self._stop.clear()
@@ -316,7 +317,7 @@ class ServingEngine:
         def run() -> None:
             while not self._stop.is_set():
                 if not self.pump():
-                    time.sleep(poll_interval)
+                    time.sleep(0.001)
 
         self._worker = threading.Thread(target=run, daemon=True,
                                         name="serving-engine")

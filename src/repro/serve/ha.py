@@ -73,7 +73,6 @@ import numpy as np
 from repro.core.sbf import SpectralBloomFilter
 from repro.db.transport import DeliveryFailed
 from repro.handle import BulkFailure, BulkResult, ShardHandle
-from repro.hashing.blocked import BlockedHashFamily
 from repro.hashing.families import make_family
 from repro.persist import ConcurrentSBF, LockTimeout
 from repro.persist.crashsim import FileIO
@@ -100,7 +99,7 @@ from repro.serve.resilience import (
     current_deadline,
     deadline_scope,
 )
-from repro.serve.router import ShardedSBF
+from repro.serve.router import ShardedSBF, _check_blocked
 
 #: consistency levels: how many replicas must answer/apply
 ONE = "one"
@@ -146,15 +145,16 @@ class HintLog:
     construction), so an acknowledged-but-not-yet-handed-off write
     survives a coordinator crash.  Handoff replays hints in arrival
     order — per-replica order equals acknowledgement order, which is
-    what makes replaying ``set`` operations safe.
+    what makes replaying ``set`` operations safe.  The log keeps the
+    WAL's default ``fsync="always"``: a hint stands in for an
+    acknowledged write.
     """
 
-    def __init__(self, path: str | None = None, *, fsync: object = "always",
+    def __init__(self, path: str | None = None, *,
                  io: FileIO | None = None):
         self._pending: deque[tuple[str, object, int]] = deque()
         self._wal: WriteAheadLog | None = None
         self._path = path
-        self._fsync = fsync
         self._io: FileIO | None = None
         if path is not None:
             io = io or FileIO()
@@ -174,7 +174,7 @@ class HintLog:
                 else:
                     self._pending.append(
                         (OP_NAMES[record.op], record.key, record.count))
-            self._wal = WriteAheadLog(path, fsync=fsync, io=io)
+            self._wal = WriteAheadLog(path, io=io)
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -237,7 +237,7 @@ class HintLog:
         tmp = self._path + ".new"
         if self._io.exists(tmp):
             self._io.remove(tmp)
-        replacement = WriteAheadLog(tmp, fsync=self._fsync, io=self._io)
+        replacement = WriteAheadLog(tmp, io=self._io)
         try:
             for verb, key, count in self._pending:
                 getattr(replacement, f"log_{verb}")(key, count)
@@ -245,8 +245,7 @@ class HintLog:
             replacement.close()
         self._wal.close()
         self._io.replace(tmp, self._path)
-        self._wal = WriteAheadLog(self._path, fsync=self._fsync,
-                                  io=self._io)
+        self._wal = WriteAheadLog(self._path, io=self._io)
 
     def close(self) -> None:
         if self._wal is not None:
@@ -292,9 +291,8 @@ class ReplicaSet(ShardHandle):
             ejected from the write/read paths.
         probe_every: operations between automatic probes of ejected
             replicas (:meth:`tick` probes on demand).
-        hint_dir: directory for durable hint logs (one WAL per replica);
-            ``None`` keeps hints in memory only.
-        hint_fsync: fsync policy for durable hint logs.
+        hint_dir: directory for durable hint logs (one WAL per replica,
+            every append fsynced); ``None`` keeps hints in memory only.
         io: filesystem layer for durable hints (crash simulator in tests).
         metrics: registry to report through (one is created if omitted).
         breaker: per-replica :class:`~repro.serve.resilience.
@@ -304,12 +302,11 @@ class ReplicaSet(ShardHandle):
             that ejects a slow-but-alive replica.
         hedge: hedged-read trigger — ``None`` disables hedging; a float
             is a fixed per-attempt bound in seconds; ``"p95"``-style
-            strings bound each attempt at that percentile of recent
-            attempt latencies (times ``hedge_factor``).  An attempt that
-            exceeds its bound is abandoned and the read fires against a
-            spare replica instead — the straggler never holds the quorum.
-        hedge_factor: safety margin on the percentile bound (an attempt
-            exactly at the percentile must not be abandoned).
+            strings bound each attempt at twice that percentile of
+            recent attempt latencies (an attempt exactly at the
+            percentile must not be abandoned).  An attempt that exceeds
+            its bound is abandoned and the read fires against a spare
+            replica instead — the straggler never holds the quorum.
         retry_budget: a :class:`~repro.serve.resilience.RetryBudget`, a
             dict of its keyword arguments, or ``None`` for the defaults.
             Read attempts beyond the consistency level's quorum are
@@ -323,12 +320,10 @@ class ReplicaSet(ShardHandle):
                  write_consistency: str = ONE,
                  eject_after: int = 3, probe_every: int = 64,
                  hint_dir: str | None = None,
-                 hint_fsync: object = "always",
                  io: FileIO | None = None,
                  metrics: MetricsRegistry | None = None,
                  breaker: dict | None = None,
                  hedge: float | str | None = None,
-                 hedge_factor: float = 2.0,
                  retry_budget: RetryBudget | dict | None = None):
         replicas = list(replicas)
         if not replicas:
@@ -351,12 +346,8 @@ class ReplicaSet(ShardHandle):
             names = [f"r{i}" for i in range(rf)]
         elif len(names) != rf:
             raise ValueError(f"got {rf} replicas but {len(names)} names")
-        if hedge_factor <= 0:
-            raise ValueError(
-                f"hedge_factor must be > 0, got {hedge_factor}")
         self._hedge_seconds: float | None = None
         self._hedge_quantile: float | None = None
-        self._hedge_factor = float(hedge_factor)
         if hedge is not None:
             if isinstance(hedge, str):
                 if not hedge.startswith("p"):
@@ -389,7 +380,7 @@ class ReplicaSet(ShardHandle):
                 path = os.path.join(hint_dir, f"{name}-{rname}.hints")
             gauges = self.metrics.replica_gauges(name, rname)
             gauges.up.set(1.0)
-            hints = HintLog(path, fsync=hint_fsync, io=io)
+            hints = HintLog(path, io=io)
             replica = _Replica(handle, rname, hints, gauges,
                                self._make_breaker(gauges))
             gauges.hint_depth.set(len(hints))
@@ -469,7 +460,7 @@ class ReplicaSet(ShardHandle):
         if self._hedge_quantile is None:
             return None
         quantile = self._latencies.quantile(self._hedge_quantile)
-        return None if quantile is None else quantile * self._hedge_factor
+        return None if quantile is None else quantile * 2.0
 
     def _attempt_deadline(self, op_deadline: Deadline | None,
                           bound: float | None) -> Deadline | None:
@@ -483,15 +474,17 @@ class ReplicaSet(ShardHandle):
         return op_deadline.bounded(bound)
 
     def _check_op_deadline(self, deadline: Deadline | None, what: str,
-                           bump: int = 0) -> None:
-        """Raise the typed refusal if the request deadline has passed."""
+                           bump: int = 0, *,
+                           unexecuted: bool = False) -> None:
+        """Raise the typed refusal if the request deadline has passed
+        (*unexecuted* when no replica has been sent anything yet)."""
         if deadline is None or deadline.remaining() > 0.0:
             return
         self._counter("deadline_refusals").inc()
         if bump:
             self._bump(bump)
             self._maybe_tick()
-        deadline.check(what)
+        deadline.check(what, unexecuted=unexecuted)
 
     def _ordered(self, pool: list[_Replica]) -> list[_Replica]:
         """Healthy-first attempt order: closed breakers before probing
@@ -691,7 +684,8 @@ class ReplicaSet(ShardHandle):
         op_deadline = current_deadline()
         clock = self.metrics.clock
         if op_deadline is not None:
-            self._check_op_deadline(op_deadline, "query_many")
+            self._check_op_deadline(op_deadline, "query_many",
+                                    unexecuted=True)
         needed = self._read_needed
         best = np.zeros(len(keys), dtype=np.int64)
         answered = np.zeros(len(keys), dtype=np.int64)
@@ -759,7 +753,8 @@ class ReplicaSet(ShardHandle):
         op_deadline = current_deadline()
         clock = self.metrics.clock
         if op_deadline is not None:
-            self._check_op_deadline(op_deadline, f"{verb}_many")
+            self._check_op_deadline(op_deadline, f"{verb}_many",
+                                    unexecuted=True)
         applied = np.zeros(len(keys), dtype=np.int64)
         semantic: dict[int, Exception] = {}
         missed: list[tuple[_Replica, list[int] | None]] = []
@@ -1002,8 +997,9 @@ def replicated_fleet(n_shards: int, m: int, k: int, *, rf: int = 3,
 
     The HA serving topology in one call: ``n_shards`` logical shards,
     each replicated ``rf`` ways, behind the usual
-    :class:`~repro.serve.router.ShardedSBF` routing (blocked hashing by
-    default, so sharding stays transparent).  *replica_factory* builds
+    :class:`~repro.serve.router.ShardedSBF` routing.  A fleet routes by
+    block, so *hash_family* must be blocked (the default); any other is
+    refused before a replica or hint log exists.  *replica_factory* builds
     replica ``r`` of shard ``s`` — return a
     :class:`~repro.serve.remote.RemoteShard` to place replicas behind
     the wire; the default builds local
@@ -1017,6 +1013,10 @@ def replicated_fleet(n_shards: int, m: int, k: int, *, rf: int = 3,
     """
     if rf < 1:
         raise ValueError(f"rf must be >= 1, got {rf}")
+    # The router gets its family explicitly: a factory may have placed
+    # every replica behind the wire, leaving no local filter to read.
+    family = make_family(hash_family, m, k, seed)
+    _check_blocked(family)
     metrics = metrics or MetricsRegistry()
     shards = []
     for s in range(n_shards):
@@ -1038,11 +1038,4 @@ def replicated_fleet(n_shards: int, m: int, k: int, *, rf: int = 3,
             hint_dir=hint_dir, metrics=metrics,
             breaker=breaker, hedge=hedge,
             retry_budget=retry_budget))
-    # Hand the router its routing family explicitly: a factory may have
-    # placed every replica behind the wire, and without a local filter to
-    # introspect the router would fall back to canonical-key routing —
-    # losing the bit-identical-to-the-oracle property blocked hashing buys.
-    family = make_family(hash_family, m, k, seed)
-    if not isinstance(family, BlockedHashFamily):
-        family = None
     return ShardedSBF(shards, metrics=metrics, family=family)

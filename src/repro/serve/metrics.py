@@ -77,10 +77,6 @@ class Gauge:
         with self._lock:
             self._value = value
 
-    def add(self, delta: float) -> None:
-        with self._lock:
-            self._value += delta
-
     @property
     def value(self) -> float:
         return self._value
@@ -158,9 +154,9 @@ class MetricsRegistry:
     """Create-on-first-use registry of counters, gauges, and histograms.
 
     Args:
-        clock: seconds-returning callable used by :meth:`timed` (the
-            injected-clock convention — tests pass a fake, production
-            defaults to ``time.perf_counter``).
+        clock: seconds-returning callable the serving layers time with
+            (the injected-clock convention — tests pass a fake,
+            production defaults to ``time.perf_counter``).
     """
 
     def __init__(self, *, clock: Callable[[], float] | None = None):
@@ -214,15 +210,6 @@ class MetricsRegistry:
                              self.gauge(f"{prefix}.last_repair"),
                              self.gauge(f"{prefix}.breaker_state"))
 
-    def timed(self, histogram_name: str):
-        """Context manager observing the elapsed clock time into a histogram.
-
-        >>> registry = MetricsRegistry()
-        >>> with registry.timed("engine.batch_seconds"):
-        ...     pass
-        """
-        return _Timed(self, histogram_name)
-
     def snapshot(self) -> dict:
         """All metrics as one plain-data dict (scrape/JSON-friendly).
 
@@ -246,20 +233,3 @@ class MetricsRegistry:
                 f"gauges={len(self._gauges)}, "
                 f"histograms={len(self._histograms)}, "
                 f"channels={len(self._channels)})")
-
-
-class _Timed:
-    __slots__ = ("_registry", "_name", "_start")
-
-    def __init__(self, registry: MetricsRegistry, name: str):
-        self._registry = registry
-        self._name = name
-
-    def __enter__(self) -> "_Timed":
-        self._start = self._registry.clock()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        elapsed = self._registry.clock() - self._start
-        self._registry.histogram(self._name).observe(elapsed)
-        return False

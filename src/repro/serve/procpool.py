@@ -66,13 +66,12 @@ from repro.core.serialize import (WireFormatError, load_sbf, open_frame,
 from repro.db.site import Network
 from repro.db.transport import DeliveryFailed
 from repro.handle import BulkFailure, BulkResult, FilterHandle
-from repro.hashing.blocked import BlockedHashFamily
 from repro.hashing.families import make_family
 from repro.persist.wal import SCALAR_KEY_TYPES
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.remote import (REQUEST_MAGIC, RESPONSE_MAGIC, RemoteShard,
                                 ShardServer, _remote_error)
-from repro.serve.router import ShardedSBF
+from repro.serve.router import ShardedSBF, _check_blocked
 
 #: pool-administration frames (spawn handshake/snapshot/restore/shutdown)
 #: — parent internals that never ride the simulated network
@@ -300,7 +299,9 @@ class ProcessShardPool:
             method_options: per-shard filter parameters — every worker
             builds the same geometry, exactly like
             :meth:`ShardedSBF.create`.  *hash_family* must be a name
-            (workers rebuild the family from the picklable spec).
+            (workers rebuild the family from the picklable spec) of a
+            blocked family: a fleet routes by block, and any other is
+            refused before a worker process starts.
         network: transmission substrate for the traffic frames —
             defaults to a clean :class:`~repro.db.site.Network`; pass a
             :class:`~repro.db.faults.FaultyNetwork` for chaos testing.
@@ -315,8 +316,6 @@ class ProcessShardPool:
             :meth:`revive_worker` is called.
         metrics: shared registry; per-worker series appear under
             ``engine.worker.<i>.*``.
-        mp_context: multiprocessing start method (default: ``fork``
-            where available, else ``spawn``).
         channel_options / bulk_chunk: forwarded to each
             :class:`ProcessShard`'s channel legs.
 
@@ -336,7 +335,6 @@ class ProcessShardPool:
                  auto_snapshot: bool = True,
                  auto_revive: bool = True,
                  metrics: MetricsRegistry | None = None,
-                 mp_context: str | None = None,
                  channel_options: dict | None = None,
                  bulk_chunk: int | None = None):
         if n_workers < 1:
@@ -345,10 +343,14 @@ class ProcessShardPool:
             raise ValueError(
                 "ProcessShardPool needs a hash-family *name* (workers "
                 f"rebuild it from the picklable spec), got {hash_family!r}")
-        if mp_context is None:
-            mp_context = ("fork" if "fork" in get_all_start_methods()
-                          else "spawn")
-        self._ctx = get_context(mp_context)
+        # The routing brain: identical shard assignment to an in-process
+        # fleet over the same family (explicit, because a process fleet
+        # has no local filter for the router to introspect).
+        self.family = make_family(hash_family, int(m), int(k),
+                                  seed=int(seed))
+        _check_blocked(self.family)
+        self._ctx = get_context(
+            "fork" if "fork" in get_all_start_methods() else "spawn")
         self.metrics = metrics or MetricsRegistry()
         self.network = network or Network()
         self.auto_snapshot = bool(auto_snapshot)
@@ -376,12 +378,6 @@ class ProcessShardPool:
         except BaseException:
             self.close()
             raise
-        # The routing brain: identical shard assignment to an in-process
-        # fleet over the same family (explicit, because a process fleet
-        # has no local filter for the router to introspect).
-        family = make_family(hash_family, int(m), int(k), seed=int(seed))
-        self.family = family if isinstance(family, BlockedHashFamily) \
-            else None
         self.router = ShardedSBF(self.shards, family=self.family,
                                  metrics=self.metrics)
 

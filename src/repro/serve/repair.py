@@ -71,13 +71,6 @@ class RepairReport:
         self.counters_copied = 0
         self.converged = True
 
-    def as_dict(self) -> dict:
-        return {"reference": self.reference, "n_blocks": self.n_blocks,
-                "scanned": self.scanned, "skipped": self.skipped,
-                "copied": {str(k): v for k, v in self.copied.items()},
-                "counters_copied": self.counters_copied,
-                "converged": self.converged}
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RepairReport(reference={self.reference}, "
                 f"copied={sum(map(len, self.copied.values()))} block(s), "

@@ -189,7 +189,7 @@ class RetryBudget:
     """Token bucket gating retries: spend on retry, earn on success.
 
     The gRPC-style retry throttle: the bucket starts full; each retry
-    must :meth:`try_spend` a token, each success :meth:`earn`\\ s back
+    must :meth:`try_spend` one token, each success :meth:`earn`\\ s back
     ``earn_rate`` of one.  Under healthy traffic the occasional retry is
     free; under correlated failure the bucket drains in bounded time and
     every layer's retries collapse to fast refusals instead of a storm.
@@ -197,51 +197,39 @@ class RetryBudget:
     Args:
         capacity: bucket size (and initial fill), in tokens.
         earn_rate: tokens restored per recorded success.
-        retry_cost: tokens one retry spends.
     """
 
-    __slots__ = ("capacity", "earn_rate", "retry_cost", "tokens",
+    __slots__ = ("capacity", "earn_rate", "tokens",
                  "spent", "denied", "earned", "_lock")
 
-    def __init__(self, capacity: float = 32.0, earn_rate: float = 0.5,
-                 retry_cost: float = 1.0):
+    def __init__(self, capacity: float = 32.0, earn_rate: float = 0.5):
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
         if earn_rate < 0:
             raise ValueError(f"earn_rate must be >= 0, got {earn_rate}")
-        if retry_cost <= 0:
-            raise ValueError(f"retry_cost must be > 0, got {retry_cost}")
         self.capacity = float(capacity)
         self.earn_rate = float(earn_rate)
-        self.retry_cost = float(retry_cost)
         self.tokens = float(capacity)
         self.spent = 0             # retries granted
         self.denied = 0            # retries refused (bucket empty)
         self.earned = 0            # successes recorded
         self._lock = threading.Lock()
 
-    def try_spend(self, cost: float | None = None) -> bool:
-        """Take one retry's tokens; ``False`` (and counted) if empty."""
-        cost = self.retry_cost if cost is None else float(cost)
+    def try_spend(self) -> bool:
+        """Take one retry's token; ``False`` (and counted) if empty."""
         with self._lock:
-            if self.tokens >= cost:
-                self.tokens -= cost
+            if self.tokens >= 1.0:
+                self.tokens -= 1.0
                 self.spent += 1
                 return True
             self.denied += 1
             return False
 
-    def earn(self, amount: float | None = None) -> None:
+    def earn(self) -> None:
         """Record a success, restoring ``earn_rate`` tokens (capped)."""
-        amount = self.earn_rate if amount is None else float(amount)
         with self._lock:
-            self.tokens = min(self.capacity, self.tokens + amount)
+            self.tokens = min(self.capacity, self.tokens + self.earn_rate)
             self.earned += 1
-
-    def as_dict(self) -> dict:
-        return {"capacity": self.capacity, "tokens": self.tokens,
-                "spent": self.spent, "denied": self.denied,
-                "earned": self.earned}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RetryBudget(tokens={self.tokens:.1f}/{self.capacity:.0f},"
@@ -269,9 +257,6 @@ class LatencyTracker:
 
     def observe(self, latency: float) -> None:
         self._window.append(float(latency))
-
-    def __len__(self) -> int:
-        return len(self._window)
 
     def quantile(self, q: float) -> float | None:
         """The *q*-quantile of the window, or ``None`` before warm-up."""

@@ -6,19 +6,17 @@ For spectral filters we use the flat variant production key-value systems
 converged on: **hash partitioning with pre-split shards** — made exact by
 the paper's own blocked hashing (§1.1.3 / [MW94]).
 
-- with the default :class:`~repro.hashing.blocked.BlockedHashFamily`,
-  every probe of a key lands inside one block, and the router assigns
+- a fleet routes by block: with the
+  :class:`~repro.hashing.blocked.BlockedHashFamily` every probe of a key
+  lands inside one block, and the router assigns
   ``shard_of(key) = block_of(key) % n_shards``.  Keys and the counters
   they touch shard *together*: a shard's counter vector is exactly the
   slice of the one big filter covering its blocks, so a routed query
   reads the identical counters an unsharded deployment would — sharding
   is **transparent**, answer for answer, at any load (the seeded
-  equivalence tests pin this down);
-- with an unblocked family (``hash_family="modmul"`` etc.) the router
-  falls back to ``canonical_key(key) % n_shards``.  Still deterministic
-  and union-exact, but each shard then hashes its keys over all ``m``
-  counters — per-shard estimates carry *less* collision noise than one
-  big filter, so answers are one-sided-correct yet not bit-identical;
+  equivalence tests pin this down).  That is the one routing rule: a
+  fleet whose routing family (the explicit ``family=``, else the local
+  shards') is not blocked is refused at construction, one shard or many;
 - each shard is a handle of the shard-handle protocol
   (:mod:`repro.handle`), typically a :class:`~repro.persist.ConcurrentSBF`
   over a plain or :class:`~repro.persist.DurableSBF` filter, so
@@ -35,9 +33,9 @@ Resharding comes in two disciplines:
   ``h % n``, every key routed to old shard ``i`` routes to new shard
   ``i % new_n``, so the union *is* the reshard.  The rebuild freezes
   every shard simultaneously (a snapshot-consistent cut), works for any
-  method and hash family, and is what :meth:`ShardedSBF.reshard` uses
-  when the divisibility holds;
-- **rolling reshard** (any ``new_n``, blocked MS fleets): blocked
+  method, and is what :meth:`ShardedSBF.reshard` uses when the
+  divisibility holds — the only reshard path for MI, RM and TRM fleets;
+- **rolling reshard** (any ``new_n``, MS fleets): blocked
   hashing makes counter vectors *splittable* — a shard's state is the
   disjoint union of its blocks' counter spans, and each span can be
   copied independently.  :class:`RollingReshard` migrates old shards one
@@ -78,7 +76,7 @@ from repro.core.serialize import (
 )
 from repro.handle import _apply
 from repro.hashing.blocked import BlockedHashFamily
-from repro.hashing.keys import canonical_key
+from repro.hashing.families import make_family
 from repro.hashing.vectorized import indices_matrix
 from repro.persist import ConcurrentSBF, DurableSBF
 from repro.serve.metrics import MetricsRegistry
@@ -98,6 +96,14 @@ class ShardedSBF:
             :class:`~repro.serve.remote.RemoteShard` adapters for shards
             living behind a :class:`~repro.db.transport.ReliableChannel`.
         metrics: registry to report through (one is created if omitted).
+        family: the routing family — required when no shard is local
+            (a remote-only fleet has no filter to introspect); otherwise
+            the first local shard's.
+
+    Raises:
+        ValueError: the shards do not share parameters, or the routing
+            family is not a :class:`~repro.hashing.blocked.
+            BlockedHashFamily` (a fleet routes by block).
     """
 
     def __init__(self, shards: Sequence[object], *,
@@ -106,31 +112,30 @@ class ShardedSBF:
         shards = list(shards)
         if not shards:
             raise ValueError("a ShardedSBF needs at least one shard")
+        # All local shards must share (m, k, seed, family) — the property
+        # that makes union, reshard, and the manifest meaningful.
+        local = [sbf for sbf in (s.local_filter() for s in shards)
+                 if sbf is not None]
+        for other in local[1:]:
+            if not local[0].is_compatible(other):
+                raise ValueError(
+                    "shards must share parameters and hash functions "
+                    f"(m, k, seed, family); got {local[0].family!r} vs "
+                    f"{other.family!r}")
+        if family is None and local:
+            family = local[0].family
+        _check_blocked(family)
+        if local and not local[0].family.is_compatible(family):
+            raise ValueError(
+                f"explicit routing family {family!r} is incompatible with "
+                f"the shards' own family {local[0].family!r}")
         self._shards = shards
+        self._family = family
         self.metrics = metrics or MetricsRegistry()
         self._ops_lock = threading.Lock()
         self._shard_ops = [0] * len(shards)
         self._migration: _Migration | None = None
         self.metrics.gauge("router.shards").set(len(shards))
-        self._check_compatible()
-        # Routing family: an explicit *family* wins (the only way a
-        # remote-only fleet can route blocked — it has no local filter to
-        # introspect); otherwise the first local shard's.  Fleets with
-        # neither fall back to canonical-key assignment, which the data
-        # plane must have used to place the keys in the first place.
-        local = self._local_filters()
-        if family is None:
-            family = local[0].family if local else None
-        elif not isinstance(family, BlockedHashFamily):
-            raise ValueError(
-                "the router's explicit family must be a BlockedHashFamily "
-                f"(blocked routing is what it buys), got {family!r}")
-        elif local and not local[0].family.is_compatible(family):
-            raise ValueError(
-                f"explicit routing family {family!r} is incompatible with "
-                f"the shards' own family {local[0].family!r}")
-        self._family = family if isinstance(family, BlockedHashFamily) \
-            else None
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -141,15 +146,16 @@ class ShardedSBF:
                metrics: MetricsRegistry | None = None) -> "ShardedSBF":
         """Build a fresh fleet of *n_shards* identically-parameterised shards.
 
-        The default ``hash_family="blocked"`` gives transparent sharding
-        (see module docstring); pass another family name to trade that
-        for its hashing characteristics.  With *durable_root*, shard *i*
-        persists under ``<durable_root>/shard-<i>`` (recovering whatever
-        a previous process left there); without it, shards are in-memory
-        filters.
+        A fleet routes by block, so *hash_family* must name (or be) a
+        blocked family — the default ``"blocked"`` — and any other is
+        refused with :class:`ValueError` before a shard or durability
+        directory exists.  With *durable_root*, shard *i* persists under
+        ``<durable_root>/shard-<i>`` (recovering whatever a previous
+        process left there); without it, shards are in-memory filters.
         """
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+        _check_blocked(make_family(hash_family, m, k, seed))
         shards = []
         for i in range(n_shards):
             factory = _shard_factory(m, k, seed, method, backend,
@@ -161,21 +167,6 @@ class ShardedSBF:
                 handle = factory()
             shards.append(ConcurrentSBF(handle, timeout=timeout))
         return cls(shards, metrics=metrics)
-
-    def _local_filters(self) -> list[SpectralBloomFilter]:
-        return [sbf for sbf in (s.local_filter() for s in self._shards)
-                if sbf is not None]
-
-    def _check_compatible(self) -> None:
-        """All local shards must share (m, k, seed, family) — the property
-        that makes union, reshard, and the manifest meaningful."""
-        local = self._local_filters()
-        for other in local[1:]:
-            if not local[0].is_compatible(other):
-                raise ValueError(
-                    "shards must share parameters and hash functions "
-                    f"(m, k, seed, family); got {local[0].family!r} vs "
-                    f"{other.family!r}")
 
     # -- routing -----------------------------------------------------------
     @property
@@ -196,12 +187,11 @@ class ShardedSBF:
     def shard_of(self, key: object) -> int:
         """Deterministic owner shard of *key* (stable across processes).
 
-        Blocked fleets route by owning block, so a key and its counters
-        live on the same shard; unblocked fleets route by canonical key.
-        During a rolling reshard, keys of already-migrated old shards
-        report their *new* owner, offset by the old shard count (the two
-        topologies share one index space: old ids ``[0, n)``, new ids
-        ``[n, n + new_n)``).
+        The owner is ``block_of(key) % n_shards``, so a key and its
+        counters live on the same shard.  During a rolling reshard, keys
+        of already-migrated old shards report their *new* owner, offset
+        by the old shard count (the two topologies share one index
+        space: old ids ``[0, n)``, new ids ``[n, n + new_n)``).
         """
         migration = self._migration
         if migration is not None:
@@ -210,14 +200,12 @@ class ShardedSBF:
             if migration.migrated[old_id]:
                 return migration.old_n + block % migration.new_n
             return old_id
-        if self._family is not None:
-            return self._family.block_of(key) % len(self._shards)
-        return canonical_key(key) % len(self._shards)
+        return self._family.block_of(key) % len(self._shards)
 
     def shard_of_many(self, keys: Sequence[object]) -> list[int]:
-        """Owner shards for a key batch (vectorised for integer keys on a
-        blocked fleet; elementwise :meth:`shard_of` otherwise)."""
-        if self._migration is None and self._family is not None and keys \
+        """Owner shards for a key batch (vectorised for non-negative
+        63-bit integer keys; elementwise :meth:`shard_of` otherwise)."""
+        if self._migration is None and keys \
                 and all(type(key) is int and 0 <= key < (1 << 63)
                         for key in keys):
             blocks = indices_matrix(self._family._selector,
@@ -320,31 +308,39 @@ class ShardedSBF:
     def shard_report(self) -> list[dict]:
         """Per-shard parameters and error accounting, one dict per shard.
 
-        ``distinct_estimate`` inverts the expected fill ratio
-        (``n̂ = -(m/k) · ln(1 - fill)``, the standard Bloom occupancy
-        estimator) and ``expected_error`` is the Bloom error ``E_b`` at
-        that load — so overload shows up *per shard*, not averaged away
-        across the fleet.
+        Shard *i* can only touch the counters of its own blocks
+        (``b ≡ i (mod n)``), so every figure is priced over those
+        ``m_i`` counters: ``fill_ratio`` is their non-zero fraction,
+        ``distinct_estimate`` inverts it (``n̂ = -(m_i/k) · ln(1 -
+        fill)``, the standard Bloom occupancy estimator) and
+        ``expected_error`` is the Bloom error ``E_b`` of ``n̂`` keys over
+        ``m_i`` counters — so overload shows up *per shard*, not averaged
+        away across the fleet.  ``m`` stays the filter's own size.
         """
         report = []
+        n = len(self._shards)
         for i, shard in enumerate(self._shards):
             entry = {"shard": i, "ops": self._shard_ops[i],
                      "total_count": shard.total_count}
             sbf = shard.local_filter()
-            if sbf is not None:
-                fill = sbf.fill_ratio()
+            # A shard numbered past the block count owns no counters.
+            spans = [span for _, span in _block_spans(self._family, i, n)]
+            if sbf is not None and spans:
+                idx = np.concatenate(spans)
+                m_i = len(idx)
+                fill = np.count_nonzero(sbf.counters.get_many(idx)) / m_i
                 if fill >= 1.0:
                     distinct = float("inf")
                 elif fill <= 0.0:
                     distinct = 0.0
                 else:
-                    distinct = -(sbf.m / sbf.k) * math.log(1.0 - fill)
+                    distinct = -(m_i / sbf.k) * math.log(1.0 - fill)
                 entry.update({
                     "m": sbf.m, "k": sbf.k, "method": sbf.method.name,
                     "fill_ratio": fill,
                     "distinct_estimate": distinct,
                     "expected_error": bloom_error(
-                        max(1, int(round(distinct))), sbf.k, sbf.m),
+                        max(1, int(round(distinct))), sbf.k, m_i),
                 })
             report.append(entry)
         return report
@@ -388,14 +384,14 @@ class ShardedSBF:
 
         When *new_n* divides :attr:`n_shards`, this is the union reshard:
         all shards frozen simultaneously, new shard ``j`` the exact union
-        of old shards ``i ≡ j (mod new_n)`` — works for any method and
-        hash family.  Otherwise the fleet must use blocked hashing (and
-        local MS shards), and the call runs a :class:`RollingReshard` to
-        completion — block-range migration behind dual routing, no
-        full-fleet freeze; use :meth:`start_reshard` to drive the
-        migration step-by-step under live traffic instead.  The router is
-        rewired in place (and returned for chaining).  New shards are the
-        old ones' :meth:`~repro.handle.ShardHandle.respawn`, so durable
+        of old shards ``i ≡ j (mod new_n)`` — works for any method.
+        Otherwise the fleet must hold local MS shards, and the call runs
+        a :class:`RollingReshard` to completion — block-range migration
+        behind dual routing, no full-fleet freeze; use
+        :meth:`start_reshard` to drive the migration step-by-step under
+        live traffic instead.  The router is rewired in place (and
+        returned for chaining).  New shards are the old ones'
+        :meth:`~repro.handle.ShardHandle.respawn`, so durable
         and replicated shards are refused either way: their on-disk
         lineage or replicas cannot be silently rearranged — rebuild via
         the manifest instead.  *timeout* bounds the freeze.
@@ -404,12 +400,6 @@ class ShardedSBF:
             raise ValueError(f"new_n must be >= 1, got {new_n}")
         self._no_migration("reshard")
         if self.n_shards % new_n != 0:
-            if self._family is None:
-                raise ValueError(
-                    f"cannot reshard {self.n_shards} -> {new_n}: without "
-                    f"blocked hashing, counter vectors can be unioned but "
-                    f"not split, so new_n must divide the current shard "
-                    f"count (pre-split the fleet larger next time)")
             self.start_reshard(new_n).run()
             return self
         with ExitStack() as stack:
@@ -432,9 +422,6 @@ class ShardedSBF:
                             for j, sbf in enumerate(merged)]
             with self._ops_lock:
                 self._shard_ops = ops
-            family = merged[0].family
-            self._family = family \
-                if isinstance(family, BlockedHashFamily) else None
         self.metrics.counter("router.reshards").inc()
         self.metrics.gauge("router.shards").set(new_n)
         return self
@@ -448,19 +435,14 @@ class ShardedSBF:
         :meth:`RollingReshard.commit` — or :meth:`RollingReshard.run` to
         drive all steps and commit in one call, or
         :meth:`RollingReshard.abort` to drop the new fleet with nothing
-        lost.  Requires blocked hashing and local in-memory Minimum
-        Selection shards (counter spans must be splittable and exactly
-        copyable — see the module docstring); new shards are the first
-        old shard's :meth:`~repro.handle.ShardHandle.respawn`.
+        lost.  Requires local in-memory Minimum Selection shards (counter
+        spans must be exactly copyable — see the module docstring); new
+        shards are the first old shard's
+        :meth:`~repro.handle.ShardHandle.respawn`.
         """
         if new_n < 1:
             raise ValueError(f"new_n must be >= 1, got {new_n}")
         self._no_migration("start_reshard")
-        if self._family is None:
-            raise ValueError(
-                "rolling reshard needs blocked hashing (counter vectors "
-                "are only splittable block-wise); this fleet routes by "
-                "canonical key")
         old = self._local_shards("start_reshard")
         for shard in old:
             method = shard.local_filter().method.name
@@ -601,16 +583,12 @@ class RollingReshard:
             raise ValueError("all shards are migrated; call commit()")
         i = remaining[0]
         migration = self._migration
-        family = self._router._family
         old = self._router._shards[i]
         with old.exclusive():
             src = old.local_filter()
             k = src.k
-            for block in range(family.n_blocks):
-                if block % migration.old_n != i:
-                    continue
-                start, width = family._block_span(block)
-                idx = np.arange(start, start + width, dtype=np.int64)
+            for block, idx in _block_spans(self._router._family, i,
+                                           migration.old_n):
                 values = src.counters.get_many(idx)
                 if not values.any():
                     continue
@@ -668,6 +646,24 @@ class RollingReshard:
         return (f"RollingReshard({self._migration.old_n} -> "
                 f"{self._migration.new_n}, "
                 f"remaining={len(self.remaining)})")
+
+
+def _block_spans(family: BlockedHashFamily, shard: int, n_shards: int):
+    """``(block, counter indices)`` for every block shard *shard* of
+    *n_shards* owns — the only counters its keys can touch."""
+    for block in range(shard, family.n_blocks, n_shards):
+        start, width = family._block_span(block)
+        yield block, np.arange(start, start + width, dtype=np.int64)
+
+
+def _check_blocked(family: object) -> None:
+    """Refuse a routing family that is not blocked: a fleet routes by
+    block, which is what makes it answer like one unsharded filter."""
+    if not isinstance(family, BlockedHashFamily):
+        raise ValueError(
+            "a fleet routes by block: its routing family (family=, else "
+            "the local shards') must be a BlockedHashFamily "
+            f"(hash_family='blocked'), got {family!r}")
 
 
 def _shard_factory(m: int, k: int, seed: int, method: object,

@@ -173,9 +173,6 @@ class TenantDirectory:
         multi-set query; plain keys here, no composite."""
         return self.tree.query(key)
 
-    def query_tenants_many(self, keys: Sequence[object]) -> list[dict]:
-        return self.tree.query_many(keys)
-
     @property
     def total_count(self) -> int:
         return self.tree.total_count

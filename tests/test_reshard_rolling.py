@@ -192,10 +192,11 @@ def test_fleet_moments_are_fenced_during_migration():
 
 
 def test_rolling_reshard_preconditions():
-    unblocked = ShardedSBF.create(4, M, K, seed=SEED, method="ms",
-                                  backend="array", hash_family="modmul")
+    # Counter vectors split block-wise only; a fleet routes by block, so
+    # an unblocked one is refused before it could be resharded at all.
     with pytest.raises(ValueError, match="blocked"):
-        unblocked.start_reshard(6)
+        ShardedSBF.create(4, M, K, seed=SEED, method="ms",
+                          backend="array", hash_family="modmul")
     rm_fleet = ShardedSBF.create(4, M, K, seed=SEED, method="rm",
                                  backend="array", hash_family="blocked")
     with pytest.raises(ValueError, match="Minimum Selection"):

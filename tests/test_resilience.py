@@ -420,6 +420,42 @@ def test_read_deadline_refusal_is_typed_and_counted():
     assert rset.query("b") == 0
 
 
+@pytest.mark.parametrize("verb", ["insert_many", "delete_many",
+                                  "query_many"])
+def test_bulk_refusal_before_any_replica_is_unexecuted(verb):
+    # An already-expired bulk call touches no replica and queues no
+    # hint, so its refusal must say so: a write refused that way is a
+    # clean refusal, not a maybe-applied one.
+    rset, handles, clock, metrics = make_gray_set()
+    rset.insert_many(["a", "b"])
+    before = [list(h._handle.sbf.counters) for h in handles]
+    with deadline_scope(Deadline(0.01, clock=clock)):
+        clock.advance(0.02)
+        with pytest.raises(DeadlineExceeded) as refused:
+            getattr(rset, verb)(["a", "b"])
+    assert refused.value.unexecuted
+    counters = metrics.snapshot()["counters"]
+    assert counters["ha.gray.deadline_refusals"] == 1
+    assert counters.get("ha.gray.hinted", 0) == 0
+    assert all(len(r.hints) == 0 for r in rset._replicas)
+    assert [list(h._handle.sbf.counters) for h in handles] == before
+
+
+@pytest.mark.parametrize("verb", ["insert_many", "query_many"])
+def test_batcher_bulk_refusal_before_any_group_is_unexecuted(verb):
+    clock = FakeClock()
+    router = ShardedSBF.create(2, M, K, seed=SEED)
+    batcher = ShardBatcher(router)
+    groups = router.metrics.counter("batch.shard_batches")
+    expired = Deadline(0.0, clock=clock)
+    clock.advance(0.01)
+    with pytest.raises(DeadlineExceeded) as refused:
+        getattr(batcher, verb)(["a", "b", 3], deadline=expired)
+    assert refused.value.unexecuted
+    assert groups.value == 0                    # no group was formed
+    assert router.total_count == 0
+
+
 def test_hedged_read_abandons_straggler_and_refires_on_spare():
     rset, handles, _, metrics = make_gray_set(
         stalls=(0.05, 0.0, 0.0), hedge=0.02)

@@ -8,26 +8,38 @@ that equivalence down with seeded workloads, then exercise the pre-split
 resharding discipline and the wire manifest.
 """
 
+import multiprocessing
 import random
 
 import pytest
 
+from repro.core.params import bloom_error
 from repro.core.serialize import WireFormatError
 from repro.core.sbf import SpectralBloomFilter
+from repro.db.faults import FaultyNetwork
+from repro.hashing.families import make_family
 from repro.persist import ConcurrentSBF
-from repro.serve import MetricsRegistry, ShardBatcher, ShardedSBF
+from repro.serve import (
+    MetricsRegistry,
+    ProcessShardPool,
+    RemoteShard,
+    ShardBatcher,
+    ShardedSBF,
+    ShardServer,
+    replicated_fleet,
+)
 
 M, K, SEED = 4096, 4, 7
 SHARD_COUNTS = [1, 2, 4, 8]
 
 
-def make_reference() -> SpectralBloomFilter:
-    return SpectralBloomFilter(M, K, seed=SEED, method="ms",
+def make_reference(method: str = "ms") -> SpectralBloomFilter:
+    return SpectralBloomFilter(M, K, seed=SEED, method=method,
                                backend="array", hash_family="blocked")
 
 
-def make_router(n_shards: int) -> ShardedSBF:
-    return ShardedSBF.create(n_shards, M, K, seed=SEED, method="ms",
+def make_router(n_shards: int, method: str = "ms") -> ShardedSBF:
+    return ShardedSBF.create(n_shards, M, K, seed=SEED, method=method,
                              backend="array", hash_family="blocked")
 
 
@@ -145,6 +157,34 @@ def test_mutating_batch_matches_scalar_path():
         assert router.query(key) == reference.query(key)
 
 
+@pytest.mark.parametrize("n_shards", [1, 4])
+def test_unroutable_key_fails_only_its_own_slot(n_shards):
+    # A key shard_of cannot route never reaches a shard: every batcher
+    # verb fails its slot alone and runs its batch-mates as if it were
+    # absent.
+    router, reference = make_router(n_shards), make_reference()
+    batcher = ShardBatcher(router)
+    bad = ["unroutable"]
+    with pytest.raises(TypeError):
+        router.shard_of(bad)
+    results = batcher.execute([("insert", "a"), ("insert", bad),
+                               ("query", "a")])
+    assert results[0] is None and results[2] == 1
+    assert isinstance(results[1], TypeError)
+    outcome = batcher.insert_many(["b", bad, 7])
+    assert [(f.index, f.key, f.retryable) for f in outcome.failures] \
+        == [(1, bad, False)]
+    assert isinstance(outcome.failures[0].error, TypeError)
+    queried = batcher.query_many(["a", bad, "b", 7, 8])
+    assert queried[:1] + queried[2:] == [1, 1, 1, 0]
+    assert isinstance(queried[1], TypeError)
+    for key in ("a", "b", 7):
+        reference.insert(key)
+    assert router.total_count == reference.total_count == 3
+    for key in ("a", "b", 7, 8):
+        assert router.query(key) == reference.query(key)
+
+
 def test_failed_op_lands_in_its_slot_and_batch_continues():
     batcher = ShardBatcher(make_router(4))
     results = batcher.execute([
@@ -172,8 +212,8 @@ def test_shard_assignment_is_deterministic():
     assert len(set(assignments)) > 1      # the workload actually spreads
 
 
-def test_reshard_round_trip_is_counter_exact():
-    router, reference = make_router(8), make_reference()
+def test_reshard_round_trip_is_counter_exact(method="ms"):
+    router, reference = make_router(8, method), make_reference(method)
     keys = workload()
     for key in keys:
         router.insert(key)
@@ -186,9 +226,19 @@ def test_reshard_round_trip_is_counter_exact():
         for key, estimate in before.items():
             assert router.query(key) == estimate
     # Coalesced all the way down, the single shard IS the unsharded
-    # filter, counter for counter.
+    # filter, counter for counter — RM/TRM secondaries included.
     merged = router.shards[0].sbf
     assert list(merged.counters) == list(reference.counters)
+    if method in ("rm", "trm"):
+        assert list(merged.method.secondary.counters) \
+            == list(reference.method.secondary.counters)
+
+
+@pytest.mark.parametrize("method", ["mi", "rm", "trm"])
+def test_union_reshard_round_trip_is_counter_exact_for(method):
+    # Union reshard is the only reshard path for MI, RM and TRM fleets
+    # (rolling reshard is MS-only), so it must be exact for each too.
+    test_reshard_round_trip_is_counter_exact(method)
 
 
 def test_non_dividing_reshard_rolls_on_blocked_fleets():
@@ -211,11 +261,45 @@ def test_non_dividing_reshard_rolls_on_blocked_fleets():
 
 
 def test_non_dividing_reshard_still_refused_without_blocked_hashing():
-    router = ShardedSBF.create(8, M, K, seed=SEED, method="ms",
-                               backend="array", hash_family="modmul")
-    with pytest.raises(ValueError, match="divide"):
-        router.reshard(3)
-    assert router.n_shards == 8           # refused reshard changed nothing
+    # A fleet routes by block, so an unblocked fleet — the only kind a
+    # non-dividing reshard could not split — is refused at construction.
+    for n_shards in (8, 1):
+        with pytest.raises(ValueError, match="routes by block"):
+            ShardedSBF.create(n_shards, M, K, seed=SEED, method="ms",
+                              backend="array", hash_family="modmul")
+
+
+@pytest.mark.parametrize("n_shards", [1, 4])
+def test_every_fleet_constructor_refuses_an_unblocked_family(n_shards,
+                                                             tmp_path):
+    unblocked = make_family("modmul", M, K, SEED)
+    modmul = [ConcurrentSBF(SpectralBloomFilter(M, K, seed=SEED,
+                                                hash_family="modmul"))
+              for _ in range(n_shards)]
+    with pytest.raises(ValueError, match="routes by block"):
+        ShardedSBF(modmul)                          # the shards' family
+    remote = [RemoteShard(ShardServer(make_router(1).shards[0]),
+                          FaultyNetwork(), "router", f"s{i}")
+              for i in range(n_shards)]
+    with pytest.raises(ValueError, match="routes by block"):
+        ShardedSBF(remote)                          # no family at all
+    with pytest.raises(ValueError, match="routes by block"):
+        ShardedSBF(remote, family=unblocked)        # an explicit one
+    root = tmp_path / "fleet"
+    with pytest.raises(ValueError, match="routes by block"):
+        ShardedSBF.create(n_shards, M, K, seed=SEED, hash_family="modmul",
+                          durable_root=str(root))
+    assert not root.exists()
+    built = []
+    with pytest.raises(ValueError, match="routes by block"):
+        replicated_fleet(n_shards, M, K, seed=SEED, hash_family="modmul",
+                         hint_dir=str(tmp_path / "hints"),
+                         replica_factory=lambda s, r: built.append((s, r)))
+    assert built == [] and not (tmp_path / "hints").exists()
+    children = set(multiprocessing.active_children())
+    with pytest.raises(ValueError, match="routes by block"):
+        ProcessShardPool(n_shards, M, K, seed=SEED, hash_family="modmul")
+    assert set(multiprocessing.active_children()) <= children
 
 
 def test_reshard_refuses_durable_shards(tmp_path):
@@ -271,6 +355,34 @@ def test_shard_report_accounts_per_shard():
     # The occupancy estimator should land near the true distinct count.
     total_estimate = sum(e["distinct_estimate"] for e in report)
     assert total_estimate == pytest.approx(distinct, rel=0.35)
+
+
+def test_shard_report_prices_each_shard_over_its_own_blocks():
+    # Shard i only touches blocks b ≡ i (mod n): its load, distinct
+    # estimate and E_b must be computed over those counters, not all m.
+    m = 1 << 16
+    router = ShardedSBF.create(4, m, K, seed=SEED, backend="numpy")
+    rng = random.Random(SEED)
+    keys = rng.sample(range(1 << 40), 40_000)
+    present, absent = keys[:20_000], keys[20_000:]
+    assert ShardBatcher(router).insert_many(present).ok
+    routed = [0] * 4
+    for key in present:
+        routed[router.shard_of(key)] += 1
+    hits, probed = [0] * 4, [0] * 4
+    for key in absent:
+        shard = router.shard_of(key)
+        probed[shard] += 1
+        hits[shard] += router.query(key) > 0
+    report = router.shard_report()
+    for i, entry in enumerate(report):
+        assert entry["m"] == m                      # the filter's own m
+        assert entry["distinct_estimate"] \
+            == pytest.approx(routed[i], rel=0.05)
+        assert entry["expected_error"] \
+            == pytest.approx(hits[i] / probed[i], abs=0.03)
+    fleet_rate = sum(hits) / sum(probed)
+    assert fleet_rate == pytest.approx(bloom_error(20_000, K, m), abs=0.01)
 
 
 def test_incompatible_shards_are_rejected():

@@ -286,6 +286,19 @@ def test_submit_refuses_malformed_ops(op):
     assert engine.router.total_count == 1
 
 
+@pytest.mark.parametrize("n_shards", [1, 4])
+def test_unroutable_key_fails_only_its_own_request(n_shards):
+    # A key the router cannot route fails its own request; the requests
+    # popped into the same batch serve as if it were absent.
+    engine = ServingEngine(make_router(n_shards), max_queue=8, batch_size=8)
+    results = run_requests(engine, [("insert", "a"), ("insert", ["bad"]),
+                                    ("query", "a")])
+    assert results[0] is None and results[2] == 1
+    assert isinstance(results[1], TypeError)
+    assert engine.router.total_count == 1
+    assert engine.metrics.snapshot()["counters"]["engine.failed"] == 1
+
+
 def test_a_batch_whose_execute_raises_fails_every_future(monkeypatch):
     engine = ServingEngine(make_router(), max_queue=16, batch_size=8)
     futures = [engine.submit("insert", key) for key in range(5)]
