@@ -68,11 +68,7 @@ from repro.serve.metrics import (
     MetricsRegistry,
     ReplicaGauges,
 )
-from repro.serve.procpool import (
-    PoolShardServer,
-    ProcessShard,
-    ProcessShardPool,
-)
+from repro.serve.procpool import ProcessShard, ProcessShardPool
 from repro.serve.remote import RemoteShard, RemoteShardError, ShardServer
 from repro.serve.repair import (
     DEFAULT_REPAIR_BLOCKS,
@@ -115,7 +111,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "ReplicaGauges",
-    "PoolShardServer",
     "ProcessShard",
     "ProcessShardPool",
     "BulkFailure",

@@ -5,24 +5,31 @@ uses one core no matter how many shards it has.  :class:`ProcessShardPool`
 moves each shard's filter into its own worker process and keeps the
 existing serving surface in front of it:
 
-- every traffic operation travels as the same checksummed
-  :func:`~repro.core.serialize.seal_frame` request/response frames a
-  :class:`~repro.serve.remote.RemoteShard` uses — in fact each pool shard
-  *is* a ``RemoteShard`` whose transport endpoint is a worker pipe, so
-  chunked bulk ops, :class:`~repro.serve.remote.BulkResult` partial
-  failure, typed error mapping, deadline-aware channel legs and
-  :class:`~repro.db.faults.FaultyNetwork` chaos all apply unchanged;
+- the pool is a transport for the remote-shard protocol: every frame on
+  a worker pipe is a request (``RSQ1``) or response (``RSP1``) of a plain
+  :class:`~repro.serve.remote.ShardServer`, which each worker runs.  Each
+  pool shard *is* a :class:`~repro.serve.remote.RemoteShard` whose
+  endpoint is a worker pipe, so its traffic rides the channel legs:
+  ``BulkResult`` partial failure, typed error mapping, deadline-aware
+  retries and :class:`~repro.db.faults.FaultyNetwork` chaos apply;
 - a :class:`~repro.serve.router.ShardedSBF` over the pool's shards
   (exposed as :attr:`ProcessShardPool.router`) routes bit-identically to
   an in-process fleet — same blocked family, same ``block_of % n``
   assignment — so answers match the single-process oracle exactly;
 - :meth:`ProcessShardPool.insert_many` / :meth:`~ProcessShardPool.query_many`
-  are the *pipelined* bulk paths: one frame per owner shard is written to
-  every worker pipe before any response is read, so workers compute
-  concurrently (this is what makes throughput scale with cores, where a
-  per-shard round-trip loop would still serialise on the parent);
-  integer keys ride a binary fast path (little-endian int64 arrays in
-  the frame payload) instead of JSON lists.
+  are the *pipelined* bulk paths: one request per owner shard (built as
+  ``RemoteShard`` builds its own) is written to every worker pipe before
+  any response is read, so workers compute concurrently (this is what
+  makes throughput scale with cores, where a per-shard round-trip loop
+  would still serialise on the parent).  These requests, and the
+  snapshot requests below, go straight down the pipes, never through a
+  channel: ``FaultyNetwork`` chaos does not reach them.
+
+A worker's first frame is an ``RSP1`` ``{"ok": true}``; the parent shuts
+it down with one empty message (never a sealed frame) and joins it.
+Closing the parent's pipe end would not do: a forked worker inherits a
+copy and never sees end-of-file.  A closed pool refuses all traffic with
+``RuntimeError("process pool is closed")``.
 
 Worker state and crash recovery:
 
@@ -37,9 +44,11 @@ Worker state and crash recovery:
 - **snapshot fallback** (any other method/backend — e.g. Recurring
   Minimum, whose secondary filter and marker bits cannot live in one
   flat segment): the parent keeps the latest
-  :func:`~repro.core.serialize.dump_sbf` frame, refreshed after every
-  acknowledged mutation while :attr:`ProcessShardPool.auto_snapshot` is
-  on (the default), and restores the replacement worker from it.
+  :func:`~repro.core.serialize.dump_sbf` frame (a ``checkpoint``
+  request's answer), refreshed after every acknowledged mutation while
+  :attr:`ProcessShardPool.auto_snapshot` is on (the default), and passes
+  it in the replacement worker's spawn spec, which builds its filter
+  from it.
 
 Either way an operation in flight when the worker dies surfaces as a
 typed, *retryable* :class:`~repro.db.transport.DeliveryFailed` — never a
@@ -61,22 +70,16 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.sbf import SpectralBloomFilter
-from repro.core.serialize import (WireFormatError, load_sbf, open_frame,
-                                  seal_frame)
+from repro.core.serialize import load_sbf, open_frame, seal_frame
 from repro.db.site import Network
 from repro.db.transport import DeliveryFailed
-from repro.handle import BulkFailure, BulkResult, FilterHandle
+from repro.handle import BulkFailure, BulkResult
 from repro.hashing.families import make_family
-from repro.persist.wal import SCALAR_KEY_TYPES
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.remote import (REQUEST_MAGIC, RESPONSE_MAGIC, RemoteShard,
-                                ShardServer, _remote_error)
+                                ShardServer, _answer, _bulk_batch,
+                                _bulk_request, _retryable)
 from repro.serve.router import ShardedSBF, _check_blocked
-
-#: pool-administration frames (spawn handshake/snapshot/restore/shutdown)
-#: — parent internals that never ride the simulated network
-ADMIN_MAGIC = b"RPA1"
-ADMIN_RESPONSE_MAGIC = b"RPB1"
 
 #: shared-memory segment layout: int64 total_count, then the counters
 _SHM_HEADER = 8
@@ -84,8 +87,6 @@ _SHM_HEADER = 8
 #: methods whose full shard state is the counter vector + total_count —
 #: with the numpy backend it lives in shared memory for zero-loss respawn
 _SHM_ELIGIBLE_METHODS = ("ms", "mi")
-
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 #: request ops after which the parent-held snapshot is stale (an
 #: ``execute`` frame counts when one of its entries names a mutation)
@@ -100,8 +101,11 @@ def _shm_eligible(spec: dict) -> bool:
 
 
 def _build_filter(spec: dict, shm) -> SpectralBloomFilter:
-    """Build a worker's filter, attaching the shared segment if present."""
+    """Build a worker's filter, attaching the shared segment if present,
+    else from the parent-held snapshot the spec carries, if any."""
     if shm is None:
+        if spec["snapshot"] is not None:
+            return load_sbf(spec["snapshot"])
         return SpectralBloomFilter(
             spec["m"], spec["k"], seed=spec["seed"], method=spec["method"],
             hash_family=spec["hash_family"], backend=spec["backend"],
@@ -124,109 +128,20 @@ def _build_filter(spec: dict, shm) -> SpectralBloomFilter:
     return sbf
 
 
-class PoolShardServer(ShardServer):
-    """Shard server with the pool's frame extensions.
-
-    Adds the binary bulk fast path (``meta["bin"]``: key/count batches as
-    little-endian int64 arrays in the frame payload instead of JSON lists
-    — the pipelined pool bulk uses it for integer keys) and binary
-    ``query_many`` responses.  Everything else — verbs, error envelopes,
-    validation — is the plain :class:`~repro.serve.remote.ShardServer`
-    contract, so pool workers stay wire-compatible with every
-    :class:`RemoteShard` client.
-    """
-
-    def __init__(self, handle):
-        super().__init__(handle)
-        self._payload = b""
-        self._response_payload = b""
-
-    def handle_frame(self, frame: bytes) -> bytes:
-        try:
-            meta, self._payload = open_frame(frame, REQUEST_MAGIC)
-            self._response_payload = b""
-            result = self._dispatch(meta)
-        except Exception as exc:
-            self.requests_failed += 1
-            return seal_frame(RESPONSE_MAGIC,
-                              {"ok": False, "kind": type(exc).__name__,
-                               "error": str(exc)})
-        self.requests_served += 1
-        return seal_frame(RESPONSE_MAGIC, {"ok": True, "result": result},
-                          self._response_payload)
-
-    def _dispatch_bulk(self, op: str, meta: dict):
-        n = meta.get("bin")
-        if n is None:
-            return super()._dispatch_bulk(op, meta)
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise WireFormatError(f"bin must be a count >= 0, got {n!r}")
-        width = 8 * n
-        expect = width if op == "query_many" else 2 * width
-        if len(self._payload) != expect:
-            raise WireFormatError(
-                f"binary bulk payload is {len(self._payload)} bytes, "
-                f"expected {expect} for {n} key(s)")
-        keys = np.frombuffer(self._payload[:width], dtype="<i8")
-        if op == "query_many":
-            values = self.handle.query_many(keys).raise_first().values
-            self._response_payload = values.astype("<i8").tobytes()
-            return "bin"
-        counts = np.frombuffer(self._payload[width:], dtype="<i8")
-        if counts.size and int(counts.min()) < 0:
-            raise WireFormatError(
-                f"bulk op {op!r} needs counts >= 0, got {int(counts.min())}")
-        getattr(self.handle, op)(keys, counts).raise_first()
-        return n
-
-
-def _worker_admin(server: PoolShardServer, frame: bytes,
-                  ) -> tuple[bool, bytes]:
-    """Handle one admin frame; returns ``(shutdown?, response frame)``."""
-    try:
-        meta, payload = open_frame(frame, ADMIN_MAGIC)
-        op = meta.get("op")
-        if op == "shutdown":
-            return True, seal_frame(ADMIN_RESPONSE_MAGIC, {"ok": True})
-        if op == "ping":
-            return False, seal_frame(ADMIN_RESPONSE_MAGIC, {"ok": True})
-        if op == "snapshot":
-            return False, seal_frame(ADMIN_RESPONSE_MAGIC, {"ok": True},
-                                     server.handle.checkpoint())
-        if op == "restore":
-            server.handle = FilterHandle(load_sbf(payload))
-            return False, seal_frame(ADMIN_RESPONSE_MAGIC, {"ok": True})
-        raise WireFormatError(f"unknown pool admin op {op!r}")
-    except Exception as exc:
-        return False, seal_frame(
-            ADMIN_RESPONSE_MAGIC,
-            {"ok": False, "kind": type(exc).__name__, "error": str(exc)})
-
-
 def _worker_main(conn, spec: dict) -> None:
-    """Worker process entry point: serve frames until told to shut down."""
+    """Worker process entry point: serve until the empty shutdown message."""
     shm = None
     if spec.get("shm_name"):
         shm = shared_memory.SharedMemory(name=spec["shm_name"])
     try:
-        server = PoolShardServer(_build_filter(spec, shm))
-        conn.send_bytes(seal_frame(ADMIN_RESPONSE_MAGIC, {"ok": True}))
-        while True:
-            try:
-                frame = conn.recv_bytes()
-            except EOFError:
-                break
-            if frame[:4] == ADMIN_MAGIC:
-                done, response = _worker_admin(server, frame)
-                conn.send_bytes(response)
-                if done:
-                    break
-                continue
+        server = ShardServer(_build_filter(spec, shm))
+        conn.send_bytes(seal_frame(RESPONSE_MAGIC, {"ok": True}))
+        for frame in iter(conn.recv_bytes, b""):
             conn.send_bytes(server.handle_frame(frame))
             if shm is not None:
                 shm.buf[:_SHM_HEADER] = struct.pack(
                     "<q", server.handle.total_count)
-    except (KeyboardInterrupt, BrokenPipeError, OSError):
+    except (KeyboardInterrupt, EOFError, OSError):
         pass  # parent teardown — nobody left to report to
     finally:
         if shm is not None:
@@ -262,8 +177,8 @@ class ProcessShard(RemoteShard):
         self._pool = pool
         self._index = index
 
-    def _call(self, op: str, **fields):
-        result = super()._call(op, **fields)
+    def _call(self, op: str, payload: bytes = b"", **fields):
+        result = super()._call(op, payload, **fields)
         if op in _MUTATING_OPS or op == "execute" and any(
                 entry[0] in _MUTATING_OPS for entry in fields["ops"]):
             self._pool._note_mutation(self._index)
@@ -384,8 +299,7 @@ class ProcessShardPool:
     # -- lifecycle ---------------------------------------------------------
     def _spawn(self, index: int, *, fresh: bool) -> None:
         worker = self._workers[index]
-        spec = dict(self._spec)
-        spec["fresh"] = fresh
+        spec = dict(self._spec, fresh=fresh, snapshot=worker.snapshot)
         if _shm_eligible(self._spec):
             if worker.shm is None:
                 worker.shm = shared_memory.SharedMemory(
@@ -401,15 +315,13 @@ class ProcessShardPool:
         worker.conn = parent_conn
         # Spawn handshake: the worker acks once its filter is built, so a
         # bad spec fails the constructor instead of the first request.
-        meta, _ = open_frame(parent_conn.recv_bytes(), ADMIN_RESPONSE_MAGIC)
-        if not meta.get("ok"):  # pragma: no cover - defensive
-            raise RuntimeError(f"worker {index} failed to start: {meta}")
+        open_frame(parent_conn.recv_bytes(), RESPONSE_MAGIC)
         worker.alive = True
         self.metrics.gauge(f"engine.worker.{index}.up").set(1)
 
     def _revive(self, index: int, *, force: bool = False) -> None:
-        """Re-spawn a dead worker and restore its state (caller holds the
-        worker lock)."""
+        """Re-spawn a dead worker from the shared segment or the parent-held
+        snapshot (caller holds the worker lock)."""
         worker = self._workers[index]
         if worker.alive or self._closed or not (self.auto_revive or force):
             return
@@ -421,30 +333,23 @@ class ProcessShardPool:
         if worker.conn is not None:
             worker.conn.close()
         self._spawn(index, fresh=False)
-        if worker.shm is None and worker.snapshot is not None:
-            meta, _ = self._admin(index, {"op": "restore"}, worker.snapshot)
-            if not meta.get("ok"):  # pragma: no cover - defensive
-                raise RuntimeError(f"worker {index} failed to restore: "
-                                   f"{meta}")
         self.metrics.counter(f"engine.worker.{index}.restarts").inc()
 
     def close(self) -> None:
         """Graceful drain: shut every worker down, join, release memory.
 
         Each worker pipe is strictly request/response under its lock, so
-        once the lock is held there is no in-flight work to wait for —
-        shutdown is sent, acknowledged, and the process joined.  Safe to
-        call twice.
+        once the lock is held there is no in-flight work to wait for: the
+        worker gets the empty shutdown message and is joined (see the
+        module docstring).  Safe to call twice; later traffic is refused.
         """
         self._closed = True
         for index, worker in enumerate(self._workers):
             with worker.lock:
                 if worker.alive and worker.process.is_alive():
                     try:
-                        worker.conn.send_bytes(
-                            seal_frame(ADMIN_MAGIC, {"op": "shutdown"}))
-                        worker.conn.recv_bytes()
-                    except (OSError, EOFError):  # pragma: no cover
+                        worker.conn.send_bytes(b"")
+                    except OSError:  # pragma: no cover
                         pass
                 worker.alive = False
                 if worker.process is not None:
@@ -479,13 +384,14 @@ class ProcessShardPool:
         return DeliveryFailed(message, self.shards[index].requests.stats)
 
     def _send_with_revive(self, index: int, frame: bytes) -> None:
-        """Write one frame to worker *index* (caller holds the lock).
+        """Write and count one request to worker *index* (lock held).
 
         A *send* failure means the request never reached the worker, so
         one revive + resend is safe — no operation can double-apply.
         (Failures after the send are the caller's to surface: the worker
         may have applied the operation before dying.)
         """
+        self.metrics.counter(f"engine.worker.{index}.requests").inc()
         worker = self._workers[index]
         for attempt in (0, 1):
             if not worker.alive:
@@ -504,7 +410,8 @@ class ProcessShardPool:
         """One traffic frame to worker *index* (reviving it if needed)."""
         worker = self._workers[index]
         with worker.lock:
-            self.metrics.counter(f"engine.worker.{index}.requests").inc()
+            if self._closed:
+                raise RuntimeError("process pool is closed")
             self._send_with_revive(index, frame)
             try:
                 return worker.conn.recv_bytes()
@@ -513,14 +420,6 @@ class ProcessShardPool:
                 raise self._delivery_failed(
                     index, f"worker {index} died mid-request: "
                     f"{type(exc).__name__}") from exc
-
-    def _admin(self, index: int, meta: dict,
-               payload: bytes = b"") -> tuple[dict, bytes]:
-        """One admin round trip (caller holds the worker lock, or is the
-        single-threaded spawn path)."""
-        worker = self._workers[index]
-        worker.conn.send_bytes(seal_frame(ADMIN_MAGIC, meta, payload))
-        return open_frame(worker.conn.recv_bytes(), ADMIN_RESPONSE_MAGIC)
 
     def _mark_dead(self, index: int) -> None:
         worker = self._workers[index]
@@ -541,7 +440,9 @@ class ProcessShardPool:
 
     def snapshot_shard(self, index: int) -> None:
         """Pull a fresh state snapshot from worker *index* (no-op for
-        shared-memory shards, whose live state the parent already owns)."""
+        shared-memory shards, whose live state the parent already owns).
+        The ``checkpoint`` request skips the channel legs, so a faulted
+        data plane cannot starve the snapshot a respawn needs."""
         worker = self._workers[index]
         if worker.shm is not None:
             return
@@ -549,14 +450,15 @@ class ProcessShardPool:
             if not worker.alive:
                 return
             try:
-                meta, payload = self._admin(index, {"op": "snapshot"})
+                worker.conn.send_bytes(
+                    seal_frame(REQUEST_MAGIC, {"op": "checkpoint"}))
+                answer = worker.conn.recv_bytes()
             except (OSError, EOFError) as exc:
                 self._mark_dead(index)
                 raise self._delivery_failed(
                     index,
                     f"worker {index} died during snapshot") from exc
-        if meta.get("ok"):
-            worker.snapshot = payload
+        worker.snapshot = _answer(self.shards[index].server_name, answer)
 
     # -- pipelined bulk ----------------------------------------------------
     def insert_many(self, keys: Sequence[object],
@@ -574,48 +476,37 @@ class ProcessShardPool:
 
     def _pipelined(self, op: str, keys: Sequence[object],
                    counts: Sequence[int] | None) -> BulkResult:
-        keys = list(keys)
-        n = len(keys)
-        if counts is None:
-            counts = [1] * n
-        else:
-            counts = [int(c) for c in counts]
-            if len(counts) != n:
-                raise ValueError(f"got {n} keys but {len(counts)} counts")
+        if self._closed:
+            raise RuntimeError("process pool is closed")
+        keys, counts, valid, failures = _bulk_batch(keys, counts)
         is_query = op == "query_many"
-        values = np.zeros(n, dtype=np.int64) if is_query else None
-        failures: list[BulkFailure] = []
-        valid: list[int] = []
-        for idx, key in enumerate(keys):
-            if isinstance(key, SCALAR_KEY_TYPES):
-                valid.append(idx)
-            else:
-                failures.append(BulkFailure(idx, key, TypeError(
-                    f"remote-shard keys must be JSON scalars "
-                    f"(str/int/float/bool/None), got "
-                    f"{type(key).__name__}"), retryable=False))
+        values = np.zeros(len(keys), dtype=np.int64) if is_query else None
         owners = self.router.shard_of_many([keys[i] for i in valid])
         groups: dict[int, list[int]] = {}
         for idx, owner in zip(valid, owners):
             groups.setdefault(owner, []).append(idx)
+        # Every frame is built before any is sent: a call that raises
+        # must apply nothing and leave no answer unread on a pipe.
+        frames = {}
+        for owner, idxs in groups.items():
+            fields, payload = _bulk_request(
+                [keys[i] for i in idxs],
+                None if is_query else [counts[i] for i in idxs])
+            frames[owner] = seal_frame(REQUEST_MAGIC, {"op": op, **fields},
+                                       payload)
         # Phase 1: one frame per owner shard, written to every worker
         # pipe before any response is read — the workers overlap their
         # compute.  `sent` tracks pipes with a frame in flight; their
         # locks stay held until phase 2 collects the response.
         sent: list[int] = []
-        answers: dict[int, object] = {}
+        answers: dict[int, bytes] = {}
         try:
             for owner in sorted(groups):
                 idxs = groups[owner]
-                frame = self._bulk_frame(
-                    op, [keys[i] for i in idxs],
-                    None if is_query else [counts[i] for i in idxs])
                 worker = self._workers[owner]
                 worker.lock.acquire()
                 try:
-                    self.metrics.counter(
-                        f"engine.worker.{owner}.requests").inc()
-                    self._send_with_revive(owner, frame)
+                    self._send_with_revive(owner, frames[owner])
                 except Exception as exc:
                     worker.lock.release()
                     if not isinstance(exc, DeliveryFailed):
@@ -634,9 +525,11 @@ class ProcessShardPool:
                     answers[owner] = worker.conn.recv_bytes()
                 except (OSError, EOFError) as exc:
                     self._mark_dead(owner)
-                    answers[owner] = self._delivery_failed(
+                    error = self._delivery_failed(
                         owner, f"worker {owner} died mid-batch: "
                         f"{type(exc).__name__}")
+                    failures.extend(BulkFailure(i, keys[i], error, True)
+                                    for i in groups[owner])
                 finally:
                     worker.lock.release()
                     sent.remove(owner)
@@ -645,42 +538,18 @@ class ProcessShardPool:
                 self._workers[owner].lock.release()
         for owner, answer in answers.items():
             idxs = groups[owner]
-            if isinstance(answer, Exception):
-                failures.extend(BulkFailure(i, keys[i], answer, True)
-                                for i in idxs)
-                continue
-            meta, payload = open_frame(answer, RESPONSE_MAGIC)
-            if not meta.get("ok"):
-                error = _remote_error(f"worker-{owner}", meta.get("kind"),
-                                      meta.get("error", "remote failure"))
-                failures.extend(BulkFailure(i, keys[i], error, False)
+            try:
+                result = _answer(self.shards[owner].server_name, answer)
+            except Exception as exc:
+                failures.extend(BulkFailure(i, keys[i], exc, _retryable(exc))
                                 for i in idxs)
                 continue
             if is_query:
-                if meta.get("result") == "bin":
-                    got = np.frombuffer(payload, dtype="<i8")
-                else:
-                    got = np.asarray(meta.get("result"), dtype=np.int64)
-                values[idxs] = got
+                values[idxs] = np.frombuffer(result, dtype="<i8")
             else:
                 self._note_mutation(owner)
         failures.sort(key=lambda f: f.index)
-        return BulkResult(n, values, failures)
-
-    def _bulk_frame(self, op: str, keys: list, counts: list | None) -> bytes:
-        """Seal one bulk request: binary int64 payload when every key is a
-        plain in-range integer, the JSON list form otherwise."""
-        if keys and all(type(k) is int and _INT64_MIN <= k <= _INT64_MAX
-                        for k in keys):
-            payload = np.asarray(keys, dtype="<i8").tobytes()
-            if counts is not None:
-                payload += np.asarray(counts, dtype="<i8").tobytes()
-            return seal_frame(REQUEST_MAGIC, {"op": op, "bin": len(keys)},
-                              payload)
-        fields = {"op": op, "keys": keys}
-        if counts is not None:
-            fields["counts"] = counts
-        return seal_frame(REQUEST_MAGIC, fields)
+        return BulkResult(len(keys), values, failures)
 
     # -- introspection -----------------------------------------------------
     @property

@@ -16,10 +16,20 @@ affected request's future (the batcher isolates per-op failures), so an
 unreachable shard degrades that shard's keys — the rest of the fleet
 keeps serving.
 
-A shard group (:meth:`RemoteShard.execute`) travels as one ``execute``
-request per ``bulk_chunk`` ops, each entry ``[verb, key, arg?]``; the
-server validates every entry, runs the frame through its own handle's
-``execute`` and answers every slot in one response.
+Point ops and shard groups travel as ``execute`` requests, each entry
+``[verb, key, arg?]``: a shard group (:meth:`RemoteShard.execute`) as
+one request per ``bulk_chunk`` ops, a point op as a one-entry request
+whose slot error is raised.  The server validates every entry, runs the
+frame through its own handle's ``execute`` and answers every slot in
+one response.
+
+Key batches (``insert_many``/``delete_many``/``query_many``) travel as
+one request per ``bulk_chunk`` keys, in one of two forms.  When every
+key is an ``int`` in int64 range the header carries ``"bin": n`` and the
+payload holds n little-endian int64 keys, then, for a mutation, n
+counts; any other batch carries JSON ``keys`` and ``counts`` lists.
+Either way a ``query_many`` answer comes back as n int64s in the
+response payload.
 
 Keys must be JSON scalars (the WAL's :data:`~repro.persist.wal.SCALAR_KEY_TYPES`
 discipline — the request header is JSON, so richer keys would not
@@ -45,7 +55,6 @@ from repro.handle import (
     BulkFailure,
     BulkResult,
     ShardHandle,
-    _apply,
     as_handle,
 )
 from repro.persist.wal import SCALAR_KEY_TYPES
@@ -60,15 +69,16 @@ from repro.serve.resilience import (
 REQUEST_MAGIC = b"RSQ1"
 RESPONSE_MAGIC = b"RSP1"
 
-#: verbs a shard server answers
-_SERVER_VERBS = frozenset({"insert", "delete", "set", "query", "contains",
-                           "total_count", "params", "checkpoint",
+#: verbs a shard server answers (point ops ride ``execute``)
+_SERVER_VERBS = frozenset({"total_count", "params", "checkpoint",
                            "insert_many", "delete_many", "query_many",
                            "blocksums", "readblocks", "writeblocks",
                            "execute"})
 
 #: bulk verbs whose request carries key/count batches
 _BULK_VERBS = frozenset({"insert_many", "delete_many", "query_many"})
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 #: keys per request frame on the bulk path (one channel round trip each;
 #: chunking bounds both frame size and the blast radius of one lost frame)
@@ -129,6 +139,58 @@ def _op_entry(op) -> list:
     return [verb, key, op[2]]
 
 
+def _bulk_batch(keys: Sequence[object], counts: Sequence[int] | None,
+                ) -> tuple[list, list[int], list[int], list[BulkFailure]]:
+    """Normalise a client's key batch: one int count per key (1 each by
+    default), a key that is not a JSON scalar failing its own slot
+    non-retryably.  Returns ``(keys, counts, sendable indices, failures)``."""
+    keys = list(keys)
+    if counts is None:
+        counts = [1] * len(keys)
+    else:
+        counts = [int(c) for c in counts]
+        if len(counts) != len(keys):
+            raise ValueError(f"got {len(keys)} keys but "
+                             f"{len(counts)} counts")
+    valid: list[int] = []
+    failures: list[BulkFailure] = []
+    for idx, key in enumerate(keys):
+        if isinstance(key, SCALAR_KEY_TYPES):
+            valid.append(idx)
+        else:
+            failures.append(BulkFailure(idx, key, TypeError(
+                f"remote-shard keys must be JSON scalars "
+                f"(str/int/float/bool/None), got "
+                f"{type(key).__name__}"), retryable=False))
+    return keys, counts, valid, failures
+
+
+def _bulk_request(keys: list, counts: list | None) -> tuple[dict, bytes]:
+    """The header fields and payload of one bulk request: the binary
+    int64 form when every key is an ``int`` in int64 range, JSON lists
+    otherwise (*counts* is ``None`` for ``query_many``)."""
+    if keys and all(type(k) is int and _INT64_MIN <= k <= _INT64_MAX
+                    for k in keys):
+        payload = np.asarray(keys, dtype="<i8").tobytes()
+        if counts is not None:
+            payload += np.asarray(counts, dtype="<i8").tobytes()
+        return {"bin": len(keys)}, payload
+    if counts is None:
+        return {"keys": keys}, b""
+    return {"keys": keys, "counts": counts}, b""
+
+
+def _answer(server_name: str, frame: bytes):
+    """What a response frame carries: its payload when the server
+    answered bytes, else its JSON result.  A failure the server reports
+    is raised with the type a client can reconstruct."""
+    meta, payload = open_frame(frame, RESPONSE_MAGIC)
+    if not meta.get("ok"):
+        raise _remote_error(server_name, meta.get("kind"),
+                            meta.get("error", "remote failure"))
+    return payload if meta.get("bin") else meta.get("result")
+
+
 def _validate_request(payload: bytes) -> None:
     open_frame(payload, REQUEST_MAGIC)
 
@@ -162,17 +224,21 @@ class ShardServer:
         the client re-raises a faithful local exception.
         """
         try:
-            meta, _ = open_frame(frame, REQUEST_MAGIC)
-            result = self._dispatch(meta)
+            meta, payload = open_frame(frame, REQUEST_MAGIC)
+            result = self._dispatch(meta, payload)
         except Exception as exc:
             self.requests_failed += 1
             return seal_frame(RESPONSE_MAGIC,
                               {"ok": False, "kind": type(exc).__name__,
                                "error": str(exc)})
         self.requests_served += 1
+        if isinstance(result, bytes):
+            return seal_frame(RESPONSE_MAGIC, {"ok": True, "bin": True},
+                              result)
         return seal_frame(RESPONSE_MAGIC, {"ok": True, "result": result})
 
-    def _dispatch(self, meta: dict):
+    def _dispatch(self, meta: dict, payload: bytes):
+        """One request's result (a bytes result rides the payload)."""
         op = meta.get("op")
         if op not in _SERVER_VERBS:
             raise WireFormatError(f"unknown remote-shard op {op!r}")
@@ -185,35 +251,49 @@ class ShardServer:
                     "method": sbf.method.name}
         if op == "checkpoint":
             result = handle.checkpoint()
-            return result if isinstance(result, str) else None
+            return result if isinstance(result, (str, bytes)) else None
         if op in _BULK_VERBS:
-            return self._dispatch_bulk(op, meta)
-        if op in ("blocksums", "readblocks", "writeblocks"):
-            return self._dispatch_repair(op, meta)
+            return self._dispatch_bulk(op, meta, payload)
         if op == "execute":
             return self._dispatch_execute(meta.get("ops"))
-        # A point verb: the same checks as one execute entry.
-        arg = meta.get("threshold" if op == "contains" else "count")
-        entry = [op, meta.get("key")] + ([] if arg is None else [arg])
-        return _apply(handle, tuple(_op_entry(entry)))
+        return self._dispatch_repair(op, meta)
 
-    def _dispatch_bulk(self, op: str, meta: dict):
-        keys = meta.get("keys")
-        if not isinstance(keys, list):
-            raise WireFormatError(f"bulk op {op!r} needs a key list, got "
-                                  f"{type(keys).__name__}")
-        for key in keys:
-            if not isinstance(key, SCALAR_KEY_TYPES):
+    def _dispatch_bulk(self, op: str, meta: dict, payload: bytes):
+        """A key batch in either form (see the module docstring); the
+        handle gets a binary batch as int64 arrays."""
+        n = meta.get("bin")
+        if n is None:
+            keys, counts = meta.get("keys"), meta.get("counts")
+            if not isinstance(keys, list):
+                raise WireFormatError(f"bulk op {op!r} needs a key list, "
+                                      f"got {type(keys).__name__}")
+            for key in keys:
+                if not isinstance(key, SCALAR_KEY_TYPES):
+                    raise WireFormatError(
+                        f"remote-shard keys must be JSON scalars, got "
+                        f"{type(key).__name__}")
+            bad_counts = (not isinstance(counts, list)
+                          or len(counts) != len(keys)
+                          or any(not isinstance(c, int)
+                                 or isinstance(c, bool) or c < 0
+                                 for c in counts))
+        else:
+            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+                raise WireFormatError(f"bin must be a count >= 0, got "
+                                      f"{n!r}")
+            expect = 8 * n if op == "query_many" else 16 * n
+            if len(payload) != expect:
                 raise WireFormatError(
-                    f"remote-shard keys must be JSON scalars, got "
-                    f"{type(key).__name__}")
+                    f"binary bulk payload is {len(payload)} bytes, "
+                    f"expected {expect} for {n} key(s)")
+            keys = np.frombuffer(payload[:8 * n], dtype="<i8")
+            counts = np.frombuffer(payload[8 * n:], dtype="<i8")
+            bad_counts = bool(counts.size) and int(counts.min()) < 0
         handle = self.handle
         if op == "query_many":
-            return handle.query_many(keys).raise_first().values.tolist()
-        counts = meta.get("counts")
-        if (not isinstance(counts, list) or len(counts) != len(keys)
-                or any(not isinstance(c, int) or isinstance(c, bool)
-                       or c < 0 for c in counts)):
+            values = handle.query_many(keys).raise_first().values
+            return values.astype("<i8").tobytes()
+        if bad_counts:
             raise WireFormatError(
                 f"bulk op {op!r} needs counts (ints >= 0) matching its "
                 f"{len(keys)} key(s)")
@@ -321,8 +401,8 @@ class RemoteShard(ShardHandle):
                                     self.responses.stats)
 
     # -- the wire ----------------------------------------------------------
-    def _call(self, op: str, **fields):
-        """One request/response round trip.
+    def _call(self, op: str, payload: bytes = b"", **fields):
+        """One request/response round trip (*payload* is the frame body).
 
         The ambient :func:`~repro.serve.resilience.current_deadline`
         (installed upstream by the batcher or replica set) bounds both
@@ -338,42 +418,39 @@ class RemoteShard(ShardHandle):
         deadline = current_deadline()
         if deadline is not None:
             deadline.check(f"shard-{op}")
-        frame = seal_frame(REQUEST_MAGIC, {"op": op, **fields})
+        frame = seal_frame(REQUEST_MAGIC, {"op": op, **fields}, payload)
         delivered = self.requests.send(f"shard-{op}", frame,
                                        deadline=deadline)
         response = self.server.handle_frame(delivered)
         answer = self.responses.send(f"shard-{op}-reply", response,
                                      deadline=deadline)
-        meta, _ = open_frame(answer, RESPONSE_MAGIC)
-        if meta.get("ok"):
-            return meta.get("result")
-        raise _remote_error(self.server_name, meta.get("kind"),
-                            meta.get("error", "remote failure"))
+        return _answer(self.server_name, answer)
 
-    @staticmethod
-    def _scalar(key: object) -> object:
-        if not isinstance(key, SCALAR_KEY_TYPES):
-            raise TypeError(
-                f"remote-shard keys must be JSON scalars "
-                f"(str/int/float/bool/None), got {type(key).__name__}")
-        return key
+    def _point(self, op: tuple):
+        """One point op as a one-entry ``execute`` frame, bounded by the
+        ambient deadline; its slot's error is raised."""
+        deadline = current_deadline()
+        outcome = self.execute(
+            [op], None if deadline is None else [deadline])[0]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     # -- the shard surface -------------------------------------------------
     def insert(self, key: object, count: int = 1) -> None:
-        self._call("insert", key=self._scalar(key), count=count)
+        self._point(("insert", key, count))
 
     def delete(self, key: object, count: int = 1) -> None:
-        self._call("delete", key=self._scalar(key), count=count)
+        self._point(("delete", key, count))
 
     def set(self, key: object, count: int) -> None:
-        self._call("set", key=self._scalar(key), count=count)
+        self._point(("set", key, count))
 
     def query(self, key: object) -> int:
-        return self._call("query", key=self._scalar(key))
+        return self._point(("query", key))
 
     def contains(self, key: object, threshold: int = 1) -> bool:
-        return bool(self._call("contains", key=self._scalar(key),
-                               threshold=threshold))
+        return self._point(("contains", key, threshold))
 
     @property
     def total_count(self) -> int:
@@ -384,7 +461,9 @@ class RemoteShard(ShardHandle):
         return self._call("params")
 
     def checkpoint(self):
-        return self._call("checkpoint")
+        """The server's snapshot path; ``None`` for an in-memory server."""
+        result = self._call("checkpoint")
+        return None if isinstance(result, bytes) else result
 
     # -- shard groups (one frame per bulk_chunk ops) -----------------------
     def execute(self, ops: Sequence[tuple], deadlines=None, *,
@@ -467,41 +546,23 @@ class RemoteShard(ShardHandle):
 
     def _bulk(self, op: str, keys: Sequence[object],
               counts: Sequence[int] | None) -> BulkResult:
-        keys = list(keys)
-        if counts is None:
-            counts = [1] * len(keys)
-        else:
-            counts = [int(c) for c in counts]
-            if len(counts) != len(keys):
-                raise ValueError(f"got {len(keys)} keys but "
-                                 f"{len(counts)} counts")
+        keys, counts, valid, failures = _bulk_batch(keys, counts)
         is_query = op == "query_many"
         values = np.zeros(len(keys), dtype=np.int64) if is_query else None
-        failures: list[BulkFailure] = []
-        valid: list[int] = []
-        for idx, key in enumerate(keys):
-            if isinstance(key, SCALAR_KEY_TYPES):
-                valid.append(idx)
-            else:
-                failures.append(BulkFailure(idx, key, TypeError(
-                    f"remote-shard keys must be JSON scalars "
-                    f"(str/int/float/bool/None), got "
-                    f"{type(key).__name__}"), retryable=False))
         for lo in range(0, len(valid), self.bulk_chunk):
             chunk = valid[lo:lo + self.bulk_chunk]
-            chunk_keys = [keys[i] for i in chunk]
-            fields = {"keys": chunk_keys}
-            if not is_query:
-                fields["counts"] = [counts[i] for i in chunk]
             try:
-                result = self._call(op, **fields)
+                fields, payload = _bulk_request(
+                    [keys[i] for i in chunk],
+                    None if is_query else [counts[i] for i in chunk])
+                result = self._call(op, payload, **fields)
             except Exception as exc:
                 retryable = _retryable(exc)
                 failures.extend(BulkFailure(i, keys[i], exc, retryable)
                                 for i in chunk)
                 continue
             if is_query:
-                values[chunk] = result
+                values[chunk] = np.frombuffer(result, dtype="<i8")
         failures.sort(key=lambda f: f.index)
         return BulkResult(len(keys), values, failures)
 

@@ -12,11 +12,13 @@ vectors and the lookup table are *not* transmitted — exactly as §4.7.1
 notes for the lookup table, they are "dependent only on the parameters"
 and are regenerated at the receiving node.
 
-Layout (all integers little-endian):
+The blob is a checksummed :func:`~repro.core.serialize.seal_frame`
+frame with magic ``b"SAI1"``, so a corrupted or truncated message is
+detected like every other frame, never decoded into wrong counters.  Its
+header carries ``m`` (number of counters), ``g1`` (items per level-1
+group) and ``width_bits`` (the width section's length in bits); its
+payload is one contiguous block:
 
-    magic      4 bytes   b"SAI1"
-    m          8 bytes   number of counters
-    g1         4 bytes   items per level-1 group
     widths     Elias-delta stream, one codeword per counter
     (padding to a byte boundary)
     values     the counter fields, packed at their exact widths
@@ -26,8 +28,6 @@ format deterministic regardless of the sender's update history.
 """
 
 from __future__ import annotations
-
-import struct
 
 from repro.succinct.bitvector import BitVector, BitReader, BitWriter
 from repro.succinct.elias import elias_delta_decode, elias_delta_encode
@@ -55,9 +55,12 @@ def dump_string_array(index: StringArrayIndex) -> bytes:
     payload = bytearray((total_bits + 7) // 8)
     for byte_index in range(len(payload)):
         payload[byte_index] = bits.read(8 * byte_index, 8)
-    header = _MAGIC + struct.pack("<QII", len(values),
-                                  index._g1, width_section_bits)
-    return bytes(header) + bytes(payload)
+    # Imported here: repro.core imports this package, so a top-level
+    # import would be circular.
+    from repro.core.serialize import seal_frame
+    return seal_frame(_MAGIC, {"m": len(values), "g1": index._g1,
+                               "width_bits": width_section_bits},
+                      bytes(payload))
 
 
 def load_string_array(blob: bytes, **sai_options) -> StringArrayIndex:
@@ -68,14 +71,18 @@ def load_string_array(blob: bytes, **sai_options) -> StringArrayIndex:
     slack settings for the receiving node).
 
     Raises:
-        ValueError: on a malformed or truncated blob.
+        ValueError: on a malformed, corrupted or truncated blob
+            (:class:`~repro.core.serialize.WireFormatError`).
     """
-    header_size = len(_MAGIC) + struct.calcsize("<QII")
-    if len(blob) < header_size or blob[:4] != _MAGIC:
-        raise ValueError("not a String-Array Index blob")
-    m, g1, width_section_bits = struct.unpack(
-        "<QII", blob[len(_MAGIC):header_size])
-    payload = blob[header_size:]
+    from repro.core.serialize import WireFormatError, open_frame
+    meta, payload = open_frame(blob, _MAGIC)
+    m, g1, width_bits = (meta.get(f) for f in ("m", "g1", "width_bits"))
+    # Every codeword takes at least one bit, so m <= width_bits also
+    # bounds the decode loop by the payload size.
+    if not (all(type(v) is int for v in (m, g1, width_bits))
+            and 0 <= m <= width_bits <= 8 * len(payload) and g1 >= 1):
+        raise WireFormatError(f"String-Array Index header out of range "
+                              f"for {len(payload)} payload bytes: {meta}")
     bits = BitVector(len(payload) * 8)
     for i, byte in enumerate(payload):
         bits.write(8 * i, 8, byte)
@@ -83,7 +90,10 @@ def load_string_array(blob: bytes, **sai_options) -> StringArrayIndex:
     widths = []
     for _ in range(m):
         widths.append(elias_delta_decode(reader))
-    reader.pos = width_section_bits
+    if reader.pos > width_bits:
+        raise WireFormatError("String-Array Index widths overrun their "
+                              "section")
+    reader.pos = width_bits
     values = []
     for w in widths:
         if reader.pos + w > len(payload) * 8:

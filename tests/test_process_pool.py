@@ -11,16 +11,27 @@ The acceptance contract of :mod:`repro.serve.procpool`:
   worker re-spawns with its acknowledged state intact (shared-memory
   segment for MS/MI, parent-held snapshot for RM);
 - the whole surface keeps its contract under an injected-fault network
-  (the frames ride the same reliable channels a RemoteShard uses).
+  (routed traffic rides the same reliable channels a RemoteShard uses);
+- one codec on the pipes: every frame is a remote-shard request or
+  response, plus one empty shutdown message per live worker, and a
+  closed pool refuses all traffic with one non-retryable error.
 """
+
+import multiprocessing
+import os
+import time
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
 
 from repro.core.sbf import SpectralBloomFilter
+from repro.core.serialize import open_frame
 from repro.db.faults import FaultPolicy, FaultyNetwork
 from repro.db.transport import DeliveryFailed
-from repro.serve import ProcessShardPool, ServingEngine, ShardedSBF
+from repro.serve import (ProcessShardPool, ServingEngine, ShardBatcher,
+                         ShardedSBF)
+from repro.serve.remote import REQUEST_MAGIC, RESPONSE_MAGIC
 
 M, K, SEED = 4096, 4, 21
 
@@ -288,3 +299,126 @@ def test_snapshot_refreshes_only_after_a_mutating_frame():
         assert shard.execute([("query", "a"), ("insert", "a", 2)]) \
             == [0, None]
         assert refreshed == [0]
+
+
+def test_bulk_call_that_raises_applies_nothing_and_keeps_pipes_in_step():
+    # A count no int64 holds fails the second owner's frame.  Every frame
+    # is built before any is sent, so nothing applies and no answer is
+    # left on a pipe for the next call to misread as its own.
+    with ProcessShardPool(2, M, K, seed=SEED) as pool:
+        keys = list(range(40))
+        owners = list(pool.router.shard_of_many(keys))
+        counts = [1] * len(keys)
+        counts[owners.index(1)] = 2 ** 63
+        with pytest.raises(OverflowError):
+            pool.insert_many(keys, counts)
+        assert pool.query_many(keys).values.tolist() == [0] * len(keys)
+        assert pool.total_count == 0
+
+
+def test_closed_pool_refuses_traffic_typed_and_non_retryable():
+    # A client that honours `retryable` must not retry a closed pool
+    # forever: every path refuses with one RuntimeError, before touching
+    # a pipe and without counting a worker failure.
+    pool = ProcessShardPool(2, M, K, seed=SEED)
+    assert pool.insert_many(list(range(20))).ok
+    requests = [pool.metrics.counter(f"engine.worker.{i}.requests").value
+                for i in range(2)]
+    pool.close()
+
+    def refused(outcome) -> bool:
+        return type(outcome) is RuntimeError \
+            and str(outcome) == "process pool is closed"
+
+    with pytest.raises(RuntimeError, match="process pool is closed"):
+        pool.router.query(1)
+    with pytest.raises(RuntimeError, match="process pool is closed"):
+        pool.router.insert(1)
+    assert all(refused(o) for o in pool.shards[0].execute(
+        [("insert", 1), ("query", 1)]))
+    ops = [("insert", key) for key in range(8)] + [("query", 3)]
+    assert all(refused(o) for o in ShardBatcher(pool.router).execute(ops))
+    engine = ServingEngine(pool.router)
+    futures = [engine.submit(*op) for op in ops]
+    engine.drain()
+    assert all(refused(future.exception()) for future in futures)
+    for verb in ("insert_many", "delete_many", "query_many"):
+        with pytest.raises(RuntimeError, match="process pool is closed"):
+            getattr(pool, verb)([1, 2, 3])
+    for i in range(2):
+        assert pool.metrics.counter(f"engine.worker.{i}.failures").value \
+            == 0
+        assert pool.metrics.counter(f"engine.worker.{i}.requests").value \
+            == requests[i]
+
+
+def test_one_codec_on_every_pipe_for_a_whole_pool_life(monkeypatch):
+    # Spawn, an engine batch, pipelined int and str bulk, RM snapshots,
+    # a kill plus a revive from the snapshot, then close: every frame on
+    # a worker pipe is a remote-shard request or response, and the only
+    # other message is one empty shutdown per live worker.
+    parent = os.getpid()
+    sent: list[tuple[int, bytes]] = []
+    received: list[bytes] = []
+    send_bytes, recv_bytes = Connection.send_bytes, Connection.recv_bytes
+
+    def record_send(conn, buf, *args):
+        if os.getpid() == parent:
+            sent.append((id(conn), bytes(buf)))
+        return send_bytes(conn, buf, *args)
+
+    def record_recv(conn, *args):
+        frame = recv_bytes(conn, *args)
+        if os.getpid() == parent:
+            received.append(frame)
+        return frame
+
+    monkeypatch.setattr(Connection, "send_bytes", record_send)
+    monkeypatch.setattr(Connection, "recv_bytes", record_recv)
+    before = set(multiprocessing.active_children())
+    keys, counts, probe = _traffic(seed=41, n=300, universe=900)
+    words = [f"user-{i % 50}" for i in range(120)]
+    oracle = _oracle(2, "rm", "array")
+    pool = ProcessShardPool(2, M, K, seed=SEED, method="rm",
+                            backend="array")
+    try:
+        engine = ServingEngine(pool.router, max_queue=512)
+        futures = [engine.submit("insert", key, count)
+                   for key, count in zip(keys[:100], counts[:100])]
+        engine.drain()
+        assert [future.result() for future in futures] == [None] * 100
+        assert pool.insert_many(keys[100:], counts[100:]).ok
+        assert pool.insert_many(words).ok
+        for key, count in zip(keys, counts):
+            oracle.insert(key, count)
+        for key in words:
+            oracle.insert(key)
+        pool.kill_worker(0)
+        got = pool.query_many(probe + words)
+        assert got.ok
+        assert got.values.tolist() == [oracle.query(x) for x in probe + words]
+        assert pool.metrics.counter("engine.worker.0.restarts").value == 1
+        processes = [worker.process for worker in pool._workers]
+    finally:
+        start = time.perf_counter()
+        pool.close()
+        took = time.perf_counter() - start
+    # Well inside the 2 s join timeout: the workers saw the shutdown.
+    assert took < 1.0
+    assert not any(process.is_alive() for process in processes)
+    assert set(multiprocessing.active_children()) <= before
+    ops, forms = set(), set()
+    for _, frame in sent:
+        if frame:
+            meta, _ = open_frame(frame, REQUEST_MAGIC)
+            ops.add(meta["op"])
+            forms.update({"bin", "keys"} & set(meta))
+    assert {"execute", "insert_many", "query_many", "checkpoint"} <= ops
+    assert forms == {"bin", "keys"}
+    for frame in received:
+        open_frame(frame, RESPONSE_MAGIC)
+    # One shutdown per worker alive at close, each its pipe's last word.
+    shutdowns = [conn for conn, frame in sent if not frame]
+    assert len(shutdowns) == len(set(shutdowns)) == 2
+    for conn in shutdowns:
+        assert [frame for c, frame in sent if c == conn][-1] == b""

@@ -44,6 +44,31 @@ class TestStringArraySerialization:
         with pytest.raises(ValueError):
             load_string_array(blob[:-4])
 
+    def test_every_bit_flip_rejected(self):
+        """The §4.7.1 message detects corruption like every other frame."""
+        blob = dump_string_array(StringArrayIndex([0, 3, 1, 9, 2, 0, 40, 5]))
+        for bit in range(8 * len(blob)):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(ValueError):
+                load_string_array(bytes(flipped))
+
+    @pytest.mark.parametrize("header", [
+        {"m": -1, "g1": 4, "width_bits": 8},
+        {"m": 2, "g1": 0, "width_bits": 8},
+        {"m": 2, "g1": 4, "width_bits": 64},
+        {"m": 9, "g1": 4, "width_bits": 8},
+        {"m": True, "g1": 4, "width_bits": 8},
+        {"m": 2, "g1": "4", "width_bits": 8},
+        {"g1": 4, "width_bits": 8},
+    ], ids=["negative-m", "zero-g1", "widths-past-payload",
+            "m-past-widths", "bool-m", "str-g1", "missing-m"])
+    def test_out_of_range_header_rejected(self, header):
+        from repro.core.serialize import WireFormatError, seal_frame
+        # A well-sealed frame whose header lies: refused, never decoded.
+        with pytest.raises(WireFormatError):
+            load_string_array(seal_frame(b"SAI1", header, b"\xff\x00"))
+
 
 class TestBloomSerialization:
     def test_roundtrip_membership(self):

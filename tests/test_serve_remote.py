@@ -5,6 +5,7 @@ fault schedules — and therefore every retry, duplicate, and checksum
 rejection — replay identically on every run.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.serialize import open_frame, seal_frame
@@ -150,7 +151,10 @@ def test_server_side_errors_return_typed_failures():
         remote.delete("never-inserted", 5)
     with pytest.raises(TypeError, match="JSON scalars"):
         remote.insert((1, 2))
-    assert remote.server.requests_failed == 1   # the tuple never left home
+    # The tuple never left home: only the delete's frame reached the
+    # server (its refusal is a failed slot in a served frame).
+    assert remote.server.requests_served + remote.server.requests_failed \
+        == 1
     # A garbage frame produces an ok=false response, not a server crash.
     response = remote.server.handle_frame(b"not a frame")
     meta, _ = open_frame(response, RESPONSE_MAGIC)
@@ -355,3 +359,96 @@ def test_malformed_execute_frames_get_typed_errors(entries, kind):
         REQUEST_MAGIC, {"op": "execute",
                         "ops": [["insert", "x", 2], ["query", "x"]]}))
     assert open_frame(response, RESPONSE_MAGIC)[0]["result"] == [None, 2]
+
+
+# -- bulk forms: binary int64 for int batches, JSON lists otherwise -------
+
+def _recording_remote(handle) -> tuple[RemoteShard, list]:
+    """A RemoteShard whose server records every request it opens."""
+    server = ShardServer(handle)
+    seen = []
+    handle_frame = server.handle_frame
+
+    def record(frame: bytes) -> bytes:
+        seen.append(open_frame(frame, REQUEST_MAGIC))
+        return handle_frame(frame)
+
+    server.handle_frame = record
+    return RemoteShard(server, FaultyNetwork(), "client", "shard0"), seen
+
+
+def test_int_batches_ride_binary_and_other_batches_json():
+    remote, seen = _recording_remote(make_handle())
+    local = make_handle()
+    ints = list(range(-60, 240, 3))
+    counts = [1 + i % 4 for i in range(len(ints))]
+    assert remote.insert_many(ints, counts).ok
+    local.insert_many(ints, counts)
+    meta, payload = seen[-1]
+    assert meta["bin"] == len(ints) and "keys" not in meta
+    assert len(payload) == 16 * len(ints)       # keys, then counts
+    probe = ints + list(range(1000, 1040))
+    answers = remote.query_many(probe)
+    meta, payload = seen[-1]
+    assert meta["bin"] == len(probe) and len(payload) == 8 * len(probe)
+    assert answers.ok
+    assert answers.values.tolist() == local.query_many(probe).tolist()
+    for batch in (["a", "b", "c"], [1, "b", 2.5, None, True, 2 ** 63]):
+        assert remote.insert_many(batch).ok
+        local.insert_many(batch)
+        meta, payload = seen[-1]
+        assert meta["keys"] == batch and payload == b""
+        answers = remote.query_many(batch)
+        assert seen[-1][0]["keys"] == batch
+        assert answers.values.tolist() == local.query_many(batch).tolist()
+    assert remote.delete_many(ints[:30]).ok
+    local.delete_many(ints[:30])
+    assert "bin" in seen[-1][0]
+    assert remote.query_many(probe).values.tolist() \
+        == local.query_many(probe).tolist()
+    assert remote.total_count == local.total_count
+
+
+@pytest.mark.parametrize("meta,payload", [
+    ({"op": "insert_many", "bin": -1}, b""),
+    ({"op": "insert_many", "bin": True}, b"\0" * 16),
+    ({"op": "query_many", "bin": "2"}, b"\0" * 16),
+    ({"op": "insert_many", "bin": 2}, b"\0" * 24),
+    ({"op": "query_many", "bin": 2}, b"\0" * 32),
+    ({"op": "insert_many", "bin": 2},
+     np.array([5, 6, 1, -1], dtype="<i8").tobytes()),
+], ids=["negative-n", "bool-n", "str-n", "short-payload",
+        "long-query-payload", "negative-count"])
+def test_malformed_binary_bulk_frames_are_refused_whole(meta, payload):
+    server = ShardServer(make_handle())
+    response = server.handle_frame(seal_frame(REQUEST_MAGIC, meta, payload))
+    answer, _ = open_frame(response, RESPONSE_MAGIC)
+    assert answer["ok"] is False and answer["kind"] == "WireFormatError"
+    assert server.handle.total_count == 0
+
+
+def test_binary_batches_recover_exactly_from_a_durable_server(tmp_path):
+    from repro.persist import DurableSBF, recover
+
+    def factory() -> SpectralBloomFilter:
+        return SpectralBloomFilter(M, K, seed=SEED, method="ms",
+                                   backend="array", hash_family="blocked")
+
+    durable = DurableSBF.open(str(tmp_path), factory=factory)
+    remote, seen = _recording_remote(ConcurrentSBF(durable))
+    reference = factory()
+    ints = [i * 7919 % 5000 for i in range(300)]
+    counts = [1 + i % 3 for i in range(len(ints))]
+    assert remote.insert_many(ints, counts).ok
+    assert remote.delete_many(ints[:40]).ok
+    assert all("bin" in meta for meta, _ in seen)
+    reference.insert_many(ints, counts)
+    reference.delete_many(ints[:40])
+    assert remote.query_many(ints).values.tolist() \
+        == reference.query_many(ints).tolist()
+    durable.close()
+    recovered, _ = recover(str(tmp_path), factory=factory)
+    everywhere = np.arange(M)
+    assert recovered.counters.get_many(everywhere).tolist() \
+        == reference.counters.get_many(everywhere).tolist()
+    assert recovered.total_count == reference.total_count
