@@ -14,7 +14,8 @@ acknowledged mutation survives a process crash:
   snapshot plus the still-intact log;
 - :meth:`open` is the crash-recovery entry point: point it at a
   directory and it either recovers the persisted state or starts fresh
-  from *factory*;
+  from *factory*; the log is read once, by recovery, whose scan the
+  reopened appender continues from;
 - :meth:`execute` is group commit: a shard group's mutations each log
   their own record, and the fsyncs the policy owes collapse into one,
   taken before any op of the group is acknowledged.
@@ -35,7 +36,7 @@ from repro.handle import BulkResult, ShardHandle
 from repro.persist.crashsim import FileIO
 from repro.persist.recovery import WAL_NAME, RecoveryReport, recover
 from repro.persist.snapshot import SnapshotStore
-from repro.persist.wal import WriteAheadLog
+from repro.persist.wal import ScanResult, WriteAheadLog
 
 
 class DurableSBF(ShardHandle):
@@ -53,12 +54,13 @@ class DurableSBF(ShardHandle):
         io: filesystem layer (a :class:`~repro.persist.crashsim.CrashIO`
             under test).
         retain: snapshot generations to keep.
-        next_seq: continue WAL numbering from here (recovery wiring).
+        scan: recovery's scan of the WAL, which the appender continues
+            from instead of reading the log again (recovery wiring).
     """
 
     def __init__(self, sbf: SpectralBloomFilter, directory: str, *,
                  fsync: object = "always", io: FileIO | None = None,
-                 retain: int = 2, next_seq: int | None = None):
+                 retain: int = 2, scan: ScanResult | None = None):
         self.sbf = sbf
         self.directory = str(directory)
         self.io = io or FileIO()
@@ -66,7 +68,7 @@ class DurableSBF(ShardHandle):
         self.snapshots = SnapshotStore(self.directory, io=self.io,
                                        retain=retain)
         self.wal = WriteAheadLog(f"{self.directory}/{WAL_NAME}",
-                                 fsync=fsync, io=self.io, next_seq=next_seq)
+                                 fsync=fsync, io=self.io, scan=scan)
         self.last_recovery: RecoveryReport | None = None
         self.checkpoints = 0
 
@@ -89,7 +91,7 @@ class DurableSBF(ShardHandle):
             sbf, report = recover(directory, factory=factory, io=io,
                                   strict=strict)
             handle = cls(sbf, directory, fsync=fsync, io=io, retain=retain,
-                         next_seq=report.last_seq + 1)
+                         scan=report.scan)
             handle.last_recovery = report
             return handle
         if factory is None:

@@ -13,10 +13,21 @@ taken at sequence ``S`` tells recovery exactly which records to replay
 
 Torn-write discipline: a crash can leave at most a *suffix* of the file
 damaged.  :func:`replay` therefore stops at the first record that is
-incomplete, fails its CRC, or breaks sequence monotonicity, and reports
+incomplete, fails its CRC, breaks sequence monotonicity, carries an
+unknown op code, or whose body does not decode to its op's shape (a JSON
+scalar key, or for bulk ops a list of them, and int counts), and reports
 the byte offset of the last good record so the caller can truncate the
 tail.  A corrupt record is **never** yielded; everything before it is
 provably intact.
+
+One scan per open: a scan yields the records *and* the
+:class:`ScanResult` (where the intact prefix ends, the last sequence
+number), and recovery hands that result to the appender it opens, so a
+log is read once however many parties need its prefix.  The scan keeps
+every check but pays little per record: bodies decode through the C
+JSON scanner (falling back to :func:`json.loads`, and so to its exact
+semantics, wherever the scanner alone refuses a body), and records are
+tuples.
 
 Fsync policy (the classic durability/throughput dial):
 
@@ -49,7 +60,7 @@ import threading
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.persist.crashsim import FileIO
 
@@ -80,12 +91,15 @@ _OVERHEAD = _SEQ_OP.size + _CRC.size
 SCALAR_KEY_TYPES = (str, int, float, bool, type(None))
 
 
+#: the C scanner :func:`json.loads` runs underneath its wrappers
+_scan_json = json.JSONDecoder().scan_once
+
+
 class WALError(ValueError):
     """A write-ahead log file is structurally unusable (not merely torn)."""
 
 
-@dataclass(frozen=True)
-class WALRecord:
+class WALRecord(NamedTuple):
     """One decoded log record.
 
     For bulk ops (:data:`OP_INSERT_MANY` / :data:`OP_DELETE_MANY`),
@@ -130,59 +144,91 @@ def _encode(seq: int, op: int, key: object, count: int) -> bytes:
     return _LEN.pack(len(inner) + _CRC.size) + inner + _CRC.pack(crc)
 
 
-def _iter_records(data: bytes) -> Iterator[WALRecord]:
-    """Yield intact records; raise ``_Stop`` at the first damaged one."""
-    offset = 0
-    prev_seq = 0
+def _decode_body(raw: bytes) -> object:
+    """Decode a record body exactly as ``json.loads`` would.
+
+    The scanner alone accepts a body that is one JSON value with nothing
+    around it — every body the log writes.  Anything else (surrounding
+    whitespace, trailing data, no value at all) goes to ``json.loads``,
+    which accepts or refuses it with its own semantics and messages.
+    """
+    text = raw.decode("utf-8")
+    try:
+        body, end = _scan_json(text, 0)
+        if end == len(text):
+            return body
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(text)
+
+
+def _scan(data: bytes, after_seq: int = 0,
+          ) -> tuple[list[WALRecord], ScanResult]:
+    """Parse a log image: the intact records with ``seq > after_seq``,
+    plus where the intact prefix ends.
+
+    Checks every record in order — length, CRC, sequence monotonicity,
+    op code, body decode, body shape — and stops at the first that fails.
+    The loop binds its per-record calls to locals: a log holds tens of
+    thousands of records, each a few microseconds of work.
+    """
+    records: list[WALRecord] = []
+    keep, make = records.append, WALRecord._make
+    unpack_len, unpack_crc = _LEN.unpack_from, _CRC.unpack_from
+    unpack_seq_op, crc32 = _SEQ_OP.unpack_from, zlib.crc32
+    offset = prev_seq = 0
     total = len(data)
+    reason = None
     while offset < total:
         if offset + _LEN.size > total:
-            raise _Stop(offset, "torn length prefix")
-        (length,) = _LEN.unpack_from(data, offset)
+            reason = "torn length prefix"
+            break
+        (length,) = unpack_len(data, offset)
         if length < _OVERHEAD:
-            raise _Stop(offset, f"record length {length} below minimum")
-        end = offset + _LEN.size + length
+            reason = f"record length {length} below minimum"
+            break
+        start = offset + _LEN.size          # seq | op | body | crc
+        end = start + length
         if end > total:
-            raise _Stop(offset, f"torn record body ({end - total} bytes "
-                                 f"missing)")
-        inner = data[offset + _LEN.size:end - _CRC.size]
-        (stored_crc,) = _CRC.unpack_from(data, end - _CRC.size)
-        if stored_crc != (zlib.crc32(inner) & 0xFFFFFFFF):
-            raise _Stop(offset, "checksum mismatch")
-        seq, op = _SEQ_OP.unpack_from(inner)
+            reason = f"torn record body ({end - total} bytes missing)"
+            break
+        crc_at = end - _CRC.size
+        if unpack_crc(data, crc_at)[0] != crc32(data[start:crc_at]):
+            reason = "checksum mismatch"
+            break
+        seq, op = unpack_seq_op(data, start)
         if seq <= prev_seq:
-            raise _Stop(offset, f"sequence regression ({seq} after "
-                                 f"{prev_seq})")
+            reason = f"sequence regression ({seq} after {prev_seq})"
+            break
         if op not in OP_NAMES:
-            raise _Stop(offset, f"unknown op code {op}")
+            reason = f"unknown op code {op}"
+            break
         try:
-            body = json.loads(inner[_SEQ_OP.size:].decode("utf-8"))
+            body = _decode_body(data[start + _SEQ_OP.size:crc_at])
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _Stop(offset, f"corrupt body: {exc}")
-        if not isinstance(body, list) or len(body) != 2:
-            raise _Stop(offset, f"malformed body {body!r}")
+            reason = f"corrupt body: {exc}"
+            break
+        if type(body) is not list or len(body) != 2:
+            reason = f"malformed body {body!r}"
+            break
+        key, count = body
         if op in BULK_OPS:
-            keys, counts = body
-            if (not isinstance(keys, list) or not isinstance(counts, list)
-                    or len(keys) != len(counts)
-                    or any(not isinstance(c, int) or isinstance(c, bool)
-                           or c < 0 for c in counts)):
-                raise _Stop(offset, f"malformed bulk body at seq {seq}")
-        elif not isinstance(body[1], int) or isinstance(body[1], bool):
-            raise _Stop(offset, f"malformed body {body!r}")
-        yield WALRecord(seq=seq, op=op, key=body[0], count=body[1],
-                        offset=offset, size=end - offset)
+            if (type(key) is not list or type(count) is not list
+                    or len(key) != len(count)
+                    or any(not isinstance(k, SCALAR_KEY_TYPES) for k in key)
+                    or any(type(c) is not int or c < 0 for c in count)):
+                reason = f"malformed bulk body at seq {seq}"
+                break
+        elif type(count) is not int or not isinstance(key, SCALAR_KEY_TYPES):
+            reason = f"malformed body {body!r}"
+            break
+        if seq > after_seq:
+            keep(make((seq, op, key, count, offset, end - offset)))
         prev_seq = seq
         offset = end
-
-
-class _Stop(Exception):
-    """Internal: scanning hit the damaged tail at ``offset``."""
-
-    def __init__(self, offset: int, reason: str):
-        super().__init__(reason)
-        self.offset = offset
-        self.reason = reason
+    return records, ScanResult(last_seq=max(prev_seq, after_seq),
+                               records=len(records), good_end=offset,
+                               reason=reason)
 
 
 def replay(path: str, *, io: FileIO | None = None,
@@ -199,33 +245,18 @@ def replay(path: str, *, io: FileIO | None = None,
         return [], ScanResult(last_seq=after_seq, records=0, good_end=0,
                               reason=None)
     with io.open(path, "rb") as handle:
-        data = handle.read()
-    records: list[WALRecord] = []
-    last_seq = 0
-    good_end = 0
-    reason = None
-    try:
-        for record in _iter_records(data):
-            last_seq = record.seq
-            good_end = record.offset + record.size
-            if record.seq > after_seq:
-                records.append(record)
-    except _Stop as stop:
-        good_end = stop.offset
-        reason = stop.reason
-    return records, ScanResult(last_seq=max(last_seq, after_seq),
-                               records=len(records), good_end=good_end,
-                               reason=reason)
+        return _scan(handle.read(), after_seq)
 
 
 class WriteAheadLog:
     """Appender half of the log (reading is :func:`replay`'s job).
 
-    Opening an existing file scans it, truncates any torn tail (the file
-    may be the survivor of a crash), and continues the sequence numbering
-    after the last intact record.  Appends are thread-safe: a lock orders
-    concurrent writers, so the on-disk record order is a linearisation of
-    the acknowledged operations.
+    Opening an existing file takes its scan — the caller's, or its own —
+    truncates any torn tail (the file may be the survivor of a crash),
+    and continues the sequence numbering after the last intact record.
+    Appends are thread-safe: a lock orders concurrent writers, so the
+    on-disk record order is a linearisation of the acknowledged
+    operations.
 
     Args:
         path: log file location.
@@ -237,10 +268,14 @@ class WriteAheadLog:
             whatever the existing file ends with.  Pass a value after an
             external recovery decided the true horizon (e.g. a snapshot
             newer than the log).
+        scan: the :func:`replay` result of this file as it stands (a
+            reader that just scanned it, such as recovery), so the file
+            is not read a second time; by default the log scans it.
     """
 
     def __init__(self, path: str, *, fsync: object = "always",
-                 io: FileIO | None = None, next_seq: int | None = None):
+                 io: FileIO | None = None, next_seq: int | None = None,
+                 scan: ScanResult | None = None):
         self.path = str(path)
         self.io = io or FileIO()
         self._policy_every = self._parse_policy(fsync)
@@ -252,10 +287,9 @@ class WriteAheadLog:
         self._sync_owed = False
         self.appends = 0
         existed = self.io.exists(self.path)
-        _, scan = replay(self.path, io=self.io)
-        if scan.reason is not None or (
-                self.io.exists(self.path)
-                and self.io.file_size(self.path) > scan.good_end):
+        if scan is None:
+            _, scan = replay(self.path, io=self.io)
+        if existed and self.io.file_size(self.path) > scan.good_end:
             self.io.truncate(self.path, scan.good_end)
         seq = scan.last_seq + 1
         if next_seq is not None:

@@ -164,7 +164,8 @@ class HintLog:
             # happened), so the stranded file is dead weight.
             if io.exists(path + ".new"):
                 io.remove(path + ".new")
-            for record in replay(path, io=io)[0]:
+            records, scan = replay(path, io=io)
+            for record in records:
                 if record.op in BULK_OPS:
                     verb = "delete" if record.op == OP_DELETE_MANY \
                         else "insert"
@@ -174,7 +175,7 @@ class HintLog:
                 else:
                     self._pending.append(
                         (OP_NAMES[record.op], record.key, record.count))
-            self._wal = WriteAheadLog(path, io=io)
+            self._wal = WriteAheadLog(path, io=io, scan=scan)
 
     def __len__(self) -> int:
         return len(self._pending)

@@ -7,6 +7,9 @@ plumbing, the durable handle, and the app-layer wiring.
 """
 
 import os
+import random
+import struct
+import zlib
 
 import pytest
 
@@ -30,22 +33,47 @@ from repro.persist import (
     replay,
     torn_write,
 )
+from repro.persist import recovery
+from repro.persist.wal import (
+    OP_DELETE,
+    OP_DELETE_MANY,
+    OP_INSERT,
+    OP_INSERT_MANY,
+    OP_SET,
+    _encode,
+)
+from repro.serve import HintLog
+from test_bulk import full_state
 
 
 def factory():
     return SpectralBloomFilter(128, 4, seed=7)
 
 
+def raw_record(seq: int, op: int, body: bytes) -> bytes:
+    """A CRC-valid record around an arbitrary body (no JSON checks)."""
+    inner = struct.pack("<QB", seq, op) + body
+    return (struct.pack("<I", len(inner) + 4) + inner
+            + struct.pack("<I", zlib.crc32(inner)))
+
+
 class RecordingIO(FileIO):
-    """A FileIO that records which directories were fsynced."""
+    """A FileIO that records which directories were fsynced and which
+    files were opened for reading."""
 
     def __init__(self):
         super().__init__()
         self.dir_fsyncs: list[str] = []
+        self.reads: list[str] = []
 
     def fsync_dir(self, path: str) -> None:
         self.dir_fsyncs.append(path)
         super().fsync_dir(path)
+
+    def open(self, path: str, mode: str = "rb"):
+        if "r" in mode:
+            self.reads.append(path)
+        return super().open(path, mode)
 
 
 # ----------------------------------------------------------------------
@@ -350,6 +378,190 @@ class TestRecovery:
         handle.close()
         assert recover(str(tmp_path), factory=factory)[1].integrity_issues \
             == []
+
+
+# ----------------------------------------------------------------------
+# parsing a log, and replaying it in same-verb runs
+# ----------------------------------------------------------------------
+class TestParse:
+    @pytest.mark.parametrize("opener", ["recover", "open"])
+    def test_non_scalar_key_stops_the_scan(self, tmp_path, opener):
+        # A CRC-valid record whose key is not a JSON scalar is malformed
+        # input from disk: it ends the intact prefix like any bad body,
+        # never reaching a filter (whose hashing raises TypeError on it).
+        good = _encode(1, OP_INSERT, "a", 1)
+        (tmp_path / "wal.log").write_bytes(
+            good + _encode(2, OP_INSERT, ["x", 1], 1)
+            + _encode(3, OP_INSERT, "b", 1))
+        if opener == "recover":
+            sbf, report = recover(str(tmp_path), factory=factory)
+        else:
+            handle = DurableSBF.open(str(tmp_path), factory=factory)
+            sbf, report = handle.sbf, handle.last_recovery
+            assert handle.insert("c") == 2
+            handle.close()
+        assert (sbf.query("a"), sbf.query("b")) == (1, 0)
+        assert report.torn_tail.startswith("malformed body")
+        assert report.truncated_at == len(good)
+
+    def test_hint_queue_stops_at_a_non_scalar_key(self, tmp_path):
+        path = tmp_path / "r.hints"
+        path.write_bytes(_encode(1, OP_INSERT, "a", 1)
+                         + _encode(2, OP_INSERT, ["x", 1], 1))
+        hints = HintLog(str(path))
+        assert len(hints) == 1
+        hints.close()
+
+    @pytest.mark.parametrize("keys", [[["x"], "y"], ["y", {"x": 1}]])
+    def test_bulk_record_with_a_non_scalar_key_stops_the_scan(
+            self, tmp_path, keys):
+        path = tmp_path / "wal.log"
+        path.write_bytes(_encode(1, OP_INSERT, "a", 1)
+                         + _encode(2, OP_INSERT_MANY, keys, [1, 1]))
+        records, scan = replay(str(path))
+        assert [r.key for r in records] == ["a"]
+        assert scan.reason == "malformed bulk body at seq 2"
+
+    def test_body_that_is_not_one_json_value_stops_the_scan(self, tmp_path):
+        path = tmp_path / "wal.log"
+        good = _encode(1, OP_INSERT, "a", 1)
+        path.write_bytes(good + raw_record(2, OP_INSERT, b'["b",1],["c",1]')
+                         + _encode(3, OP_INSERT, "d", 1))
+        records, scan = replay(str(path))
+        assert [r.key for r in records] == ["a"]
+        assert scan.reason.startswith("corrupt body")
+        assert scan.good_end == len(good)
+
+    def test_body_decodes_as_json_loads_would(self, tmp_path):
+        # json.loads accepts surrounding whitespace; so does the log.
+        path = tmp_path / "wal.log"
+        path.write_bytes(raw_record(1, OP_INSERT, b' ["e",1] ')
+                         + raw_record(2, OP_SET, b'["f",\n 2]'))
+        records, scan = replay(str(path))
+        assert [(r.seq, r.op_name, r.key, r.count) for r in records] == [
+            (1, "insert", "e", 1), (2, "set", "f", 2)]
+        assert scan.reason is None
+
+    def test_open_reads_the_log_once(self, tmp_path):
+        handle = DurableSBF.open(str(tmp_path), factory=factory)
+        handle.insert("a", 2)
+        handle.delete("a")
+        handle.close()
+        with open(tmp_path / "wal.log", "ab") as f:
+            f.write(b"torn")
+        wal_path = f"{tmp_path}/wal.log"
+        io = RecordingIO()
+        reopened = DurableSBF.open(str(tmp_path), factory=factory, io=io)
+        assert io.reads.count(wal_path) == 1
+        assert reopened.last_recovery.torn_tail is not None
+        assert os.path.getsize(wal_path) == \
+            reopened.last_recovery.truncated_at
+        assert reopened.insert("b") == 3
+        reopened.close()
+
+        hint_path = str(tmp_path / "r.hints")
+        hints = HintLog(hint_path)
+        hints.append("insert", "k", 1)
+        hints.append_many("delete", ["k"], [1])
+        hints.close()
+        io = RecordingIO()
+        reopened_hints = HintLog(hint_path, io=io)
+        assert len(reopened_hints) == 2
+        assert io.reads.count(hint_path) == 1
+        reopened_hints.close()
+
+
+#: JSON-scalar keys of every type a log carries
+REPLAY_KEYS = (["s-%d" % i for i in range(40)] + [-i for i in range(1, 30)]
+               + [2**64 + i for i in range(10)] + [-(2**70), 0.5, -2.75,
+                                                   1e300, True, False, None])
+
+
+def write_mixed_log(path: str, method: str, rng: random.Random) -> None:
+    """A log of all five verbs: point inserts and deletes in runs of 1 to
+    400 records (shuffled, so some runs merge), single ``set`` records and
+    small bulk records.  Each op is checked against a live filter first,
+    as a durable handle does, so every record applies."""
+    live = SpectralBloomFilter(512, 4, method=method, backend="numpy",
+                               hash_family="blocked", seed=11)
+    schedule = ([("insert", n) for n in (1, 2, 63, 64, 65, 150, 300)]
+                + [("delete", n) for n in (1, 5, 64, 100, 200)]
+                + [("set", 1)] * 4 + [("insert_many", 1)] * 3
+                + [("delete_many", 1)] * 3)
+    rng.shuffle(schedule)
+    present: list = []          # inserted and not yet deleted
+    with WriteAheadLog(path, fsync="checkpoint") as wal:
+        for verb, length in [("insert", 400)] + schedule:
+            for _ in range(length):
+                count = rng.choice([1, 1, 1, 2, 3])
+                try:        # a refused op is never logged
+                    if verb == "insert":
+                        key = rng.choice(REPLAY_KEYS)
+                        live.insert(key, count)
+                        wal.log_insert(key, count)
+                        present.extend([key] * count)
+                    elif verb == "delete":
+                        key = present.pop(rng.randrange(len(present)))
+                        live.delete(key, 1)
+                        wal.log_delete(key, 1)
+                    elif verb == "set":
+                        key = rng.choice(REPLAY_KEYS)
+                        live.set(key, count)
+                        wal.log_set(key, count)
+                    elif verb == "insert_many":
+                        keys = rng.choices(REPLAY_KEYS, k=20)
+                        live.insert_many(keys, [count] * 20)
+                        wal.log_insert_many(keys, [count] * 20)
+                    else:
+                        keys = [present.pop(rng.randrange(len(present)))
+                                for _ in range(5)]
+                        live.delete_many(keys, [1] * 5)
+                        wal.log_delete_many(keys, [1] * 5)
+                except ValueError:
+                    continue
+
+
+class TestBatchedReplay:
+    @pytest.mark.parametrize("max_run", [None, 100])
+    @pytest.mark.parametrize("method", ["ms", "mi", "rm", "trm"])
+    def test_recovery_equals_record_by_record_replay(
+            self, tmp_path, monkeypatch, method, max_run):
+        if max_run is not None:         # split long runs, some below min
+            monkeypatch.setattr(recovery, "_MAX_RUN", max_run)
+        make = lambda: SpectralBloomFilter(512, 4, method=method,
+                                           backend="numpy",
+                                           hash_family="blocked", seed=11)
+        write_mixed_log(str(tmp_path / "wal.log"), method,
+                        random.Random(1803))
+        records, _ = replay(str(tmp_path / "wal.log"))
+        assert {r.op for r in records} == {
+            OP_INSERT, OP_DELETE, OP_SET, OP_INSERT_MANY, OP_DELETE_MANY}
+        reference = make()
+        for record in records:
+            recovery.apply_record(reference, record)
+        recovered, report = recover(str(tmp_path), factory=make,
+                                    strict=method != "mi")
+        assert report.records_replayed == len(records)
+        assert full_state(recovered) == full_state(reference)
+        assert recovered.counters.raw.dtype == reference.counters.raw.dtype
+
+    @pytest.mark.parametrize("min_run", [1, recovery._MIN_RUN])
+    def test_refused_run_names_the_record_that_fails(
+            self, tmp_path, monkeypatch, min_run):
+        # min_run=1 sends the five deletes through one refused bulk call
+        # first; either way the error names the third delete.
+        monkeypatch.setattr(recovery, "_MIN_RUN", min_run)
+
+        def holding_two():
+            sbf = factory()
+            sbf.insert("a", 2)
+            sbf.insert_many(["b", "c"])
+            return sbf
+        with WriteAheadLog(str(tmp_path / "wal.log")) as wal:
+            for key in ("a", "a", "a", "b", "c"):
+                wal.log_delete(key)
+        with pytest.raises(RecoveryError, match=r"seq=3 \(delete 'a'"):
+            recover(str(tmp_path), factory=holding_two)
 
 
 # ----------------------------------------------------------------------
