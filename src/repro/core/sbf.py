@@ -40,15 +40,93 @@ from repro.core.params import bloom_error, optimal_k, optimal_m
 from repro.hashing.families import HashFamily, make_family
 from repro.storage.backends import CounterBackend, make_backend
 
+#: counts stay below 2**63: int64 counters, WAL bodies and frames hold them
+_COUNT_END = 1 << 63
 
-def check_threshold(threshold: int) -> None:
-    """The spectral-membership guard: refuse a negative *threshold*.
+#: what the count rule raises for a count it refuses
+COUNT_ERRORS = (TypeError, ValueError, OverflowError)
 
-    Every ``contains`` — the filter's and every serving layer's — runs
-    it, so a request the core refuses is refused on every path.
+
+def check_count(count, what: str = "count") -> int:
+    """The count rule: a frequency is an integer in ``[0, 2**63)``.
+
+    Returns it as an ``int`` (numpy integers included); refuses a
+    ``bool`` or any non-integer with ``TypeError``, a negative value with
+    ``ValueError`` and one past int64 with ``OverflowError``.  Every
+    serving layer runs it, so each refuses what the filter refuses.
     """
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    if type(count) is not int:
+        if isinstance(count, bool) or not isinstance(count,
+                                                     (int, np.integer)):
+            raise TypeError(f"{what} must be an integer, got {count!r}")
+        count = int(count)
+    if 0 <= count < _COUNT_END:
+        return count
+    if count < 0:
+        raise ValueError(f"{what} must be >= 0, got {count}")
+    raise OverflowError(f"{what} must be below 2**63, got {count}")
+
+
+def check_threshold(threshold) -> int:
+    """The spectral-membership guard: the count rule for a ``contains``
+    *threshold* (every serving layer's ``contains`` runs it too)."""
+    return check_count(threshold, "threshold")
+
+
+def check_counts(counts, n: int) -> np.ndarray:
+    """The count rule over a batch of *n* keys, as an int64 array:
+    *counts* is ``None`` (one each), one count for every key, or a list,
+    tuple or integer array of *n* counts.  Refuses with the point rule's
+    types, and with ``ValueError`` when the lengths differ."""
+    if counts is None:
+        return np.ones(n, dtype=np.int64)
+    if not isinstance(counts, (list, tuple, np.ndarray)):
+        return np.full(n, check_count(counts), dtype=np.int64)
+    if isinstance(counts, np.ndarray) and counts.dtype.kind in "iu" \
+            and np.can_cast(counts.dtype, np.int64):
+        array = counts.astype(np.int64, copy=False)
+    else:
+        array = _count_array(counts)
+    if array.shape != (n,):
+        raise ValueError(f"expected {n} counts, got shape {array.shape}")
+    if array.size and int(array.min()) < 0:
+        raise ValueError(f"count must be >= 0, got {int(array.min())}")
+    return array
+
+
+def _count_array(counts) -> np.ndarray:
+    """Counts as int64: numpy's own conversion when every entry is an
+    ``int`` in range, else the point rule entry by entry (numpy reads
+    ``True`` as 1, ``"2"`` as 2 and ``[2**63, 1]`` as floats)."""
+    if isinstance(counts, np.ndarray):
+        counts = counts.tolist()
+    if set(map(type, counts)) <= {int}:
+        try:
+            return np.asarray(counts, dtype=np.int64)
+        except OverflowError:
+            pass                 # an int past int64: the point rule names it
+    return np.asarray([check_count(c) for c in counts], dtype=np.int64)
+
+
+def prepare_batch(keys, counts) -> tuple:
+    """Normalise a key/count batch for the bulk kernels.
+
+    Returns ``(keys, counts)``: *keys* a list, tuple or array, *counts*
+    the :func:`check_counts` array, and zero-count entries dropped from
+    both (the scalar path skips them before the method sees them — for
+    RM a zero insert must not touch the secondary).
+    """
+    if not isinstance(keys, (list, tuple, np.ndarray)):
+        keys = list(keys)
+    counts = check_counts(counts, len(keys))
+    if counts.size and int(counts.min()) == 0:
+        keep = counts > 0
+        counts = counts[keep]
+        if isinstance(keys, np.ndarray):
+            keys = keys[keep]
+        else:
+            keys = [key for key, flag in zip(keys, keep.tolist()) if flag]
+    return keys, counts
 
 
 class SpectralBloomFilter:
@@ -133,9 +211,8 @@ class SpectralBloomFilter:
         return min([get(i) for i in self.family.indices(key)])
 
     def insert(self, key: object, count: int = 1) -> None:
-        """Record *count* occurrences of *key*."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        """Record *count* occurrences of *key* (:func:`check_count`)."""
+        count = check_count(count)
         if count == 0:
             return
         self.method.insert(key, count)
@@ -147,26 +224,27 @@ class SpectralBloomFilter:
         All-or-nothing: a delete :meth:`check_delete` refuses raises
         before any counter moves.
         """
-        self.check_delete(key, count)
+        count = self.check_delete(key, count)
         if count == 0:
             return
         self.method.delete(key, count)
         self.total_count -= count
 
-    def check_delete(self, key: object, count: int = 1) -> None:
-        """The delete-underflow guard: raise ``ValueError`` if deleting
-        *count* of *key* would drive a counter negative.
+    def check_delete(self, key: object, count: int = 1) -> int:
+        """The delete guard: the count rule, then ``ValueError`` if
+        deleting *count* of *key* would drive a counter negative.
 
-        Read-only, so a durable handle runs it before logging.  Minimal
-        Increase deletes clamp at zero (§3.2) and are never refused.
+        Read-only (returns the checked count), so a durable handle runs
+        it before logging.  Minimal Increase deletes clamp at zero (§3.2)
+        and are never refused for underflow.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        count = check_count(count)
         if count and self.method.name != "mi" and kernels.underflows(
                 self.counters, self.indices(key), count):
             raise ValueError(
                 f"deleting {count} of {key!r} would drive a counter "
                 f"negative (estimate {self.min_counter(key)})")
+        return count
 
     def set(self, key: object, count: int) -> None:
         """Force ``f_key := count``.
@@ -175,13 +253,22 @@ class SpectralBloomFilter:
         WAL replay performs this same reduction, so recovered state
         matches served state.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        count = check_count(count)
         current = self.query(key)
         if count > current:
             self.insert(key, count - current)
         elif count < current:
             self.delete(key, current - count)
+
+    def check_set(self, key: object, count: int) -> int:
+        """The guard of :meth:`set`: the count rule, then the delete guard
+        for the reduction's delta.  Read-only, like :meth:`check_delete`;
+        returns the checked count."""
+        count = check_count(count)
+        current = self.query(key)
+        if count < current:
+            self.check_delete(key, current - count)
+        return count
 
     def update(self, items: Mapping[object, int] | Iterable) -> None:
         """Bulk insert: a ``{key: count}`` mapping or an iterable of keys.
@@ -199,45 +286,6 @@ class SpectralBloomFilter:
     # ------------------------------------------------------------------
     # bulk operations
     # ------------------------------------------------------------------
-    def _prepare_batch(self, keys, counts):
-        """Normalise a key/count batch: counts array, zero filtering.
-
-        Returns ``(keys, counts, n)`` with ``counts`` an int64 array and
-        zero-count entries dropped (the scalar path skips them before the
-        method sees them — for RM a zero insert must not touch the
-        secondary).  Raises on negative counts, like the scalar path.
-        """
-        if isinstance(keys, np.ndarray):
-            n = int(keys.shape[0])
-        else:
-            if not isinstance(keys, (list, tuple)):
-                keys = list(keys)
-            n = len(keys)
-        if counts is None:
-            counts = np.ones(n, dtype=np.int64)
-        elif isinstance(counts, int):
-            if counts < 0:
-                raise ValueError(f"count must be >= 0, got {counts}")
-            counts = np.full(n, counts, dtype=np.int64)
-        else:
-            counts = np.asarray(counts, dtype=np.int64)
-            if counts.shape != (n,):
-                raise ValueError(
-                    f"expected {n} counts, got shape {counts.shape}")
-            if counts.size and int(counts.min()) < 0:
-                raise ValueError(
-                    f"count must be >= 0, got {int(counts.min())}")
-        if counts.size and int(counts.min()) == 0:
-            keep = counts > 0
-            counts = counts[keep]
-            if isinstance(keys, np.ndarray):
-                keys = keys[keep]
-            else:
-                keys = [key for key, flag in zip(keys, keep.tolist())
-                        if flag]
-            n = int(counts.size)
-        return keys, counts, n
-
     def insert_many(self, keys, counts=None) -> None:
         """Record a whole batch: ``counts[j]`` occurrences of ``keys[j]``.
 
@@ -250,11 +298,11 @@ class SpectralBloomFilter:
             keys: a sequence (or numpy array) of keys.
             counts: per-key multiplicities — ``None`` (one each), a single
                 int applied to every key, or a sequence aligned with
-                *keys*.  Zero counts are skipped; negatives raise.
+                *keys* (:func:`check_counts`).  Zero counts are skipped.
         """
         from repro.hashing.vectorized import canonicalize_many, matrix_for
-        keys, counts, n = self._prepare_batch(keys, counts)
-        if n == 0:
+        keys, counts = prepare_batch(keys, counts)
+        if not counts.size:
             return
         canon = canonicalize_many(keys)
         matrix = matrix_for(self.family, canon)
@@ -269,8 +317,8 @@ class SpectralBloomFilter:
         refuses raises before any counter moves.
         """
         from repro.hashing.vectorized import canonicalize_many, matrix_for
-        keys, counts, n = self._prepare_batch(keys, counts)
-        if n == 0:
+        keys, counts = prepare_batch(keys, counts)
+        if not counts.size:
             return
         canon = canonicalize_many(keys)
         matrix = matrix_for(self.family, canon)
@@ -287,8 +335,8 @@ class SpectralBloomFilter:
         counter exceeds its current value — the one check, made up front.
         """
         from repro.hashing.vectorized import canonicalize_many, matrix_for
-        keys, counts, n = self._prepare_batch(keys, counts)
-        if n:
+        keys, counts = prepare_batch(keys, counts)
+        if counts.size:
             self._check_underflow(
                 matrix_for(self.family, canonicalize_many(keys)), counts)
 

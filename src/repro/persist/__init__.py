@@ -46,7 +46,6 @@ from repro.persist.wal import (
     OP_INSERT_MANY,
     OP_SET,
     ScanResult,
-    WALError,
     WALRecord,
     WriteAheadLog,
     replay,
@@ -74,7 +73,6 @@ __all__ = [
     "OP_DELETE_MANY",
     "OP_SET",
     "ScanResult",
-    "WALError",
     "WALRecord",
     "WriteAheadLog",
     "replay",

@@ -6,7 +6,9 @@ acknowledged mutation survives a process crash:
 - mutations are logged to the WAL *before* they touch the in-memory
   filter (write-ahead: a logged-but-unapplied operation is redone by
   replay; the reverse order could acknowledge an operation that no
-  recovery can reconstruct);
+  recovery can reconstruct), and only once the core's own check for the
+  verb has accepted them (the count rule, the delete and set guards), so
+  the log never holds a record that replay would refuse;
 - :meth:`checkpoint` forces the log down, writes an atomic snapshot
   carrying the last logged sequence number, then resets the log —
   recovery loads the snapshot and replays only newer records, so a crash
@@ -31,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.sbf import SpectralBloomFilter
+from repro.core.sbf import SpectralBloomFilter, check_count, check_counts
 from repro.handle import BulkResult, ShardHandle
 from repro.persist.crashsim import FileIO
 from repro.persist.recovery import WAL_NAME, RecoveryReport, recover
@@ -100,11 +102,10 @@ class DurableSBF(ShardHandle):
                 f"was given to create one")
         return cls(factory(), directory, fsync=fsync, io=io, retain=retain)
 
-    # -- mutations (write-ahead) ----------------------------------------
+    # -- mutations (write-ahead; the core's check runs before logging) ---
     def insert(self, key: object, count: int = 1) -> int:
         """Durably record *count* occurrences of *key*; returns the WAL seq."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        count = check_count(count)
         if count == 0:
             return self.wal.last_seq
         seq = self.wal.log_insert(key, count)
@@ -112,12 +113,8 @@ class DurableSBF(ShardHandle):
         return seq
 
     def delete(self, key: object, count: int = 1) -> int:
-        """Durably remove *count* occurrences of *key*; returns the WAL seq.
-
-        The core underflow guard runs *before* logging, so a refused
-        delete never poisons the log with a record replay cannot apply.
-        """
-        self.sbf.check_delete(key, count)
+        """Durably remove *count* occurrences of *key*; returns the WAL seq."""
+        count = self.sbf.check_delete(key, count)
         if count == 0:
             return self.wal.last_seq
         seq = self.wal.log_delete(key, count)
@@ -130,28 +127,12 @@ class DurableSBF(ShardHandle):
         Logged as a ``set`` record and applied by the core reduction that
         replay also uses, so recovered state matches served state.
         """
+        count = self.sbf.check_set(key, count)
         seq = self.wal.log_set(key, count)
         self.sbf.set(key, count)
         return seq
 
     # -- bulk mutations (one WAL record per batch) -----------------------
-    @staticmethod
-    def _as_lists(keys, counts) -> tuple[list, list]:
-        """Normalise a batch to plain lists the WAL can round-trip."""
-        if isinstance(keys, np.ndarray):
-            keys = keys.tolist()
-        else:
-            keys = list(keys)
-        if counts is None:
-            counts = [1] * len(keys)
-        elif isinstance(counts, (int, np.integer)):
-            counts = [int(counts)] * len(keys)
-        elif isinstance(counts, np.ndarray):
-            counts = counts.tolist()
-        else:
-            counts = list(counts)
-        return keys, counts
-
     def insert_many(self, keys: Sequence, counts=None, *,
                     timeout: float | None = None) -> BulkResult:
         """Durably record a whole batch.
@@ -159,23 +140,25 @@ class DurableSBF(ShardHandle):
         The batch is logged as a single ``insert_many`` record — one
         append, one CRC, one fsync — *before* the in-memory filter moves
         (write-ahead), then applied through the vectorised bulk kernels.
-        Key and count validation happens in the log layer, so an invalid
+        The count rule and the log's key check run first, so an invalid
         batch raises before either the log or the filter changes.
         """
-        keys, counts = self._as_lists(keys, counts)
+        keys = keys.tolist() if isinstance(keys, np.ndarray) else list(keys)
+        counts = check_counts(counts, len(keys))
         if keys:
-            self.wal.log_insert_many(keys, counts)
+            self.wal.log_insert_many(keys, counts.tolist())
             self.sbf.insert_many(keys, counts)
         return BulkResult(len(keys))
 
     def delete_many(self, keys: Sequence, counts=None, *,
                     timeout: float | None = None) -> BulkResult:
         """Durably remove a whole batch, all-or-nothing: the core bulk
-        underflow guard runs before logging."""
-        keys, counts = self._as_lists(keys, counts)
+        delete guard runs before logging."""
+        keys = keys.tolist() if isinstance(keys, np.ndarray) else list(keys)
+        counts = check_counts(counts, len(keys))
         if keys:
             self.sbf.check_delete_many(keys, counts)
-            self.wal.log_delete_many(keys, counts)
+            self.wal.log_delete_many(keys, counts.tolist())
             self.sbf.delete_many(keys, counts)
         return BulkResult(len(keys))
 

@@ -48,7 +48,10 @@ promise at one fsync per group.
 Bodies are JSON, so logged keys must be JSON scalars (``str``/``int``/
 ``float``/``bool``/``None``) — the natural key types of a serving system;
 :meth:`log_insert` rejects anything else up front rather than letting a
-non-round-tripping key poison replay.
+non-round-tripping key poison replay.  Counts are not checked here: the
+log's writers (:class:`~repro.persist.DurableSBF`, the hint queue) log
+only what the core's count rule (:func:`~repro.core.sbf.check_count`)
+and the verb's own guard have already accepted.
 """
 
 from __future__ import annotations
@@ -93,10 +96,6 @@ SCALAR_KEY_TYPES = (str, int, float, bool, type(None))
 
 #: the C scanner :func:`json.loads` runs underneath its wrappers
 _scan_json = json.JSONDecoder().scan_once
-
-
-class WALError(ValueError):
-    """A write-ahead log file is structurally unusable (not merely torn)."""
 
 
 class WALRecord(NamedTuple):
@@ -264,18 +263,13 @@ class WriteAheadLog:
             ``"checkpoint"`` — see the module docstring for the trade-off.
         io: filesystem layer (a :class:`~repro.persist.crashsim.CrashIO`
             under test).
-        next_seq: first sequence number to assign; defaults to one past
-            whatever the existing file ends with.  Pass a value after an
-            external recovery decided the true horizon (e.g. a snapshot
-            newer than the log).
         scan: the :func:`replay` result of this file as it stands (a
             reader that just scanned it, such as recovery), so the file
             is not read a second time; by default the log scans it.
     """
 
     def __init__(self, path: str, *, fsync: object = "always",
-                 io: FileIO | None = None, next_seq: int | None = None,
-                 scan: ScanResult | None = None):
+                 io: FileIO | None = None, scan: ScanResult | None = None):
         self.path = str(path)
         self.io = io or FileIO()
         self._policy_every = self._parse_policy(fsync)
@@ -291,14 +285,7 @@ class WriteAheadLog:
             _, scan = replay(self.path, io=self.io)
         if existed and self.io.file_size(self.path) > scan.good_end:
             self.io.truncate(self.path, scan.good_end)
-        seq = scan.last_seq + 1
-        if next_seq is not None:
-            if next_seq <= scan.last_seq:
-                raise WALError(
-                    f"next_seq {next_seq} would reuse sequence numbers "
-                    f"(log already ends at {scan.last_seq})")
-            seq = next_seq
-        self.next_seq = seq
+        self.next_seq = scan.last_seq + 1
         self._file = self.io.open(self.path, "ab")
         if not existed:
             # A freshly created file is only durable once its directory
@@ -320,14 +307,12 @@ class WriteAheadLog:
             f"fsync policy must be 'always', 'checkpoint', or a positive "
             f"int, got {fsync!r}")
 
-    # -- appending -------------------------------------------------------
+    # -- appending (counts arrive checked by the core's count rule) -------
     def _append(self, op: int, key: object, count: int) -> int:
         if not isinstance(key, SCALAR_KEY_TYPES):
             raise TypeError(
                 f"WAL keys must be JSON scalars (str/int/float/bool/None), "
                 f"got {type(key).__name__}")
-        if not isinstance(count, int) or isinstance(count, bool):
-            raise TypeError(f"count must be an int, got {count!r}")
         return self._write(op, key, count)
 
     def _write(self, op: int, key: object, count) -> int:
@@ -356,24 +341,14 @@ class WriteAheadLog:
 
     def log_set(self, key: object, count: int) -> int:
         """Append a set-frequency record (``f_key := count``)."""
-        if count < 0:
-            raise ValueError(f"set count must be >= 0, got {count}")
         return self._append(OP_SET, key, count)
 
     def _append_bulk(self, op: int, keys: list, counts: list) -> int:
-        if len(keys) != len(counts):
-            raise ValueError(
-                f"got {len(keys)} keys but {len(counts)} counts")
         for key in keys:
             if not isinstance(key, SCALAR_KEY_TYPES):
                 raise TypeError(
                     f"WAL keys must be JSON scalars (str/int/float/bool/"
                     f"None), got {type(key).__name__}")
-        for count in counts:
-            if not isinstance(count, int) or isinstance(count, bool) \
-                    or count < 0:
-                raise ValueError(
-                    f"bulk counts must be ints >= 0, got {count!r}")
         return self._write(op, keys, counts)
 
     def log_insert_many(self, keys: list, counts: list) -> int:

@@ -43,6 +43,7 @@ from collections import deque
 from concurrent.futures import Future
 from typing import Callable, Sequence
 
+from repro.core.sbf import COUNT_ERRORS, check_count, check_threshold
 from repro.handle import POINT_VERBS
 from repro.serve.batch import ShardBatcher
 from repro.serve.metrics import MetricsRegistry
@@ -162,9 +163,11 @@ class ServingEngine:
 
         Raises:
             ValueError: the op is malformed — *verb* is not one of
-                :data:`~repro.handle.POINT_VERBS`, or more than one
-                argument follows *key*.  Refused before it is queued or
-                counted, as a remote shard refuses it on the wire.
+                :data:`~repro.handle.POINT_VERBS`, more than one argument
+                follows *key*, or the count or threshold breaks the
+                core's count rule (:func:`~repro.core.sbf.check_count`).
+                Refused before it is queued or counted, as a remote
+                shard refuses it on the wire.
             Overloaded: refused by the admission policy (typed, carries
                 depth/limit so clients can back off informedly).
             RuntimeError: the engine is closed.
@@ -174,6 +177,13 @@ class ServingEngine:
             raise ValueError(
                 f"submit takes (verb, key[, count_or_threshold]) with a "
                 f"verb of {sorted(POINT_VERBS)}, got {(verb, key, *args)!r}")
+        if args and verb != "query":
+            try:
+                args = ((check_threshold if verb == "contains"
+                         else check_count)(args[0]),)
+            except COUNT_ERRORS as exc:
+                raise ValueError(
+                    f"{exc} in {(verb, key, *args)!r}") from exc
         if timeout is not None:
             if deadline is not None:
                 raise ValueError("pass timeout or deadline, not both")

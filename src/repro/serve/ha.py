@@ -70,7 +70,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.sbf import SpectralBloomFilter
+from repro.core.sbf import SpectralBloomFilter, check_count, check_counts
 from repro.db.transport import DeliveryFailed
 from repro.handle import BulkFailure, BulkResult, ShardHandle
 from repro.hashing.families import make_family
@@ -80,6 +80,7 @@ from repro.persist.wal import (
     BULK_OPS,
     OP_DELETE_MANY,
     OP_NAMES,
+    ScanResult,
     WriteAheadLog,
     replay,
 )
@@ -233,7 +234,8 @@ class HintLog:
         Truncate-in-place (the old implementation) had a window where a
         crash lost pending hints outright; the crash tests in
         ``tests/test_ha.py`` sweep every kill point to prove this one
-        does not.
+        does not.  The reopened appender continues from what the
+        replacement wrote, so a drain never reads the queue back.
         """
         tmp = self._path + ".new"
         if self._io.exists(tmp):
@@ -244,9 +246,12 @@ class HintLog:
                 getattr(replacement, f"log_{verb}")(key, count)
         finally:
             replacement.close()
+        scan = ScanResult(last_seq=replacement.last_seq,
+                          records=replacement.appends,
+                          good_end=self._io.file_size(tmp), reason=None)
         self._wal.close()
         self._io.replace(tmp, self._path)
-        self._wal = WriteAheadLog(self._path, io=self._io)
+        self._wal = WriteAheadLog(self._path, io=self._io, scan=scan)
 
     def close(self) -> None:
         if self._wal is not None:
@@ -518,6 +523,7 @@ class ReplicaSet(ShardHandle):
         self._write("set", key, count)
 
     def _write(self, verb: str, key: object, count: int) -> None:
+        count = check_count(count)      # refused alike whoever is up
         op_deadline = current_deadline()
         clock = self.metrics.clock
         applied = 0
@@ -746,11 +752,7 @@ class ReplicaSet(ShardHandle):
     def _bulk_write(self, verb: str, keys: Sequence[object],
                     counts: Sequence[int] | None) -> BulkResult:
         keys = list(keys)
-        counts = [1] * len(keys) if counts is None \
-            else [int(c) for c in counts]
-        if len(counts) != len(keys):
-            raise ValueError(f"got {len(keys)} keys but {len(counts)} "
-                             f"counts")
+        counts = check_counts(counts, len(keys)).tolist()
         op_deadline = current_deadline()
         clock = self.metrics.clock
         if op_deadline is not None:

@@ -37,18 +37,22 @@ Worker state and crash recovery:
   the worker's primary counter array is a ``uint64`` view over a
   :class:`multiprocessing.shared_memory.SharedMemory` segment owned by
   the parent, with the filter's ``total_count`` mirrored into the
-  segment header after every request (uint64 counters never widen, so
-  the view stays valid for the worker's lifetime).  A killed worker
-  loses *nothing*: the replacement attaches the same segment and resumes
-  from the exact counters the dead worker last acknowledged;
+  segment header after every request, before its response is sent
+  (uint64 counters never widen, so the view stays valid for the
+  worker's lifetime).  A killed worker loses *nothing*: the replacement
+  attaches the same segment and resumes from the exact counters the
+  dead worker last acknowledged;
 - **snapshot fallback** (any other method/backend — e.g. Recurring
   Minimum, whose secondary filter and marker bits cannot live in one
   flat segment): the parent keeps the latest
   :func:`~repro.core.serialize.dump_sbf` frame (a ``checkpoint``
-  request's answer), refreshed after every acknowledged mutation while
+  request's answer), refreshed after every mutation while
   :attr:`ProcessShardPool.auto_snapshot` is on (the default), and passes
   it in the replacement worker's spawn spec, which builds its filter
-  from it.
+  from it.  A mutation is acknowledged only once that refresh lands: a
+  worker that dies between answering and the refresh fails the
+  mutation with a retryable ``DeliveryFailed``, since its respawn
+  restores the state before it.
 
 Either way an operation in flight when the worker dies surfaces as a
 typed, *retryable* :class:`~repro.db.transport.DeliveryFailed` — never a
@@ -137,10 +141,11 @@ def _worker_main(conn, spec: dict) -> None:
         server = ShardServer(_build_filter(spec, shm))
         conn.send_bytes(seal_frame(RESPONSE_MAGIC, {"ok": True}))
         for frame in iter(conn.recv_bytes, b""):
-            conn.send_bytes(server.handle_frame(frame))
+            response = server.handle_frame(frame)
             if shm is not None:
                 shm.buf[:_SHM_HEADER] = struct.pack(
                     "<q", server.handle.total_count)
+            conn.send_bytes(response)
     except (KeyboardInterrupt, EOFError, OSError):
         pass  # parent teardown — nobody left to report to
     finally:
@@ -429,14 +434,11 @@ class ProcessShardPool:
 
     # -- snapshots ---------------------------------------------------------
     def _note_mutation(self, index: int) -> None:
+        """Refresh the snapshot a respawn restores.  A failed pull raises
+        its retryable :class:`DeliveryFailed`: the mutation the snapshot
+        lacks must not be acknowledged (see the module docstring)."""
         if self._workers[index].shm is None and self.auto_snapshot:
-            try:
-                self.snapshot_shard(index)
-            except DeliveryFailed:
-                # The mutation itself was acknowledged; a worker dying
-                # right after is the next operation's problem (metrics
-                # already count the failure).
-                pass
+            self.snapshot_shard(index)
 
     def snapshot_shard(self, index: int) -> None:
         """Pull a fresh state snapshot from worker *index* (no-op for
@@ -490,8 +492,7 @@ class ProcessShardPool:
         frames = {}
         for owner, idxs in groups.items():
             fields, payload = _bulk_request(
-                [keys[i] for i in idxs],
-                None if is_query else [counts[i] for i in idxs])
+                [keys[i] for i in idxs], None if is_query else counts[idxs])
             frames[owner] = seal_frame(REQUEST_MAGIC, {"op": op, **fields},
                                        payload)
         # Phase 1: one frame per owner shard, written to every worker
@@ -546,8 +547,12 @@ class ProcessShardPool:
                 continue
             if is_query:
                 values[idxs] = np.frombuffer(result, dtype="<i8")
-            else:
+                continue
+            try:
                 self._note_mutation(owner)
+            except DeliveryFailed as exc:
+                failures.extend(BulkFailure(i, keys[i], exc, True)
+                                for i in idxs)
         failures.sort(key=lambda f: f.index)
         return BulkResult(len(keys), values, failures)
 

@@ -47,6 +47,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.sbf import (COUNT_ERRORS, check_count, check_counts,
+                             check_threshold)
 from repro.core.serialize import WireFormatError, open_frame, seal_frame
 from repro.db.site import Network
 from repro.db.transport import DeliveryFailed, ReliableChannel
@@ -109,12 +111,14 @@ def _remote_error(server_name: str, kind: object, error: object,
     return RemoteShardError(f"{server_name}: {kind}: {error}")
 
 
-def _op_entry(op) -> list:
+def _op_entry(op, *, wire: bool = False) -> list:
     """One point op as an ``execute`` wire entry ``[verb, key, arg?]``.
 
-    Validates the op the way the server must treat outside input: a point
-    verb, a JSON-scalar key, an int argument, and a count for ``set``
-    (a query's argument is dropped — the verb ignores it).
+    Validates the op: a point verb, a JSON-scalar key, a count for
+    ``set``, and an argument the core's count rule accepts (a query's
+    argument is dropped — the verb ignores it).  A bad argument raises
+    the rule's own exception on a client, and on a server checking a
+    request (*wire*) a ``WireFormatError`` that refuses the whole frame.
 
     Raises:
         TypeError: the key is not a JSON scalar.
@@ -134,24 +138,23 @@ def _op_entry(op) -> list:
         if verb == "set":
             raise WireFormatError(f"set op needs a count: {op!r}")
         return [verb, key]
-    if not isinstance(op[2], int) or isinstance(op[2], bool):
-        raise WireFormatError(f"count must be an integer, got {op[2]!r}")
-    return [verb, key, op[2]]
+    try:
+        arg = (check_threshold if verb == "contains" else check_count)(op[2])
+    except COUNT_ERRORS as exc:
+        if wire:
+            raise WireFormatError(f"{exc} in {op!r}") from exc
+        raise
+    return [verb, key, arg]
 
 
 def _bulk_batch(keys: Sequence[object], counts: Sequence[int] | None,
-                ) -> tuple[list, list[int], list[int], list[BulkFailure]]:
-    """Normalise a client's key batch: one int count per key (1 each by
-    default), a key that is not a JSON scalar failing its own slot
-    non-retryably.  Returns ``(keys, counts, sendable indices, failures)``."""
+                ) -> tuple[list, np.ndarray, list[int], list[BulkFailure]]:
+    """Normalise a client's key batch: the core's count array (1 each by
+    default; a batch the count rule refuses raises), a key that is not a
+    JSON scalar failing its own slot non-retryably.  Returns ``(keys,
+    counts, sendable indices, failures)``."""
     keys = list(keys)
-    if counts is None:
-        counts = [1] * len(keys)
-    else:
-        counts = [int(c) for c in counts]
-        if len(counts) != len(keys):
-            raise ValueError(f"got {len(keys)} keys but "
-                             f"{len(counts)} counts")
+    counts = check_counts(counts, len(keys))
     valid: list[int] = []
     failures: list[BulkFailure] = []
     for idx, key in enumerate(keys):
@@ -165,19 +168,21 @@ def _bulk_batch(keys: Sequence[object], counts: Sequence[int] | None,
     return keys, counts, valid, failures
 
 
-def _bulk_request(keys: list, counts: list | None) -> tuple[dict, bytes]:
+def _bulk_request(keys: list, counts: np.ndarray | None,
+                  ) -> tuple[dict, bytes]:
     """The header fields and payload of one bulk request: the binary
     int64 form when every key is an ``int`` in int64 range, JSON lists
-    otherwise (*counts* is ``None`` for ``query_many``)."""
+    otherwise (*counts*, checked int64 counts, is ``None`` for
+    ``query_many``)."""
     if keys and all(type(k) is int and _INT64_MIN <= k <= _INT64_MAX
                     for k in keys):
         payload = np.asarray(keys, dtype="<i8").tobytes()
         if counts is not None:
-            payload += np.asarray(counts, dtype="<i8").tobytes()
+            payload += counts.astype("<i8").tobytes()
         return {"bin": len(keys)}, payload
     if counts is None:
         return {"keys": keys}, b""
-    return {"keys": keys, "counts": counts}, b""
+    return {"keys": keys, "counts": counts.tolist()}, b""
 
 
 def _answer(server_name: str, frame: bytes):
@@ -272,11 +277,6 @@ class ShardServer:
                     raise WireFormatError(
                         f"remote-shard keys must be JSON scalars, got "
                         f"{type(key).__name__}")
-            bad_counts = (not isinstance(counts, list)
-                          or len(counts) != len(keys)
-                          or any(not isinstance(c, int)
-                                 or isinstance(c, bool) or c < 0
-                                 for c in counts))
         else:
             if not isinstance(n, int) or isinstance(n, bool) or n < 0:
                 raise WireFormatError(f"bin must be a count >= 0, got "
@@ -288,15 +288,19 @@ class ShardServer:
                     f"expected {expect} for {n} key(s)")
             keys = np.frombuffer(payload[:8 * n], dtype="<i8")
             counts = np.frombuffer(payload[8 * n:], dtype="<i8")
-            bad_counts = bool(counts.size) and int(counts.min()) < 0
         handle = self.handle
         if op == "query_many":
             values = handle.query_many(keys).raise_first().values
             return values.astype("<i8").tobytes()
-        if bad_counts:
+        if not isinstance(counts, (list, np.ndarray)):
+            raise WireFormatError(f"bulk op {op!r} needs a count list, "
+                                  f"got {type(counts).__name__}")
+        try:
+            counts = check_counts(counts, len(keys))
+        except COUNT_ERRORS as exc:
             raise WireFormatError(
                 f"bulk op {op!r} needs counts (ints >= 0) matching its "
-                f"{len(keys)} key(s)")
+                f"{len(keys)} key(s): {exc}") from exc
         getattr(handle, op)(keys, counts).raise_first()
         return len(keys)
 
@@ -307,7 +311,7 @@ class ShardServer:
         if not isinstance(entries, list):
             raise WireFormatError(f"execute needs an op list, got "
                                   f"{type(entries).__name__}")
-        ops = [tuple(_op_entry(entry)) for entry in entries]
+        ops = [tuple(_op_entry(entry, wire=True)) for entry in entries]
         return [[type(out).__name__, str(out)]
                 if isinstance(out, Exception) else out
                 for out in self.handle.execute(ops)]
@@ -485,7 +489,7 @@ class RemoteShard(ShardHandle):
         for idx, op in enumerate(ops):
             try:
                 entries[idx] = _op_entry(op)
-            except (TypeError, ValueError) as exc:
+            except COUNT_ERRORS as exc:
                 results[idx] = exc
         pending = list(entries)
         for lo in range(0, len(pending), self.bulk_chunk):
@@ -554,7 +558,7 @@ class RemoteShard(ShardHandle):
             try:
                 fields, payload = _bulk_request(
                     [keys[i] for i in chunk],
-                    None if is_query else [counts[i] for i in chunk])
+                    None if is_query else counts[chunk])
                 result = self._call(op, payload, **fields)
             except Exception as exc:
                 retryable = _retryable(exc)

@@ -77,7 +77,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.sbf import SpectralBloomFilter
+from repro.core.sbf import SpectralBloomFilter, check_count, prepare_batch
 from repro.core.serialize import (
     WireFormatError,
     dump_sbf,
@@ -502,8 +502,7 @@ class SpectralBloofiTree:
     # ------------------------------------------------------------------
     def insert(self, tenant: object, key: object, count: int = 1) -> None:
         """Record *count* occurrences of *key* for *tenant*."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        count = check_count(count)
         if count == 0:
             return
         with self._lock:
@@ -519,8 +518,7 @@ class SpectralBloofiTree:
         when the leaf's counters could not absorb the decrement — every
         handle's delete is all-or-nothing.
         """
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        count = check_count(count)
         if count == 0:
             return
         with self._lock:
@@ -531,8 +529,7 @@ class SpectralBloofiTree:
 
     def set_count(self, tenant: object, key: object, count: int) -> None:
         """Drive *tenant*'s estimate for *key* to exactly *count*."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
+        count = check_count(count)
         with self._lock:
             current = self.query_tenant(tenant, key)
             if count > current:
@@ -572,7 +569,7 @@ class SpectralBloofiTree:
     def _bulk(self, tenant: object, keys, counts, sign: int) -> BulkResult:
         with self._lock:
             leaf = self._leaf(tenant)
-            keys, counts = _normalise_batch(keys, counts)
+            keys, counts = prepare_batch(keys, counts)
             verb = leaf.view.insert_many if sign > 0 \
                 else leaf.view.delete_many
             outcome = verb(keys, counts)
@@ -588,8 +585,7 @@ class SpectralBloofiTree:
         canon = canonicalize_many(keys)
         matrix = matrix_for(self.family, canon)
         flat = matrix.ravel()
-        deltas = (np.full(len(keys), sign, dtype=np.int64) if counts is None
-                  else sign * counts)
+        deltas = sign * counts
         for failure in outcome.failures:
             deltas[failure.index] = 0  # a slot that never landed
         deltas = np.repeat(deltas, self.k)
@@ -841,35 +837,6 @@ class SpectralBloofiTree:
         return (f"SpectralBloofiTree(m={self.m}, k={self.k}, "
                 f"fanout={self.fanout}, tenants={len(self._leaves)}, "
                 f"height={self._height()})")
-
-
-def _normalise_batch(keys, counts):
-    """``(keys, counts)`` with counts ``None`` (all ones) or an int64
-    array aligned with *keys*; zero-count entries dropped, negatives
-    refused — the same discipline as the core bulk path."""
-    if not isinstance(keys, (list, tuple, np.ndarray)):
-        keys = list(keys)
-    if counts is None:
-        return keys, None
-    if isinstance(counts, int):
-        if counts < 0:
-            raise ValueError(f"count must be >= 0, got {counts}")
-        counts = np.full(len(keys), counts, dtype=np.int64)
-    else:
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (len(keys),):
-            raise ValueError(f"expected {len(keys)} counts, got shape "
-                             f"{counts.shape}")
-    if counts.size and int(counts.min()) < 0:
-        raise ValueError(f"count must be >= 0, got {int(counts.min())}")
-    if counts.size and int(counts.min()) == 0:
-        keep = counts > 0
-        counts = counts[keep]
-        if isinstance(keys, np.ndarray):
-            keys = keys[keep]
-        else:
-            keys = [key for key, flag in zip(keys, keep.tolist()) if flag]
-    return keys, counts
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """One suite for the shard-handle protocol (:mod:`repro.handle`).
 
 Every handle kind runs the same seeded stream of point, bulk, ``set``
-and refused-delete operations, and every answer must equal — bit for
-bit — what one unsharded blocked :class:`SpectralBloomFilter` answers
-for the same stream.  A refused op must leave the handle's integrity
-audit clean and its ``total_count`` unchanged.  The same contract is
-then checked one level up: a router and batcher over a fleet of each
-kind answer like the one unsharded filter, at any shard count.
+and refused operations (deletes below zero, counts and thresholds the
+core's count rule refuses, numpy-integer counts it accepts), and every
+answer must equal — bit for bit — what one unsharded blocked
+:class:`SpectralBloomFilter` answers for the same stream.  A refused op
+must raise the reference's exception type, leave the handle's integrity
+audit clean (for a durable handle: its recovered log too) and its
+``total_count`` an unchanged ``int``.  The same contract is then checked
+one level up: a router and batcher over a fleet of each kind answer like
+the one unsharded filter, at any shard count.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -65,16 +69,55 @@ class Kind:
         self.respawns = respawns
 
 
+def _filter(tmp_path):
+    handle = FilterHandle(make_filter())
+    return Kind(handle, audit=handle.sbf.check_integrity, respawns=True)
+
+
 def _concurrent(tmp_path):
     handle = ConcurrentSBF(make_filter())
     return Kind(handle, audit=handle.check_integrity, respawns=True)
 
 
+def _wal_audit(durable: DurableSBF) -> list[str]:
+    """The durable log against the live handle: sync it, recover the
+    directory, and require the same counters, total and next sequence."""
+    durable.wal.sync()
+    recovered = DurableSBF.open(durable.directory, factory=make_filter)
+    try:
+        every = np.arange(M)
+        issues = []
+        if not np.array_equal(recovered.sbf.counters.get_many(every),
+                              durable.sbf.counters.get_many(every)):
+            issues.append("recovered counters differ")
+        if recovered.total_count != durable.total_count:
+            issues.append(f"recovered total {recovered.total_count} != "
+                          f"{durable.total_count}")
+        if recovered.wal.next_seq != durable.wal.next_seq:
+            issues.append(f"recovered next seq {recovered.wal.next_seq} "
+                          f"!= {durable.wal.next_seq}")
+        return issues
+    finally:
+        recovered.close()
+
+
+def _open_durable(tmp_path) -> DurableSBF:
+    return DurableSBF.open(str(tmp_path / "durable"), factory=make_filter,
+                           fsync="checkpoint")
+
+
 def _durable(tmp_path):
-    durable = DurableSBF.open(str(tmp_path / "durable"), factory=make_filter,
-                              fsync="checkpoint")
+    durable = _open_durable(tmp_path)
+    return Kind(durable, close=durable.close,
+                audit=lambda: durable.sbf.check_integrity()
+                + _wal_audit(durable))
+
+
+def _concurrent_durable(tmp_path):
+    durable = _open_durable(tmp_path)
     handle = ConcurrentSBF(durable)
-    return Kind(handle, audit=handle.check_integrity, close=durable.close)
+    return Kind(handle, close=durable.close,
+                audit=lambda: handle.check_integrity() + _wal_audit(durable))
 
 
 def _remote(tmp_path):
@@ -137,8 +180,10 @@ def _tenant(leaf):
 PROBES = [f"user:{i}" for i in range(30)] + [-1, 0, 12345]
 
 KINDS = {
+    "filter": _filter,
+    "durable": _durable,
     "concurrent": _concurrent,
-    "concurrent-durable": _durable,
+    "concurrent-durable": _concurrent_durable,
     "remote": _remote,
     "process": _process,
     "replicaset-rf3": _replica_set,
@@ -158,15 +203,68 @@ def kind(request, tmp_path):
 # ----------------------------------------------------------------------
 # the seeded stream
 # ----------------------------------------------------------------------
+#: counts and thresholds the count rule refuses: TypeError for the five
+#: that are no integer, ValueError for -1, OverflowError past int64
+MALFORMED = (1.5, True, np.bool_(True), "2", None, -1, 2 ** 63)
+
+#: every verb that takes a count or threshold, in point and bulk form
+COUNTED_VERBS = ("insert", "set", "delete", "contains", "insert_many",
+                 "delete_many")
+
+
+def _malformed_op(verb: str, value, keys: list) -> tuple:
+    """*value* as the count (or threshold) of one *verb* op; a bulk op
+    carries it in its last slot, after well-formed counts."""
+    if verb.endswith("_many"):
+        return (verb, keys[:4], [1, 1, 1, value])
+    return (verb, keys[0], value)
+
+
+def _numpy_op(step: int, keys: list, truth: dict) -> tuple:
+    """An op whose counts are numpy integers (accepted, stored as int)."""
+    key = keys[step % len(keys)]
+    batch = keys[step % 45:step % 45 + 5]
+    form = step % 6
+    if form == 0:
+        truth[key] += 2
+        return ("insert", key, np.int64(2))
+    if form == 1:
+        truth[key] = 3
+        return ("set", key, np.uint8(3))
+    if form == 2 and truth[key]:
+        truth[key] -= 1
+        return ("delete", key, np.int32(1))
+    if form == 3:
+        for k in batch:
+            truth[k] += 2
+        return ("insert_many", batch, np.int64(2))
+    if form == 4:
+        counts = np.arange(1, len(batch) + 1, dtype=np.uint16)
+        for k, c in zip(batch, counts.tolist()):
+            truth[k] += c
+        return ("insert_many", batch, counts)
+    for k in batch:
+        truth[k] += 1
+    return ("insert_many", batch, [np.int64(1)] * len(batch))
+
+
 def stream(seed: int = 11, n: int = 260) -> list[tuple]:
     """Point, bulk, set and refused ops over str and int keys; deletes
-    only remove what was inserted, except the deliberately refused ones."""
+    only remove what was inserted, except the deliberately refused ones.
+    Every fifth op is a malformed one (each :data:`MALFORMED` value under
+    each of :data:`COUNTED_VERBS`), every seventh has numpy counts."""
     rng = random.Random(seed)
     keys = [f"user:{i}" for i in range(25)] \
         + [rng.randrange(1 << 40) for _ in range(25)]
     truth = dict.fromkeys(keys, 0)
     ops: list[tuple] = []
-    for _ in range(n):
+    malformed = itertools.cycle([(verb, value) for value in MALFORMED
+                                 for verb in COUNTED_VERBS])
+    for step in range(n):
+        if step % 5 == 4:
+            ops.append(_malformed_op(*next(malformed), keys))
+        if step % 7 == 6:
+            ops.append(_numpy_op(step, keys, truth))
         r = rng.random()
         key = rng.choice(keys)
         if r < 0.25:
@@ -235,7 +333,7 @@ def _on_handle(kind: Kind, op: tuple):
         if outcome.failures:
             # Refused bulk deletes are all-or-nothing: no slot landed.
             assert outcome.applied == 0
-            raise ValueError(outcome.failures[0].error)
+            raise outcome.failures[0].error
         return outcome.tolist() if verb == "query_many" else None
     if verb == "query":
         return handle.query(kind.key(arg))
@@ -245,35 +343,40 @@ def _on_handle(kind: Kind, op: tuple):
     return None
 
 
-def _same_refusal(error: Exception, reference: ValueError) -> bool:
+#: what the reference filter raises for an op it refuses
+REFUSALS = (TypeError, ValueError, OverflowError)
+
+
+def _same_refusal(error: Exception, reference: Exception) -> bool:
     """Whether a handle refused an op as the reference did: with the
-    reference's own message (a remote handle prefixes its server's name),
-    or, for a delete, which names the key as the handle addresses it,
-    with a counter that would go negative."""
-    return isinstance(error, ValueError) and (
+    reference's exception type and its own message (a remote handle
+    prefixes its server's name), or, for a delete, which names the key
+    as the handle addresses it, with a counter that would go negative."""
+    return type(error) is type(reference) and (
         str(reference) in str(error) or "negative" in str(error))
 
 
 def test_every_kind_answers_like_one_unsharded_filter(kind):
     assert isinstance(kind.handle, ShardHandle)
     ref = make_filter()
-    refused = 0
+    refused = []
     for step, op in enumerate(stream()):
         try:
             expected = _on_reference(ref, op)
-        except ValueError as refusal:
-            # The reference refused: the handle must refuse too, and the
-            # refusal must change nothing.
+        except REFUSALS as refusal:
+            # The reference refused: the handle must refuse too, with the
+            # same exception type, and the refusal must change nothing.
             before = kind.handle.total_count
-            with pytest.raises(ValueError) as caught:
+            with pytest.raises(REFUSALS) as caught:
                 _on_handle(kind, op)
             assert _same_refusal(caught.value, refusal), (step, op)
             assert kind.handle.total_count == before == ref.total_count
             assert kind.audit() == [], (step, op)
-            refused += 1
+            refused.append(type(refusal))
             continue
         assert _on_handle(kind, op) == expected, (step, op)
-    assert refused > 10
+        assert type(kind.handle.total_count) is int, (step, op)
+    assert len(refused) > 10 and set(refused) == set(REFUSALS)
     assert kind.handle.query_many([kind.key(k) for k in PROBES]).tolist() \
         == ref.query_many(PROBES).tolist()
     assert [kind.handle.query(kind.key(k)) for k in PROBES] \
@@ -292,7 +395,7 @@ def test_execute_answers_like_point_replay(kind, chunk):
     own slot only, and refusals change nothing."""
     ref = make_filter()
     ops = [op for op in stream() if op[0] in POINT_VERBS]
-    refused = 0
+    refused = []
     for lo in range(0, len(ops), chunk):
         group = ops[lo:lo + chunk]
         outcomes = kind.handle.execute(
@@ -301,13 +404,14 @@ def test_execute_answers_like_point_replay(kind, chunk):
         for op, outcome in zip(group, outcomes):
             try:
                 expected = _on_reference(ref, op)
-            except ValueError as refusal:
+            except REFUSALS as refusal:
                 assert _same_refusal(outcome, refusal), (op, outcome)
-                refused += 1
+                refused.append(type(refusal))
                 continue
             assert outcome == expected, (op, outcome)
         assert kind.handle.total_count == ref.total_count
-    assert refused > 10
+        assert type(kind.handle.total_count) is int
+    assert len(refused) > 10 and set(refused) == set(REFUSALS)
     assert kind.audit() == []
     assert kind.handle.query_many([kind.key(k) for k in PROBES]).tolist() \
         == ref.query_many(PROBES).tolist()

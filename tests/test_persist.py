@@ -11,6 +11,7 @@ import random
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.core.sbf import SpectralBloomFilter
@@ -25,7 +26,6 @@ from repro.persist import (
     RecoveryError,
     SimulatedCrash,
     SnapshotStore,
-    WALError,
     WriteAheadLog,
     atomic_write_bytes,
     flip_bit,
@@ -118,14 +118,6 @@ class TestWAL:
             assert wal.log_insert("c") == 3
         records, _ = replay(path)
         assert [r.seq for r in records] == [1, 2, 3]
-
-    def test_next_seq_cannot_reuse(self, tmp_path):
-        path = str(tmp_path / "wal.log")
-        with WriteAheadLog(path) as wal:
-            wal.log_insert("a")
-            wal.log_insert("b")
-        with pytest.raises(WALError):
-            WriteAheadLog(path, next_seq=2)
 
     def test_torn_tail_is_detected_and_truncated_on_reopen(self, tmp_path):
         path = str(tmp_path / "wal.log")
@@ -470,6 +462,36 @@ class TestParse:
         assert io.reads.count(hint_path) == 1
         reopened_hints.close()
 
+    def test_a_drain_never_reads_the_hint_queue_back(self, tmp_path):
+        hint_path = str(tmp_path / "r.hints")
+        io = RecordingIO()
+        hints = HintLog(hint_path, io=io)
+        for i in range(40):
+            hints.append("insert", f"k{i}", 1 + i % 3)
+        hints.append_many("delete", ["k0", "k1"], [1, 1])
+        applied = []
+
+        def apply(verb, key, count):
+            if len(applied) == 25:
+                raise ConnectionError("replica went away")
+            applied.append((verb, key, count))
+
+        with pytest.raises(ConnectionError):
+            hints.drain(apply)
+        assert len(applied) == 25 and len(hints) == 17
+        assert hint_path not in io.reads
+        hints.append("set", "k5", 0)       # appends continue the sequence
+        hints.close()
+        reopened = HintLog(hint_path)
+        assert len(reopened) == 18
+        pending = []
+        reopened.drain(lambda *hint: pending.append(hint))
+        assert pending[0] == ("insert", "k25", 2) \
+            and pending[-1] == ("set", "k5", 0)
+        records, scan = replay(hint_path)
+        assert records == [] and scan.reason is None
+        reopened.close()
+
 
 #: JSON-scalar keys of every type a log carries
 REPLAY_KEYS = (["s-%d" % i for i in range(40)] + [-i for i in range(1, 30)]
@@ -603,6 +625,73 @@ class TestDurableSBF:
         sbf, report = recover(str(tmp_path), factory=factory)
         assert sbf.query("a") == 1
         assert report.records_replayed == 1
+
+    def test_refused_set_never_reaches_the_log(self, tmp_path):
+        # A set whose reduction the delete guard refuses: `key` repeats a
+        # counter position, so lowering it from 2 to 0 would drive that
+        # counter to -2.  The core's set guard runs before logging.
+        def small():
+            return SpectralBloomFilter(64, 3, method="ms", backend="array",
+                                       seed=5)
+        probe = small()
+        key = next(k for k in range(10_000)
+                   if len(set(probe.indices(k))) == 2)
+        twice = max(set(probe.indices(key)), key=probe.indices(key).count)
+        once = next(i for i in probe.indices(key) if i != twice)
+        other = next(k for k in range(10_000, 20_000)
+                     if once in probe.indices(k)
+                     and twice not in probe.indices(k))
+        handle = DurableSBF.open(str(tmp_path), factory=small)
+        handle.insert(key)
+        handle.insert(other)
+        wal = (tmp_path / "wal.log").read_bytes()
+        with pytest.raises(ValueError, match="negative"):
+            handle.set(key, 0)
+        assert (tmp_path / "wal.log").read_bytes() == wal
+        assert handle.query(key) == 2 and handle.sbf.check_integrity() == []
+        handle.close()
+        reopened = DurableSBF.open(str(tmp_path), factory=small)
+        assert reopened.query(key) == 2 and reopened.total_count == 2
+        assert reopened.last_recovery.records_replayed == 2
+        reopened.close()
+
+    @pytest.mark.parametrize("op", [
+        ("insert", "x", 2 ** 64), ("insert_many", ["a", "b"], [2 ** 63, 1]),
+        ("insert", "x", 1.5), ("set", "x", True), ("delete", "x", -1),
+        ("insert_many", ["a", "b"], [1, "2"])],
+        ids=["past-uint64", "bulk-past-int64", "float", "bool", "negative",
+             "bulk-str"])
+    def test_counts_the_core_refuses_never_reach_the_log(self, tmp_path, op):
+        def wide():
+            return SpectralBloomFilter(128, 4, seed=7, backend="numpy")
+        handle = DurableSBF.open(str(tmp_path), factory=wide)
+        handle.insert("x", 3)
+        wal = (tmp_path / "wal.log").read_bytes()
+        with pytest.raises((TypeError, ValueError, OverflowError)) as caught:
+            getattr(handle, op[0])(op[1], op[2])
+        with pytest.raises(type(caught.value)):
+            getattr(wide(), op[0])(op[1], op[2])   # the core's own refusal
+        assert (tmp_path / "wal.log").read_bytes() == wal
+        assert handle.total_count == 3
+        handle.close()
+        reopened = DurableSBF.open(str(tmp_path), factory=wide)
+        assert reopened.query("x") == 3 and reopened.total_count == 3
+        assert reopened.wal.next_seq == 2
+        reopened.close()
+
+    def test_numpy_counts_are_logged_as_ints(self, tmp_path):
+        handle = DurableSBF.open(str(tmp_path), factory=factory)
+        handle.insert("a", np.int64(3))
+        handle.set("b", np.uint8(2))
+        handle.insert_many(["c", "d"], [np.int32(1), np.int64(4)])
+        handle.delete_many(np.array(["c"]), np.uint16(1))
+        assert type(handle.total_count) is int and handle.total_count == 9
+        handle.checkpoint()                 # JSON snapshot of int counts
+        handle.close()
+        reopened = DurableSBF.open(str(tmp_path), factory=factory)
+        assert [reopened.query(k) for k in "abcd"] == [3, 2, 0, 4]
+        assert type(reopened.total_count) is int
+        reopened.close()
 
     def test_open_without_state_requires_factory(self, tmp_path):
         with pytest.raises(ValueError):

@@ -301,6 +301,79 @@ def test_snapshot_refreshes_only_after_a_mutating_frame():
         assert refreshed == [0]
 
 
+def _write_99(pool: ProcessShardPool, path: str) -> list:
+    """``insert(99, 5)`` through one of the pool's write paths; the
+    outcome of every slot the write's frame carried."""
+    if path == "point":
+        try:
+            pool.shards[0].insert(99, 5)
+        except Exception as exc:
+            return [exc]
+        return [None]
+    if path == "execute":
+        return pool.shards[0].execute([("insert", 99, 5), ("query", 1)])
+    return pool.insert_many([99], [5]).tolist()
+
+
+@pytest.mark.parametrize("path", ["point", "execute", "pipelined"])
+def test_a_write_whose_snapshot_pull_dies_fails_retryably(path):
+    # A Recurring Minimum shard's state lives in its worker, and the
+    # parent's snapshot is what a respawn restores.  A worker that dies
+    # after answering a mutation, before the parent pulls the snapshot,
+    # takes the mutation with it: the write must fail retryably rather
+    # than be acknowledged, and a retry must land exactly once.
+    with ProcessShardPool(1, M, K, seed=SEED, method="rm",
+                          backend="array") as pool:
+        pool.shards[0].insert(1, 2)
+        pull = pool.snapshot_shard
+
+        def die_first(index):
+            pool.snapshot_shard = pull
+            pool.kill_worker(index)
+            pull(index)
+
+        pool.snapshot_shard = die_first
+        outcomes = _write_99(pool, path)
+        assert outcomes and all(isinstance(o, DeliveryFailed)
+                                for o in outcomes)
+        assert pool.shards[0].query(99) == 0    # the old snapshot's count
+        assert pool.shards[0].query(1) == 2
+        assert pool.metrics.counter("engine.worker.0.restarts").value == 1
+        acked = {"point": [None], "execute": [None, 2], "pipelined": [None]}
+        assert _write_99(pool, path) == acked[path]
+        assert pool.shards[0].query(99) == 5
+        assert pool.total_count == 7
+
+
+def test_a_shared_memory_worker_that_dies_after_answering_keeps_its_total(
+        monkeypatch, tmp_path):
+    # The worker mirrors total_count into the segment header before it
+    # answers, so a worker that exits right after an answer leaves the
+    # header in step with the counters that answer acknowledged.
+    parent = os.getpid()
+    armed = tmp_path / "exit-after-next-answer"
+    send_bytes = Connection.send_bytes
+
+    def send_then_exit(conn, buf, *args):
+        send_bytes(conn, buf, *args)
+        if os.getpid() != parent and armed.exists():
+            armed.unlink()
+            os._exit(0)
+
+    monkeypatch.setattr(Connection, "send_bytes", send_then_exit)
+    with ProcessShardPool(1, M, K, seed=SEED, method="ms",
+                          backend="numpy") as pool:
+        shard = pool.shards[0]
+        shard.insert(1, 2)
+        armed.touch()
+        shard.insert(99, 5)                 # answered, then the worker exits
+        pool._workers[0].process.join(timeout=5.0)
+        assert not armed.exists()
+        assert shard.query(99) == 5 and shard.query(1) == 2
+        assert pool.metrics.counter("engine.worker.0.restarts").value == 1
+        assert pool.total_count == 7
+
+
 def test_bulk_call_that_raises_applies_nothing_and_keeps_pipes_in_step():
     # A count no int64 holds fails the second owner's frame.  Every frame
     # is built before any is sent, so nothing applies and no answer is

@@ -8,9 +8,11 @@ sleeps, no flakiness.
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.sbf import SpectralBloomFilter
+from repro.core.serialize import load_sbf
 from repro.serve import (
     DeadlineExceeded,
     MetricsRegistry,
@@ -284,6 +286,42 @@ def test_submit_refuses_malformed_ops(op):
     assert isinstance(results[1], ValueError)
     assert results[2] == 1
     assert engine.router.total_count == 1
+
+
+@pytest.mark.parametrize("arg", [1.5, True, np.bool_(True), "2", None, -1,
+                                 2 ** 63])
+@pytest.mark.parametrize("verb", ["insert", "delete", "set", "contains"])
+def test_submit_refuses_counts_the_core_refuses(verb, arg):
+    engine = ServingEngine(make_router(), max_queue=4, batch_size=8)
+    with pytest.raises(ValueError, match="count|threshold"):
+        engine.submit(verb, "a", arg)
+    assert engine.queue_depth == 0
+    assert engine.metrics.snapshot()["counters"]["engine.accepted"] == 0
+    results = run_requests(engine, [("insert", "a"), (verb, "a", arg),
+                                    ("query", "a")])
+    assert results[0] is None and results[2] == 1
+    assert isinstance(results[1], ValueError)
+    assert engine.router.total_count == 1
+
+
+def test_numpy_counts_checkpoint_and_reload_identically():
+    # Counts the core accepts as numpy integers land as ints: every
+    # shard's frame still encodes and loads with identical counters.
+    router = make_router()
+    ref = SpectralBloomFilter(M, K, seed=SEED, hash_family="blocked")
+    ops = [("insert", f"k{i}", np.int64(1 + i % 3)) for i in range(40)] \
+        + [("set", "k1", np.uint8(7)), ("delete", "k2", np.int32(1)),
+           ("contains", "k3", np.int64(2)), ("query", "k1")]
+    results = run_requests(ServingEngine(router, max_queue=64), ops)
+    for op in ops[:-2]:
+        getattr(ref, op[0])(op[1], op[2])
+    assert results[-2:] == [ref.contains("k3", 2), 7]
+    assert type(router.total_count) is int
+    assert router.total_count == ref.total_count
+    for shard, frame in zip(router.shards, router.checkpoint()):
+        loaded = load_sbf(frame)
+        assert list(loaded.counters) == list(shard.local_filter().counters)
+        assert loaded.total_count == shard.total_count
 
 
 @pytest.mark.parametrize("n_shards", [1, 4])
