@@ -18,6 +18,7 @@ from typing import Hashable
 
 from repro.core.sbf import SpectralBloomFilter
 from repro.core.serialize import dump_sbf, load_sbf, open_frame, seal_frame
+from repro.hashing.keys import check_key
 
 #: magic of the sliding-window checkpoint frame
 _MAGIC_WINDOW = b"RSW1"
@@ -96,29 +97,22 @@ class SlidingWindowSBF:
         buffered item is represented in the sketch exactly once), so both
         travel in a single checksummed frame written via the persist
         layer's write-temp → fsync → rename dance: a crash mid-checkpoint
-        leaves the previous checkpoint untouched.  Buffer items must be
-        JSON scalars, the persistence layer's key discipline — enforced
-        here with the WAL's own whitelist, because a non-scalar item
-        (e.g. a tuple) would serialize to a JSON list, restore without
-        error, and only blow up later when the window evicts it.
+        leaves the previous checkpoint untouched.  Buffer items must pass
+        the serving key rule (:func:`~repro.hashing.keys.check_key`),
+        because a non-scalar item (e.g. a tuple) would serialize to a
+        JSON list, restore without error, and only blow up later when
+        the window evicts it.
 
         Returns the checkpoint path.
 
         Raises:
-            TypeError: if any buffered item is not a JSON scalar.
+            TypeError / ValueError: a buffered item the key rule refuses.
         """
         from repro.persist.snapshot import atomic_write_bytes
-        from repro.persist.wal import SCALAR_KEY_TYPES
-        for item in self._buffer:
-            if not isinstance(item, SCALAR_KEY_TYPES):
-                raise TypeError(
-                    f"window checkpoint items must be JSON scalars "
-                    f"(str/int/float/bool/None), got "
-                    f"{type(item).__name__}: {item!r}")
         meta = {
             "window": self.window,
             "method": self.sbf.method.name,
-            "buffer": list(self._buffer),
+            "buffer": [check_key(item) for item in self._buffer],
         }
         frame = seal_frame(_MAGIC_WINDOW, meta, dump_sbf(self.sbf))
         path = f"{directory}/{CHECKPOINT_NAME}"

@@ -108,6 +108,14 @@ def _count_array(counts) -> np.ndarray:
     return np.asarray([check_count(c) for c in counts], dtype=np.int64)
 
 
+def batch_total(counts: np.ndarray) -> int:
+    """The exact sum of a :func:`check_counts` array (an int64 sum can
+    wrap)."""
+    if counts.size and int(counts.max()) >= _COUNT_END // counts.size:
+        return sum(counts.tolist())
+    return int(counts.sum())
+
+
 def prepare_batch(keys, counts) -> tuple:
     """Normalise a key/count batch for the bulk kernels.
 
@@ -212,11 +220,20 @@ class SpectralBloomFilter:
 
     def insert(self, key: object, count: int = 1) -> None:
         """Record *count* occurrences of *key* (:func:`check_count`)."""
-        count = check_count(count)
+        count = self.check_total(check_count(count))
         if count == 0:
             return
         self.method.insert(key, count)
         self.total_count += count
+
+    def check_total(self, added: int) -> int:
+        """The total guard: ``OverflowError`` if inserting *added* would
+        take ``total_count`` to 2**63.  Read-only; returns *added*."""
+        if self.total_count + added >= _COUNT_END:
+            raise OverflowError(
+                f"inserting {added} would take total_count to "
+                f"{self.total_count + added}, past int64")
+        return added
 
     def delete(self, key: object, count: int = 1) -> None:
         """Remove *count* occurrences of *key* (assumed present, §2.2).
@@ -261,13 +278,15 @@ class SpectralBloomFilter:
             self.delete(key, current - count)
 
     def check_set(self, key: object, count: int) -> int:
-        """The guard of :meth:`set`: the count rule, then the delete guard
-        for the reduction's delta.  Read-only, like :meth:`check_delete`;
-        returns the checked count."""
+        """The guard of :meth:`set`: the count rule, then the delete or
+        total guard for the reduction's delta.  Read-only, like
+        :meth:`check_delete`; returns the checked count."""
         count = check_count(count)
         current = self.query(key)
         if count < current:
             self.check_delete(key, current - count)
+        else:
+            self.check_total(count - current)
         return count
 
     def update(self, items: Mapping[object, int] | Iterable) -> None:
@@ -304,10 +323,11 @@ class SpectralBloomFilter:
         keys, counts = prepare_batch(keys, counts)
         if not counts.size:
             return
+        added = self.check_total(batch_total(counts))
         canon = canonicalize_many(keys)
         matrix = matrix_for(self.family, canon)
         self.method.insert_many(keys, counts, canon, matrix)
-        self.total_count += int(counts.sum())
+        self.total_count += added
 
     def delete_many(self, keys, counts=None) -> None:
         """Remove a batch of occurrences (each key assumed present, §2.2).
@@ -324,7 +344,7 @@ class SpectralBloomFilter:
         matrix = matrix_for(self.family, canon)
         self._check_underflow(matrix, counts)
         self.method.delete_many(keys, counts, canon, matrix)
-        self.total_count -= int(counts.sum())
+        self.total_count -= batch_total(counts)
 
     def check_delete_many(self, keys, counts=None) -> None:
         """The bulk delete-underflow guard (read-only, like

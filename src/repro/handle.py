@@ -8,8 +8,8 @@ interface, and so do the router, batcher, engine, replica sets and the
 tenant directory here.
 
 - **point verbs** — ``insert`` / ``delete`` / ``set`` / ``query`` /
-  ``contains``.  A refused op (a delete that would drive a counter
-  negative) raises and changes nothing;
+  ``contains``.  A refused op (a key or count the rules refuse, a delete
+  that would drive a counter negative) raises and changes nothing;
 - **the group verb** — :meth:`~ShardHandle.execute` runs a shard group
   of point ops in one call and returns one outcome per op: the default
   freezes the handle once and loops over the point verbs; handles with a
@@ -17,7 +17,8 @@ tenant directory here.
   wire frame per group);
 - **bulk verbs** — ``insert_many`` / ``delete_many`` / ``query_many``
   return a :class:`BulkResult`.  A bulk verb that raises applied
-  nothing; a slot that failed while others landed is named in
+  nothing (a batch holding a refused key or count is refused whole); a
+  slot that failed while others landed is named in
   :attr:`BulkResult.failures`, never raised — a caller that retried the
   whole call would re-apply the slots that landed;
 - ``total_count`` — the multiplicity ``N`` the handle holds;
@@ -49,6 +50,7 @@ import numpy as np
 
 from repro.core.sbf import SpectralBloomFilter, check_threshold
 from repro.core.serialize import dump_sbf
+from repro.hashing.keys import check_key, check_keys
 
 #: the point verbs an op tuple of :meth:`ShardHandle.execute` may name
 POINT_VERBS = frozenset({"insert", "delete", "set", "query", "contains"})
@@ -63,8 +65,8 @@ class BulkFailure:
         error: the exception instance that felled it.
         retryable: ``True`` when resubmitting the same key can succeed
             (transport gave up, a lock timed out) — the signal hinted
-            handoff keys on; ``False`` for semantic rejections (bad key
-            type, a delete below zero) that would fail identically again.
+            handoff keys on; ``False`` for semantic rejections (a refused
+            key, a delete below zero) that would fail identically again.
     """
 
     __slots__ = ("index", "key", "error", "retryable")
@@ -339,7 +341,8 @@ def _repair_block(m: int, n_blocks: int, block: int) -> np.ndarray:
 
 
 class FilterHandle(ShardHandle):
-    """The protocol over a bare in-memory filter: no locks, no log.
+    """The protocol over a bare in-memory filter: no locks, no log, the
+    key rule (:func:`~repro.hashing.keys.check_key`) before every verb.
 
     :meth:`checkpoint` returns a checksummed v2 frame of the filter — an
     in-memory handle has nowhere durable to write it.
@@ -349,30 +352,30 @@ class FilterHandle(ShardHandle):
         self.sbf = sbf
 
     def insert(self, key: object, count: int = 1) -> None:
-        self.sbf.insert(key, count)
+        self.sbf.insert(check_key(key), count)
 
     def delete(self, key: object, count: int = 1) -> None:
-        self.sbf.delete(key, count)
+        self.sbf.delete(check_key(key), count)
 
     def set(self, key: object, count: int) -> None:
-        self.sbf.set(key, count)
+        self.sbf.set(check_key(key), count)
 
     def query(self, key: object) -> int:
-        return self.sbf.query(key)
+        return self.sbf.query(check_key(key))
 
     def insert_many(self, keys: Sequence, counts=None, *,
                     timeout: float | None = None) -> BulkResult:
-        self.sbf.insert_many(keys, counts)
+        self.sbf.insert_many(check_keys(keys), counts)
         return BulkResult(len(keys))
 
     def delete_many(self, keys: Sequence, counts=None, *,
                     timeout: float | None = None) -> BulkResult:
-        self.sbf.delete_many(keys, counts)
+        self.sbf.delete_many(check_keys(keys), counts)
         return BulkResult(len(keys))
 
     def query_many(self, keys: Sequence, *,
                    timeout: float | None = None) -> BulkResult:
-        return BulkResult(len(keys), self.sbf.query_many(keys))
+        return BulkResult(len(keys), self.sbf.query_many(check_keys(keys)))
 
     @property
     def total_count(self) -> int:

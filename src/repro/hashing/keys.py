@@ -5,11 +5,16 @@ would make experiments irreproducible.  Every filter in this package first
 maps its key through :func:`canonical_key`, which is a pure function of the
 key's value: integers map through a fixed bijective mixer and everything
 else is digested with BLAKE2b.
+
+Beside it sits the serving stack's key rule (:func:`check_key`): of those
+keys, a serving handle takes the JSON scalars it can log and ship.
 """
 
 from __future__ import annotations
 
 import hashlib
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -60,3 +65,58 @@ def canonical_key(key: object) -> int:
     x ^= x >> 27
     x = (x * _MIX2) & _MASK64
     return x ^ (x >> 31)
+
+
+#: the types a serving key may have (WAL bodies and wire frames are JSON)
+JSON_SCALARS = (str, int, float, bool, type(None))
+
+#: what the key rule raises for a key it refuses
+KEY_ERRORS = (TypeError, ValueError)
+
+
+def check_key(key: object) -> object:
+    """The key rule: a serving key is a JSON scalar the hashing digests.
+
+    Returns the key (a numpy scalar as its ``.item()``: ``np.int64(5)``
+    is ``5``).  Refuses any other type with ``TypeError``, and a ``str``
+    that does not encode as UTF-8 (a lone surrogate) with ``ValueError``.
+    """
+    kind = type(key)
+    if kind is int or kind is str and key.isascii():
+        return key
+    if isinstance(key, np.generic):
+        return check_key(key.item())
+    if not isinstance(key, JSON_SCALARS):
+        raise TypeError(f"keys must be JSON scalars (str/int/float/bool/"
+                        f"None), got {kind.__name__}")
+    if isinstance(key, str):
+        try:
+            key.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(
+                f"keys must encode as UTF-8, got {key!r}") from None
+    return key
+
+
+def check_keys(keys) -> list | np.ndarray:
+    """The key rule over a batch (a list, tuple or 1-D array), refused
+    whole with its first refused key's error.  An integer batch within
+    int64 comes back as one int64 array, converted once; any other as a
+    list of :func:`check_key`'s results."""
+    if isinstance(keys, np.ndarray):
+        if keys.ndim == 1 and np.can_cast(keys.dtype, np.int64):
+            return keys.astype(np.int64, copy=False)
+        keys = keys.tolist()
+    elif not isinstance(keys, (list, tuple)):
+        raise TypeError(f"a key batch is a list, tuple or 1-D array, got "
+                        f"{type(keys).__name__}")
+    if keys and isinstance(keys[0], (int, np.integer)):
+        try:
+            array = np.asarray(keys)    # int64 when every key is integral
+            if array.dtype == np.int64:
+                return array
+        except (ValueError, OverflowError):
+            pass                        # ragged, or ints past 64 bits
+    if set(map(type, keys)) == {str} and "".join(keys).isascii():
+        return list(keys)
+    return [check_key(key) for key in keys]

@@ -6,9 +6,10 @@ acknowledged mutation survives a process crash:
 - mutations are logged to the WAL *before* they touch the in-memory
   filter (write-ahead: a logged-but-unapplied operation is redone by
   replay; the reverse order could acknowledge an operation that no
-  recovery can reconstruct), and only once the core's own check for the
-  verb has accepted them (the count rule, the delete and set guards), so
-  the log never holds a record that replay would refuse;
+  recovery can reconstruct), and only once the key rule and the core's
+  own check for the verb have accepted them (the count rule, the total,
+  delete and set guards), so the log never holds a record that replay
+  would refuse;
 - :meth:`checkpoint` forces the log down, writes an atomic snapshot
   carrying the last logged sequence number, then resets the log —
   recovery loads the snapshot and replays only newer records, so a crash
@@ -22,19 +23,19 @@ acknowledged mutation survives a process crash:
   their own record, and the fsyncs the policy owes collapse into one,
   taken before any op of the group is acknowledged.
 
-Keys must be JSON scalars (the WAL's key discipline); reads are plain
-pass-throughs.  It speaks the shard-handle protocol
-(:mod:`repro.handle`), and is the one place WAL logging happens.
+Every verb runs the key rule (:func:`~repro.hashing.keys.check_key`)
+first.  It speaks the shard-handle protocol (:mod:`repro.handle`), and
+is the one place WAL logging happens.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-import numpy as np
-
-from repro.core.sbf import SpectralBloomFilter, check_count, check_counts
+from repro.core.sbf import (SpectralBloomFilter, batch_total, check_count,
+                            check_counts)
 from repro.handle import BulkResult, ShardHandle
+from repro.hashing.keys import check_key, check_keys
 from repro.persist.crashsim import FileIO
 from repro.persist.recovery import WAL_NAME, RecoveryReport, recover
 from repro.persist.snapshot import SnapshotStore
@@ -102,10 +103,10 @@ class DurableSBF(ShardHandle):
                 f"was given to create one")
         return cls(factory(), directory, fsync=fsync, io=io, retain=retain)
 
-    # -- mutations (write-ahead; the core's check runs before logging) ---
+    # -- mutations (write-ahead; every check runs before logging) ---------
     def insert(self, key: object, count: int = 1) -> int:
         """Durably record *count* occurrences of *key*; returns the WAL seq."""
-        count = check_count(count)
+        key, count = check_key(key), self.sbf.check_total(check_count(count))
         if count == 0:
             return self.wal.last_seq
         seq = self.wal.log_insert(key, count)
@@ -114,6 +115,7 @@ class DurableSBF(ShardHandle):
 
     def delete(self, key: object, count: int = 1) -> int:
         """Durably remove *count* occurrences of *key*; returns the WAL seq."""
+        key = check_key(key)
         count = self.sbf.check_delete(key, count)
         if count == 0:
             return self.wal.last_seq
@@ -127,6 +129,7 @@ class DurableSBF(ShardHandle):
         Logged as a ``set`` record and applied by the core reduction that
         replay also uses, so recovered state matches served state.
         """
+        key = check_key(key)
         count = self.sbf.check_set(key, count)
         seq = self.wal.log_set(key, count)
         self.sbf.set(key, count)
@@ -140,13 +143,14 @@ class DurableSBF(ShardHandle):
         The batch is logged as a single ``insert_many`` record — one
         append, one CRC, one fsync — *before* the in-memory filter moves
         (write-ahead), then applied through the vectorised bulk kernels.
-        The count rule and the log's key check run first, so an invalid
-        batch raises before either the log or the filter changes.
+        The key rule, the count rule and the total guard run first, so an
+        invalid batch raises before either the log or the filter changes.
         """
-        keys = keys.tolist() if isinstance(keys, np.ndarray) else list(keys)
+        keys = check_keys(keys)
         counts = check_counts(counts, len(keys))
-        if keys:
-            self.wal.log_insert_many(keys, counts.tolist())
+        if len(keys):
+            self.sbf.check_total(batch_total(counts))
+            self.wal.log_insert_many(keys, counts)
             self.sbf.insert_many(keys, counts)
         return BulkResult(len(keys))
 
@@ -154,11 +158,11 @@ class DurableSBF(ShardHandle):
                     timeout: float | None = None) -> BulkResult:
         """Durably remove a whole batch, all-or-nothing: the core bulk
         delete guard runs before logging."""
-        keys = keys.tolist() if isinstance(keys, np.ndarray) else list(keys)
+        keys = check_keys(keys)
         counts = check_counts(counts, len(keys))
-        if keys:
+        if len(keys):
             self.sbf.check_delete_many(keys, counts)
-            self.wal.log_delete_many(keys, counts.tolist())
+            self.wal.log_delete_many(keys, counts)
             self.sbf.delete_many(keys, counts)
         return BulkResult(len(keys))
 
@@ -189,11 +193,11 @@ class DurableSBF(ShardHandle):
 
     # -- reads -----------------------------------------------------------
     def query(self, key: object) -> int:
-        return self.sbf.query(key)
+        return self.sbf.query(check_key(key))
 
     def query_many(self, keys: Sequence, *,
                    timeout: float | None = None) -> BulkResult:
-        return BulkResult(len(keys), self.sbf.query_many(keys))
+        return BulkResult(len(keys), self.sbf.query_many(check_keys(keys)))
 
     @property
     def total_count(self) -> int:

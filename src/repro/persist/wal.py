@@ -45,10 +45,9 @@ group's operations only after the block (as
 :meth:`~repro.persist.DurableSBF.execute` does) keeps the policy's
 promise at one fsync per group.
 
-Bodies are JSON, so logged keys must be JSON scalars (``str``/``int``/
-``float``/``bool``/``None``) — the natural key types of a serving system;
-:meth:`log_insert` rejects anything else up front rather than letting a
-non-round-tripping key poison replay.  Counts are not checked here: the
+Bodies are JSON, so logged keys must be JSON scalars: every append runs
+the key rule (:func:`~repro.hashing.keys.check_key`) rather than letting
+a non-round-tripping key poison replay.  Counts are not checked here: the
 log's writers (:class:`~repro.persist.DurableSBF`, the hint queue) log
 only what the core's count rule (:func:`~repro.core.sbf.check_count`)
 and the verb's own guard have already accepted.
@@ -65,6 +64,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
+from repro.hashing.keys import JSON_SCALARS, check_key, check_keys
 from repro.persist.crashsim import FileIO
 
 #: operation codes stored in WAL records
@@ -88,10 +90,6 @@ _SEQ_OP = struct.Struct("<QB")
 _CRC = struct.Struct("<I")
 #: bytes of a record that are not body: seq(8) + op(1) + crc(4)
 _OVERHEAD = _SEQ_OP.size + _CRC.size
-
-#: key types that round-trip through JSON bodies unchanged; shared with
-#: the app-layer checkpoints (e.g. the sliding window's buffer items)
-SCALAR_KEY_TYPES = (str, int, float, bool, type(None))
 
 
 #: the C scanner :func:`json.loads` runs underneath its wrappers
@@ -136,8 +134,8 @@ class ScanResult:
 
 
 def _encode(seq: int, op: int, key: object, count: int) -> bytes:
-    body = json.dumps([key, count], sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    body = json.dumps([key, count], sort_keys=True, separators=(",", ":"),
+                      default=np.ndarray.tolist).encode("utf-8")
     inner = _SEQ_OP.pack(seq, op) + body
     crc = zlib.crc32(inner) & 0xFFFFFFFF
     return _LEN.pack(len(inner) + _CRC.size) + inner + _CRC.pack(crc)
@@ -214,11 +212,11 @@ def _scan(data: bytes, after_seq: int = 0,
         if op in BULK_OPS:
             if (type(key) is not list or type(count) is not list
                     or len(key) != len(count)
-                    or any(not isinstance(k, SCALAR_KEY_TYPES) for k in key)
+                    or any(not isinstance(k, JSON_SCALARS) for k in key)
                     or any(type(c) is not int or c < 0 for c in count)):
                 reason = f"malformed bulk body at seq {seq}"
                 break
-        elif type(count) is not int or not isinstance(key, SCALAR_KEY_TYPES):
+        elif type(count) is not int or not isinstance(key, JSON_SCALARS):
             reason = f"malformed body {body!r}"
             break
         if seq > after_seq:
@@ -308,13 +306,6 @@ class WriteAheadLog:
             f"int, got {fsync!r}")
 
     # -- appending (counts arrive checked by the core's count rule) -------
-    def _append(self, op: int, key: object, count: int) -> int:
-        if not isinstance(key, SCALAR_KEY_TYPES):
-            raise TypeError(
-                f"WAL keys must be JSON scalars (str/int/float/bool/None), "
-                f"got {type(key).__name__}")
-        return self._write(op, key, count)
-
     def _write(self, op: int, key: object, count) -> int:
         """Append one validated record; fsync when the policy says so."""
         with self._lock:
@@ -333,35 +324,27 @@ class WriteAheadLog:
 
     def log_insert(self, key: object, count: int = 1) -> int:
         """Append an insert record; returns its sequence number."""
-        return self._append(OP_INSERT, key, count)
+        return self._write(OP_INSERT, check_key(key), count)
 
     def log_delete(self, key: object, count: int = 1) -> int:
         """Append a delete record; returns its sequence number."""
-        return self._append(OP_DELETE, key, count)
+        return self._write(OP_DELETE, check_key(key), count)
 
     def log_set(self, key: object, count: int) -> int:
         """Append a set-frequency record (``f_key := count``)."""
-        return self._append(OP_SET, key, count)
+        return self._write(OP_SET, check_key(key), count)
 
-    def _append_bulk(self, op: int, keys: list, counts: list) -> int:
-        for key in keys:
-            if not isinstance(key, SCALAR_KEY_TYPES):
-                raise TypeError(
-                    f"WAL keys must be JSON scalars (str/int/float/bool/"
-                    f"None), got {type(key).__name__}")
-        return self._write(op, keys, counts)
-
-    def log_insert_many(self, keys: list, counts: list) -> int:
+    def log_insert_many(self, keys, counts) -> int:
         """Append one record covering a whole insert batch.
 
         A batch is durable (or lost) as a unit: one record, one CRC, one
         fsync — the amortisation that makes bulk ingest worth logging.
         """
-        return self._append_bulk(OP_INSERT_MANY, keys, counts)
+        return self._write(OP_INSERT_MANY, check_keys(keys), counts)
 
-    def log_delete_many(self, keys: list, counts: list) -> int:
+    def log_delete_many(self, keys, counts) -> int:
         """Append one record covering a whole delete batch."""
-        return self._append_bulk(OP_DELETE_MANY, keys, counts)
+        return self._write(OP_DELETE_MANY, check_keys(keys), counts)
 
     # -- durability points -------------------------------------------------
     @contextmanager

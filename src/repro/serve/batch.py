@@ -21,9 +21,9 @@ actual counter work.  :class:`ShardBatcher` amortises them:
   bulk readers overlap;
 - **isolation of failures** — a failing operation (e.g. a delete that
   would drive a counter negative, a remote shard whose channel gave up,
-  or a key the router cannot route, which never reaches a shard) is
-  captured *in its result slot* as the exception instance; the rest of
-  the batch still executes.  Bulk verbs report per-key failures
+  or a key the key rule refuses, which the owner pass routes nowhere)
+  is captured *in its result slot* as the exception instance; the rest
+  of the batch still executes.  Bulk verbs report per-key failures
   in their :class:`~repro.handle.BulkResult`, which the batcher maps
   back onto submission-order slots.  The engine maps these onto the
   per-request futures.
@@ -48,6 +48,7 @@ from repro.persist import LockTimeout
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.remote import _retryable
 from repro.serve.resilience import DeadlineExceeded, deadline_scope
+from repro.serve.router import owner_pass
 
 
 class ShardBatcher:
@@ -117,7 +118,7 @@ class ShardBatcher:
             self._migrating_fallback.inc(len(ops))
             return results
         by_shard: dict[int, list[int]] = {}
-        owners, unroutable = self._owners([op[1] for op in ops])
+        owners, unroutable = owner_pass(self.router, [op[1] for op in ops])
         for idx, exc in unroutable.items():
             results[idx] = exc
         for idx, owner in owners:
@@ -256,28 +257,10 @@ class ShardBatcher:
         return BulkResult(len(keys), failures=failures)
 
     # -- plumbing ----------------------------------------------------------
-    def _owners(self, keys: Sequence[object]) -> tuple:
-        """``((index, owner shard) pairs, {index: routing error})``.
-
-        A key the router cannot route (say, a list) gets its error
-        instead of an owner and never reaches a shard; only a batch
-        holding one pays this per-key pass.
-        """
-        try:
-            return enumerate(self.router.shard_of_many(keys)), {}
-        except TypeError:
-            owned, unroutable = [], {}
-            for idx, key in enumerate(keys):
-                try:
-                    owned.append((idx, self.router.shard_of(key)))
-                except TypeError as exc:
-                    unroutable[idx] = exc
-            return owned, unroutable
-
     def _grouped(self, keys: Sequence[object]) -> tuple:
         """``([(shard id, shard, key indices), ...] in shard order,
         {index: routing error})``."""
-        owners, unroutable = self._owners(keys)
+        owners, unroutable = owner_pass(self.router, keys)
         by_shard: dict[int, list[int]] = {}
         for idx, owner in owners:
             by_shard.setdefault(owner, []).append(idx)

@@ -70,10 +70,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.sbf import SpectralBloomFilter, check_count, check_counts
+from repro.core.sbf import (COUNT_ERRORS, SpectralBloomFilter, check_count,
+                            check_counts)
 from repro.db.transport import DeliveryFailed
 from repro.handle import BulkFailure, BulkResult, ShardHandle
 from repro.hashing.families import make_family
+from repro.hashing.keys import check_key, check_keys
 from repro.persist import ConcurrentSBF, LockTimeout
 from repro.persist.crashsim import FileIO
 from repro.persist.wal import (
@@ -523,7 +525,7 @@ class ReplicaSet(ShardHandle):
         self._write("set", key, count)
 
     def _write(self, verb: str, key: object, count: int) -> None:
-        count = check_count(count)      # refused alike whoever is up
+        key, count = check_key(key), check_count(count)  # before fan-out
         op_deadline = current_deadline()
         clock = self.metrics.clock
         applied = 0
@@ -563,9 +565,9 @@ class ReplicaSet(ShardHandle):
                 self._note_failure(replica, exc)
                 replica.breaker.record_failure(clock() - start)
                 missed.append(replica)
-            except (ValueError, TypeError) as exc:
-                # The operation itself is invalid (bad key, delete below
-                # zero) — it would fail on every replica; never hint it.
+            except COUNT_ERRORS as exc:
+                # Invalid on every replica (a delete below zero, a total
+                # past int64): raise it, never hint it.
                 self._note_ok(replica)
                 replica.breaker.record_success(clock() - start)
                 semantic = semantic or exc
@@ -601,6 +603,7 @@ class ReplicaSet(ShardHandle):
 
     # -- the read path -----------------------------------------------------
     def query(self, key: object) -> int:
+        key = check_key(key)
         return self._read("query", lambda handle: handle.query(key))
 
     @property
@@ -687,7 +690,7 @@ class ReplicaSet(ShardHandle):
         :class:`Unavailable` in the result; when no slot got its quorum
         the call raises it.
         """
-        keys = list(keys)
+        keys = check_keys(keys)
         op_deadline = current_deadline()
         clock = self.metrics.clock
         if op_deadline is not None:
@@ -751,7 +754,7 @@ class ReplicaSet(ShardHandle):
 
     def _bulk_write(self, verb: str, keys: Sequence[object],
                     counts: Sequence[int] | None) -> BulkResult:
-        keys = list(keys)
+        keys = check_keys(keys)
         counts = check_counts(counts, len(keys)).tolist()
         op_deadline = current_deadline()
         clock = self.metrics.clock
@@ -783,7 +786,7 @@ class ReplicaSet(ShardHandle):
                 replica.breaker.record_failure(clock() - start)
                 missed.append((replica, None))
                 continue
-            except (ValueError, TypeError) as exc:
+            except COUNT_ERRORS as exc:
                 # Local bulk apply is all-or-nothing: the whole batch was
                 # rejected before mutating anything.
                 self._note_ok(replica)

@@ -73,17 +73,18 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.sbf import SpectralBloomFilter
+from repro.core.sbf import SpectralBloomFilter, check_counts
 from repro.core.serialize import load_sbf, open_frame, seal_frame
 from repro.db.site import Network
 from repro.db.transport import DeliveryFailed
 from repro.handle import BulkFailure, BulkResult
 from repro.hashing.families import make_family
+from repro.hashing.keys import check_keys
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.remote import (REQUEST_MAGIC, RESPONSE_MAGIC, RemoteShard,
-                                ShardServer, _answer, _bulk_batch,
-                                _bulk_request, _retryable)
-from repro.serve.router import ShardedSBF, _check_blocked
+                                ShardServer, _answer, _bulk_request,
+                                _retryable)
+from repro.serve.router import ShardedSBF, _check_blocked, owner_pass
 
 #: shared-memory segment layout: int64 total_count, then the counters
 _SHM_HEADER = 8
@@ -480,19 +481,22 @@ class ProcessShardPool:
                    counts: Sequence[int] | None) -> BulkResult:
         if self._closed:
             raise RuntimeError("process pool is closed")
-        keys, counts, valid, failures = _bulk_batch(keys, counts)
         is_query = op == "query_many"
+        counts = check_counts(counts, len(keys))
         values = np.zeros(len(keys), dtype=np.int64) if is_query else None
-        owners = self.router.shard_of_many([keys[i] for i in valid])
+        owners, refused = owner_pass(self.router, keys)
+        failures = [BulkFailure(idx, keys[idx], exc, False)
+                    for idx, exc in refused.items()]
         groups: dict[int, list[int]] = {}
-        for idx, owner in zip(valid, owners):
+        for idx, owner in owners:
             groups.setdefault(owner, []).append(idx)
         # Every frame is built before any is sent: a call that raises
         # must apply nothing and leave no answer unread on a pipe.
         frames = {}
         for owner, idxs in groups.items():
             fields, payload = _bulk_request(
-                [keys[i] for i in idxs], None if is_query else counts[idxs])
+                check_keys([keys[i] for i in idxs]),
+                None if is_query else counts[idxs])
             frames[owner] = seal_frame(REQUEST_MAGIC, {"op": op, **fields},
                                        payload)
         # Phase 1: one frame per owner shard, written to every worker

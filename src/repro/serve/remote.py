@@ -24,16 +24,15 @@ frame through its own handle's ``execute`` and answers every slot in
 one response.
 
 Key batches (``insert_many``/``delete_many``/``query_many``) travel as
-one request per ``bulk_chunk`` keys, in one of two forms.  When every
-key is an ``int`` in int64 range the header carries ``"bin": n`` and the
-payload holds n little-endian int64 keys, then, for a mutation, n
-counts; any other batch carries JSON ``keys`` and ``counts`` lists.
-Either way a ``query_many`` answer comes back as n int64s in the
-response payload.
+one request per ``bulk_chunk`` keys, in one of two forms.  An integer
+batch in int64 range (the key rule's int64 array) carries ``"bin": n``
+in the header and n little-endian int64 keys in the payload, then, for
+a mutation, n counts; any other batch carries JSON ``keys`` and
+``counts`` lists.  Either way a ``query_many`` answer comes back as n
+int64s in the response payload.
 
-Keys must be JSON scalars (the WAL's :data:`~repro.persist.wal.SCALAR_KEY_TYPES`
-discipline — the request header is JSON, so richer keys would not
-round-trip faithfully).
+Keys pass the key rule (:func:`~repro.hashing.keys.check_key`: JSON
+scalars, as the header is JSON) on the client and again on the server.
 
 Both channels' :class:`~repro.db.transport.ChannelStats` are attached to
 the metrics registry, so transport health is visible in the same
@@ -59,7 +58,7 @@ from repro.handle import (
     ShardHandle,
     as_handle,
 )
-from repro.persist.wal import SCALAR_KEY_TYPES
+from repro.hashing.keys import KEY_ERRORS, check_key, check_keys
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.resilience import (
     DeadlineExceeded,
@@ -80,8 +79,6 @@ _SERVER_VERBS = frozenset({"total_count", "params", "checkpoint",
 #: bulk verbs whose request carries key/count batches
 _BULK_VERBS = frozenset({"insert_many", "delete_many", "query_many"})
 
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-
 #: keys per request frame on the bulk path (one channel round trip each;
 #: chunking bounds both frame size and the blast radius of one lost frame)
 DEFAULT_BULK_CHUNK = 256
@@ -100,11 +97,13 @@ def _retryable(exc: Exception) -> bool:
 
 def _remote_error(server_name: str, kind: object, error: object,
                   ) -> Exception:
-    """The local exception for a failure the server reported: the types a
-    client can reconstruct keep their type, the rest become
-    :class:`RemoteShardError`."""
-    if kind in ("ValueError", "WireFormatError"):
-        return ValueError(f"{server_name}: {error}")
+    """The local exception for a failure the server reported: the rules'
+    refusals (:data:`~repro.core.sbf.COUNT_ERRORS`) and ``LockTimeout``
+    keep their type, the rest become :class:`RemoteShardError`."""
+    kind = "ValueError" if kind == "WireFormatError" else kind
+    for refusal in COUNT_ERRORS:
+        if kind == refusal.__name__:
+            return refusal(f"{server_name}: {error}")
     if kind == "LockTimeout":
         from repro.persist import LockTimeout
         return LockTimeout(f"{server_name}: {error}")
@@ -114,14 +113,14 @@ def _remote_error(server_name: str, kind: object, error: object,
 def _op_entry(op, *, wire: bool = False) -> list:
     """One point op as an ``execute`` wire entry ``[verb, key, arg?]``.
 
-    Validates the op: a point verb, a JSON-scalar key, a count for
-    ``set``, and an argument the core's count rule accepts (a query's
+    Validates the op: a point verb, a key the key rule accepts, a count
+    for ``set``, and an argument the core's count rule accepts (a query's
     argument is dropped — the verb ignores it).  A bad argument raises
     the rule's own exception on a client, and on a server checking a
     request (*wire*) a ``WireFormatError`` that refuses the whole frame.
 
     Raises:
-        TypeError: the key is not a JSON scalar.
+        TypeError / ValueError: the key rule refuses the key.
         WireFormatError: the op is otherwise malformed.
     """
     if not isinstance(op, (list, tuple)) or not 2 <= len(op) <= 3 \
@@ -129,11 +128,7 @@ def _op_entry(op, *, wire: bool = False) -> list:
         raise WireFormatError(
             f"execute entries are [verb, key, arg?] with a verb of "
             f"{sorted(POINT_VERBS)}, got {op!r}")
-    verb, key = op[0], op[1]
-    if not isinstance(key, SCALAR_KEY_TYPES):
-        raise TypeError(f"remote-shard keys must be JSON scalars "
-                        f"(str/int/float/bool/None), got "
-                        f"{type(key).__name__}")
+    verb, key = op[0], check_key(op[1])
     if len(op) < 3 or verb == "query":
         if verb == "set":
             raise WireFormatError(f"set op needs a count: {op!r}")
@@ -147,36 +142,13 @@ def _op_entry(op, *, wire: bool = False) -> list:
     return [verb, key, arg]
 
 
-def _bulk_batch(keys: Sequence[object], counts: Sequence[int] | None,
-                ) -> tuple[list, np.ndarray, list[int], list[BulkFailure]]:
-    """Normalise a client's key batch: the core's count array (1 each by
-    default; a batch the count rule refuses raises), a key that is not a
-    JSON scalar failing its own slot non-retryably.  Returns ``(keys,
-    counts, sendable indices, failures)``."""
-    keys = list(keys)
-    counts = check_counts(counts, len(keys))
-    valid: list[int] = []
-    failures: list[BulkFailure] = []
-    for idx, key in enumerate(keys):
-        if isinstance(key, SCALAR_KEY_TYPES):
-            valid.append(idx)
-        else:
-            failures.append(BulkFailure(idx, key, TypeError(
-                f"remote-shard keys must be JSON scalars "
-                f"(str/int/float/bool/None), got "
-                f"{type(key).__name__}"), retryable=False))
-    return keys, counts, valid, failures
-
-
-def _bulk_request(keys: list, counts: np.ndarray | None,
-                  ) -> tuple[dict, bytes]:
-    """The header fields and payload of one bulk request: the binary
-    int64 form when every key is an ``int`` in int64 range, JSON lists
-    otherwise (*counts*, checked int64 counts, is ``None`` for
+def _bulk_request(keys, counts: np.ndarray | None) -> tuple[dict, bytes]:
+    """The header fields and payload of one bulk request over keys the
+    key rule passed: the binary int64 form for the rule's int64 array,
+    JSON lists otherwise (*counts*, checked int64 counts, is ``None`` for
     ``query_many``)."""
-    if keys and all(type(k) is int and _INT64_MIN <= k <= _INT64_MAX
-                    for k in keys):
-        payload = np.asarray(keys, dtype="<i8").tobytes()
+    if isinstance(keys, np.ndarray):
+        payload = keys.astype("<i8", copy=False).tobytes()
         if counts is not None:
             payload += counts.astype("<i8").tobytes()
         return {"bin": len(keys)}, payload
@@ -272,11 +244,10 @@ class ShardServer:
             if not isinstance(keys, list):
                 raise WireFormatError(f"bulk op {op!r} needs a key list, "
                                       f"got {type(keys).__name__}")
-            for key in keys:
-                if not isinstance(key, SCALAR_KEY_TYPES):
-                    raise WireFormatError(
-                        f"remote-shard keys must be JSON scalars, got "
-                        f"{type(key).__name__}")
+            try:
+                keys = check_keys(keys)
+            except KEY_ERRORS as exc:
+                raise WireFormatError(f"bulk op {op!r}: {exc}") from exc
         else:
             if not isinstance(n, int) or isinstance(n, bool) or n < 0:
                 raise WireFormatError(f"bin must be a count >= 0, got "
@@ -475,7 +446,7 @@ class RemoteShard(ShardHandle):
         """Run a shard group as one request frame per :attr:`bulk_chunk`
         ops; one outcome per op, in order.
 
-        An op that fails client-side validation (a non-scalar key, ``set``
+        An op that fails client-side validation (a refused key, ``set``
         without a count) fails its own slot and never leaves the client.
         A member whose deadline has expired by the time its frame is
         built fails unexecuted and stays off the frame; the frame runs
@@ -530,8 +501,8 @@ class RemoteShard(ShardHandle):
 
         The batch travels in :attr:`bulk_chunk`-sized frames.  A chunk
         whose delivery fails (either leg) fails *only its own keys*, and
-        marks them retryable — the rest of the batch still applies.
-        Invalid keys never leave the client (permanent failures).
+        marks them retryable — the rest of the batch still applies.  A
+        batch holding a refused key or count raises before any is sent.
         """
         return self._bulk("insert_many", keys, counts)
 
@@ -550,25 +521,24 @@ class RemoteShard(ShardHandle):
 
     def _bulk(self, op: str, keys: Sequence[object],
               counts: Sequence[int] | None) -> BulkResult:
-        keys, counts, valid, failures = _bulk_batch(keys, counts)
-        is_query = op == "query_many"
-        values = np.zeros(len(keys), dtype=np.int64) if is_query else None
-        for lo in range(0, len(valid), self.bulk_chunk):
-            chunk = valid[lo:lo + self.bulk_chunk]
+        keys = check_keys(keys)
+        n, is_query = len(keys), op == "query_many"
+        counts = check_counts(counts, n)
+        values = np.zeros(n, dtype=np.int64) if is_query else None
+        failures: list[BulkFailure] = []
+        for lo in range(0, n, self.bulk_chunk):
+            hi = min(lo + self.bulk_chunk, n)
             try:
                 fields, payload = _bulk_request(
-                    [keys[i] for i in chunk],
-                    None if is_query else counts[chunk])
+                    keys[lo:hi], None if is_query else counts[lo:hi])
                 result = self._call(op, payload, **fields)
             except Exception as exc:
-                retryable = _retryable(exc)
-                failures.extend(BulkFailure(i, keys[i], exc, retryable)
-                                for i in chunk)
+                failures.extend(BulkFailure(i, keys[i], exc, _retryable(exc))
+                                for i in range(lo, hi))
                 continue
             if is_query:
-                values[chunk] = np.frombuffer(result, dtype="<i8")
-        failures.sort(key=lambda f: f.index)
-        return BulkResult(len(keys), values, failures)
+                values[lo:hi] = np.frombuffer(result, dtype="<i8")
+        return BulkResult(n, values, failures)
 
     # -- anti-entropy hooks (see repro.serve.repair) -----------------------
     def block_checksums(self, n_blocks: int) -> list[int]:

@@ -77,6 +77,7 @@ from repro.core.serialize import (
 from repro.handle import _apply
 from repro.hashing.blocked import BlockedHashFamily
 from repro.hashing.families import make_family
+from repro.hashing.keys import KEY_ERRORS, check_key, check_keys
 from repro.hashing.vectorized import indices_matrix
 from repro.persist import ConcurrentSBF, DurableSBF
 from repro.serve.metrics import MetricsRegistry
@@ -191,8 +192,10 @@ class ShardedSBF:
         counters live on the same shard.  During a rolling reshard, keys
         of already-migrated old shards report their *new* owner, offset
         by the old shard count (the two topologies share one index
-        space: old ids ``[0, n)``, new ids ``[n, n + new_n)``).
+        space: old ids ``[0, n)``, new ids ``[n, n + new_n)``).  A key
+        the key rule refuses raises its error.
         """
+        key = check_key(key)
         migration = self._migration
         if migration is not None:
             block = self._family.block_of(key)
@@ -203,13 +206,11 @@ class ShardedSBF:
         return self._family.block_of(key) % len(self._shards)
 
     def shard_of_many(self, keys: Sequence[object]) -> list[int]:
-        """Owner shards for a key batch (vectorised for non-negative
-        63-bit integer keys; elementwise :meth:`shard_of` otherwise)."""
-        if self._migration is None and keys \
-                and all(type(key) is int and 0 <= key < (1 << 63)
-                        for key in keys):
-            blocks = indices_matrix(self._family._selector,
-                                    np.asarray(keys, dtype=np.uint64))[:, 0]
+        """Owner shards for a key batch the key rule accepts whole
+        (vectorised for an integer batch, elementwise otherwise)."""
+        keys = check_keys(keys)
+        if self._migration is None and isinstance(keys, np.ndarray):
+            blocks = indices_matrix(self._family._selector, keys)[:, 0]
             return (blocks % len(self._shards)).tolist()
         return [self.shard_of(key) for key in keys]
 
@@ -239,6 +240,7 @@ class ShardedSBF:
 
     def _write(self, verb: str, key: object, count: int) -> None:
         self._refuse_if_expired(verb)
+        key = check_key(key)
         migration = self._migration
         if migration is None:
             _, shard = self._route(key)
@@ -268,6 +270,7 @@ class ShardedSBF:
 
     def query(self, key: object) -> int:
         self._refuse_if_expired("query")
+        key = check_key(key)
         self.metrics.counter("router.queries").inc()
         migration = self._migration
         if migration is None:
@@ -646,6 +649,24 @@ class RollingReshard:
         return (f"RollingReshard({self._migration.old_n} -> "
                 f"{self._migration.new_n}, "
                 f"remaining={len(self.remaining)})")
+
+
+def owner_pass(router, keys: Sequence[object]) -> tuple:
+    """The batcher's and the process pool's owner pass over a router's
+    ``shard_of_many``/``shard_of``: ``((index, owner shard) pairs,
+    {index: error})``.  A key the key rule refuses gets its error instead
+    of an owner, so it fails in its own slot; only a batch holding one
+    pays the per-key pass."""
+    try:
+        return enumerate(router.shard_of_many(keys)), {}
+    except KEY_ERRORS:
+        owned, refused = [], {}
+        for idx, key in enumerate(keys):
+            try:
+                owned.append((idx, router.shard_of(key)))
+            except KEY_ERRORS as exc:
+                refused[idx] = exc
+        return owned, refused
 
 
 def _block_spans(family: BlockedHashFamily, shard: int, n_shards: int):

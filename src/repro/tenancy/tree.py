@@ -88,6 +88,7 @@ from repro.core.serialize import (
 )
 from repro.handle import BulkResult, as_handle
 from repro.hashing.families import make_family
+from repro.hashing.keys import check_key, check_keys
 from repro.hashing.vectorized import canonicalize_many, matrix_for
 from repro.serve.metrics import MetricsRegistry
 
@@ -502,7 +503,7 @@ class SpectralBloofiTree:
     # ------------------------------------------------------------------
     def insert(self, tenant: object, key: object, count: int = 1) -> None:
         """Record *count* occurrences of *key* for *tenant*."""
-        count = check_count(count)
+        key, count = check_key(key), check_count(count)
         if count == 0:
             return
         with self._lock:
@@ -518,7 +519,7 @@ class SpectralBloofiTree:
         when the leaf's counters could not absorb the decrement — every
         handle's delete is all-or-nothing.
         """
-        count = check_count(count)
+        key, count = check_key(key), check_count(count)
         if count == 0:
             return
         with self._lock:
@@ -529,7 +530,7 @@ class SpectralBloofiTree:
 
     def set_count(self, tenant: object, key: object, count: int) -> None:
         """Drive *tenant*'s estimate for *key* to exactly *count*."""
-        count = check_count(count)
+        key, count = check_key(key), check_count(count)
         with self._lock:
             current = self.query_tenant(tenant, key)
             if count > current:
@@ -567,9 +568,9 @@ class SpectralBloofiTree:
         return self._bulk(tenant, keys, counts, -1)
 
     def _bulk(self, tenant: object, keys, counts, sign: int) -> BulkResult:
+        keys, counts = prepare_batch(check_keys(keys), counts)
         with self._lock:
             leaf = self._leaf(tenant)
-            keys, counts = prepare_batch(keys, counts)
             verb = leaf.view.insert_many if sign > 0 \
                 else leaf.view.delete_many
             outcome = verb(keys, counts)
@@ -607,6 +608,7 @@ class SpectralBloofiTree:
         keeping the positive answers (the pruning-exactness argument in
         the module docstring).
         """
+        key = check_key(key)
         with self._lock:
             positions = np.fromiter(self.family.indices(key),
                                     dtype=np.int64, count=self.k)
@@ -637,10 +639,9 @@ class SpectralBloofiTree:
         minimum), so a batch costs one array pass per *distinct node
         visited* rather than per key.
         """
-        if not isinstance(keys, (list, tuple)):
-            keys = list(keys)
+        keys = check_keys(keys)
         results: list[dict] = [{} for _ in keys]
-        if not keys:
+        if not len(keys):
             return results
         with self._lock:
             canon = canonicalize_many(keys)

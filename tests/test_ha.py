@@ -10,11 +10,13 @@ Chaos tests are seeded (fault policies and channels share fixed seeds),
 so every ejection, hint, probe, and repair replays identically.
 """
 
+import numpy as np
 import pytest
 
 from repro.core.sbf import SpectralBloomFilter
 from repro.db.faults import FaultPolicy, FaultyNetwork
 from repro.db.transport import ChannelStats, DeliveryFailed
+from repro.handle import FilterHandle
 from repro.persist import ConcurrentSBF
 from repro.serve import (
     ALL,
@@ -326,6 +328,102 @@ def remote_set(rf: int = 3, *, metrics: MetricsRegistry | None = None,
     options.setdefault("probe_every", 10_000)
     rset = ReplicaSet(remotes, metrics=metrics, **options)
     return rset, network, handles
+
+
+def fresh(rset: ReplicaSet) -> bool:
+    """Every replica up, no hints queued, nothing awaiting repair."""
+    return all(h["up"] and not h["hint_depth"] and not h["needs_repair"]
+               for h in rset.health())
+
+
+def test_refused_keys_never_reach_a_replica():
+    # At the parent the servers' hashing refused these, the refusals came
+    # back as transient RemoteShardErrors and ejected every replica.
+    rset, _, handles = remote_set(3, eject_after=1)
+    for i in range(3):
+        with pytest.raises(ValueError, match="UTF-8"):
+            rset.insert(f"bad{i}\ud800")
+    assert fresh(rset)
+    rset.insert("good")
+    assert rset.query("good") == 1
+    assert [h.total_count for h in handles] == [1, 1, 1]
+
+
+def test_mixed_replicas_refuse_a_malformed_key_before_the_fan_out():
+    # The local replica hashes bytes and tuples; the remote one cannot
+    # ship them.  Judged once, before any replica, neither applies them.
+    local = make_handle()
+    remote = RemoteShard(ShardServer(make_handle()), FaultyNetwork(),
+                         "coord", "r1")
+    rset = ReplicaSet([local, remote])
+    for verb, args in (("insert", (b"x", 3)), ("insert", ((1, 2), 3)),
+                       ("insert_many", ([b"y", 5], [2, 1]))):
+        with pytest.raises(TypeError, match="JSON scalars"):
+            getattr(rset, verb)(*args)
+    assert local.total_count == remote.total_count == 0 and fresh(rset)
+
+
+def test_numpy_keys_land_on_every_replica_as_their_values():
+    rset, _, handles = remote_set(3)
+    reference = FilterHandle(make_filter())
+    assert rset.insert_many(np.arange(5)).ok
+    rset.insert(np.int64(5))
+    reference.insert_many(list(range(6)))
+    assert rset.query_many(np.arange(7)).tolist() \
+        == reference.query_many(list(range(7))).tolist()
+    assert [h.total_count for h in handles] == [6, 6, 6] and fresh(rset)
+
+
+class RefusingHandle(FilterHandle):
+    """A server-side handle whose writes raise *error*."""
+
+    def __init__(self, error: Exception):
+        super().__init__(make_filter())
+        self.error = error
+
+    def insert(self, key, count=1):
+        raise self.error
+
+    def insert_many(self, keys, counts=None, *, timeout=None):
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [TypeError, ValueError, OverflowError])
+def test_rule_refusals_from_remote_replicas_eject_and_hint_nothing(error):
+    metrics = MetricsRegistry()
+    network = FaultyNetwork()
+    rset = ReplicaSet(
+        [RemoteShard(ShardServer(RefusingHandle(error("refused"))), network,
+                     "coord", f"r{i}") for i in range(3)],
+        eject_after=1, metrics=metrics)
+    for _ in range(3):
+        with pytest.raises(error):
+            rset.insert("k")
+        outcome = rset.insert_many(["a", "b"])
+        assert [(type(f.error), f.retryable) for f in outcome.failures] \
+            == [(error, False)] * 2
+    assert fresh(rset)
+    counters = metrics.snapshot()["counters"]
+    assert counters.get("ha.rs.ejections", 0) == 0
+    assert counters.get("ha.rs.hinted", 0) == 0
+
+
+def test_a_total_past_int64_is_refused_without_ejecting():
+    # numpy-backed replicas: the second insert would take the total to
+    # 2**63; every server refuses it and the set stays whole.
+    def wide():
+        return ConcurrentSBF(SpectralBloomFilter(
+            M, K, seed=SEED, backend="numpy", hash_family="blocked"))
+    network = FaultyNetwork()
+    rset = ReplicaSet([RemoteShard(ShardServer(wide()), network, "coord",
+                                   f"r{i}") for i in range(3)],
+                      eject_after=1)
+    rset.insert("x", 2 ** 62)
+    for _ in range(3):
+        with pytest.raises(OverflowError, match="total_count"):
+            rset.insert("x", 2 ** 62)
+    assert fresh(rset)
+    assert rset.query("x") == rset.total_count == 2 ** 62
 
 
 def partition(network: FaultyNetwork, name: str, seed: int) -> None:

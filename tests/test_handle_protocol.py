@@ -2,9 +2,10 @@
 
 Every handle kind runs the same seeded stream of point, bulk, ``set``
 and refused operations (deletes below zero, counts and thresholds the
-core's count rule refuses, numpy-integer counts it accepts), and every
-answer must equal — bit for bit — what one unsharded blocked
-:class:`SpectralBloomFilter` answers for the same stream.  A refused op
+core's count rule refuses, numpy-integer counts it accepts, keys the
+key rule refuses, numpy keys it accepts), and every answer must equal —
+bit for bit — what one unsharded blocked :class:`SpectralBloomFilter`
+answers for the same stream, the key rule run before it.  A refused op
 must raise the reference's exception type, leave the handle's integrity
 audit clean (for a durable handle: its recovered log too) and its
 ``total_count`` an unchanged ``int``.  The same contract is then checked
@@ -21,6 +22,7 @@ import pytest
 from repro.core.sbf import SpectralBloomFilter
 from repro.db.site import Network
 from repro.handle import BulkResult, FilterHandle, ShardHandle
+from repro.hashing.keys import check_key, check_keys
 from repro.persist import ConcurrentSBF, DurableSBF
 from repro.serve import (
     ProcessShardPool,
@@ -59,14 +61,19 @@ def _ms_audit(handle) -> list[str]:
 class Kind:
     """A built handle plus how to address, audit and release it."""
 
-    def __init__(self, handle, *, audit, key=lambda k: k,
+    def __init__(self, handle, *, audit, key=None,
                  close=lambda: None, local=True, respawns=False):
         self.handle = handle
         self.audit = audit
-        self.key = key
+        self.wrap = key
+        self.key = key or (lambda k: k)
         self.close = close
         self.local = local
         self.respawns = respawns
+
+    def keys(self, batch):
+        """*batch* as the handle addresses it (an array stays one)."""
+        return batch if self.wrap is None else [self.wrap(k) for k in batch]
 
 
 def _filter(tmp_path):
@@ -150,6 +157,25 @@ def _replica_set(tmp_path):
     return Kind(rset, audit=audit)
 
 
+def _replica_set_mixed(tmp_path):
+    """One local replica and two remote ones: a refusal must come before
+    the fan-out, or the replicas' counters and totals part ways."""
+    local = ConcurrentSBF(make_filter())
+    servers = [ShardServer(ConcurrentSBF(make_filter())) for _ in range(2)]
+    rset = ReplicaSet([local] + [
+        RemoteShard(server, Network(), "client", f"shard{i}")
+        for i, server in enumerate(servers)], name="mixed")
+
+    def audit():
+        issues = local.check_integrity() + [
+            i for s in servers for i in s.handle.check_integrity()]
+        if len({tuple(r.read_blocks(1, [0])[0]) for r in rset.replicas}) \
+                != 1 or len({r.total_count for r in rset.replicas}) != 1:
+            issues.append("replicas diverged")
+        return issues
+    return Kind(rset, audit=audit)
+
+
 def _tenant(leaf):
     def build(tmp_path):
         tree = SpectralBloofiTree(M, K, seed=SEED, hash_family="blocked")
@@ -187,6 +213,7 @@ KINDS = {
     "remote": _remote,
     "process": _process,
     "replicaset-rf3": _replica_set,
+    "replicaset-mixed": _replica_set_mixed,
     "tenant-filter": _tenant("filter"),
     "tenant-concurrent": _tenant("concurrent"),
     "tenant-replicaset": _tenant("replicaset"),
@@ -211,6 +238,14 @@ MALFORMED = (1.5, True, np.bool_(True), "2", None, -1, 2 ** 63)
 COUNTED_VERBS = ("insert", "set", "delete", "contains", "insert_many",
                  "delete_many")
 
+#: keys the key rule refuses: TypeError for all but the lone surrogate
+MALFORMED_KEYS = (b"x", (1, 2), [1], {"a": 1}, "a\ud800", np.bytes_(b"x"),
+                  object())
+
+#: every verb, in point and bulk form
+KEYED_VERBS = ("insert", "delete", "set", "query", "contains",
+               "insert_many", "delete_many", "query_many")
+
 
 def _malformed_op(verb: str, value, keys: list) -> tuple:
     """*value* as the count (or threshold) of one *verb* op; a bulk op
@@ -218,6 +253,43 @@ def _malformed_op(verb: str, value, keys: list) -> tuple:
     if verb.endswith("_many"):
         return (verb, keys[:4], [1, 1, 1, value])
     return (verb, keys[0], value)
+
+
+def _malformed_key_op(verb: str, key, keys: list) -> tuple:
+    """*key* under one *verb*; a bulk op carries it in its last slot,
+    after well-formed keys."""
+    if verb == "query_many":
+        return (verb, keys[:4] + [key])
+    if verb.endswith("_many"):
+        return (verb, keys[:4] + [key], [1] * 5)
+    return (verb, key) if verb == "query" else (verb, key, 1)
+
+
+def _numpy_key_op(step: int, keys: list, truth: dict) -> tuple:
+    """An op whose keys are numpy values (accepted as their ``.item()``)."""
+    key = keys[25 + step % 25]                       # an int key
+    form = step // 6 % 8
+    if form == 0:
+        truth[key] += 2
+        return ("insert", np.int64(key), 2)
+    if form == 1:
+        return ("query", np.int64(key))
+    if form == 2:
+        return ("insert_many", np.arange(step, step + 6), None)
+    if form == 3:
+        return ("query_many", np.arange(step - 3, step + 5))
+    if form == 4:                         # past int64: the JSON key form
+        return ("insert_many", np.array([2 ** 63 + step, key],
+                                        dtype=np.uint64), [1, 2])
+    if form == 5:
+        return ("query_many", np.array([2 ** 63 + step - 5, key, 7],
+                                       dtype=np.uint64))
+    name = keys[step % 25]
+    if form == 6 or not truth[name]:
+        truth[name] += 1
+        return ("insert", np.str_(name), 1)
+    truth[name] -= 1
+    return ("delete_many", [np.str_(name)], [np.int64(1)])
 
 
 def _numpy_op(step: int, keys: list, truth: dict) -> tuple:
@@ -252,7 +324,9 @@ def stream(seed: int = 11, n: int = 260) -> list[tuple]:
     """Point, bulk, set and refused ops over str and int keys; deletes
     only remove what was inserted, except the deliberately refused ones.
     Every fifth op is a malformed one (each :data:`MALFORMED` value under
-    each of :data:`COUNTED_VERBS`), every seventh has numpy counts."""
+    each of :data:`COUNTED_VERBS`), every seventh has numpy counts; every
+    fourth has a key the key rule refuses (each of :data:`MALFORMED_KEYS`
+    under each of :data:`KEYED_VERBS`), every sixth numpy keys."""
     rng = random.Random(seed)
     keys = [f"user:{i}" for i in range(25)] \
         + [rng.randrange(1 << 40) for _ in range(25)]
@@ -260,11 +334,17 @@ def stream(seed: int = 11, n: int = 260) -> list[tuple]:
     ops: list[tuple] = []
     malformed = itertools.cycle([(verb, value) for value in MALFORMED
                                  for verb in COUNTED_VERBS])
+    bad_keys = itertools.cycle([(verb, key) for key in MALFORMED_KEYS
+                                for verb in KEYED_VERBS])
     for step in range(n):
         if step % 5 == 4:
             ops.append(_malformed_op(*next(malformed), keys))
         if step % 7 == 6:
             ops.append(_numpy_op(step, keys, truth))
+        if step % 4 == 3:
+            ops.append(_malformed_key_op(*next(bad_keys), keys))
+        if step % 6 == 5:
+            ops.append(_numpy_key_op(step, keys, truth))
         r = rng.random()
         key = rng.choice(keys)
         if r < 0.25:
@@ -309,12 +389,15 @@ def stream(seed: int = 11, n: int = 260) -> list[tuple]:
 
 
 def _on_reference(ref: SpectralBloomFilter, op: tuple):
-    verb, arg = op[0], op[1]
+    """The op on the bare filter, the key rule run before it (the filter
+    itself hashes any key ``canonical_key`` takes)."""
+    verb = op[0]
     if verb == "query_many":
-        return ref.query_many(arg).tolist()
+        return ref.query_many(check_keys(op[1])).tolist()
     if verb in ("insert_many", "delete_many"):
-        getattr(ref, verb)(arg, op[2])
+        getattr(ref, verb)(check_keys(op[1]), op[2])
         return None
+    arg = check_key(op[1])
     if verb == "query":
         return ref.query(arg)
     if verb == "contains":
@@ -326,7 +409,7 @@ def _on_reference(ref: SpectralBloomFilter, op: tuple):
 def _on_handle(kind: Kind, op: tuple):
     handle, verb, arg = kind.handle, op[0], op[1]
     if verb in ("insert_many", "delete_many", "query_many"):
-        keys = [kind.key(k) for k in arg]
+        keys = kind.keys(arg)
         outcome = (handle.query_many(keys) if verb == "query_many"
                    else getattr(handle, verb)(keys, op[2]))
         assert isinstance(outcome, BulkResult) and len(outcome) == len(keys)

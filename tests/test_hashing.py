@@ -1,5 +1,6 @@
 """Tests for key canonicalisation and the hash-function families."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,7 @@ from repro.hashing import (
     canonical_key,
     make_family,
 )
+from repro.hashing.keys import check_key, check_keys
 
 ALL_FAMILIES = [ModuloMultiplyFamily, MultiplyShiftFamily,
                 TabulationFamily, DoubleHashingFamily]
@@ -53,6 +55,47 @@ class TestCanonicalKey:
     def test_output_is_64_bit(self, x):
         out = canonical_key(x)
         assert 0 <= out < 2**64
+
+
+class TestKeyRule:
+    @pytest.mark.parametrize("key", [0, -5, 2 ** 70, "a", "ü", 1.5, True,
+                                     None])
+    def test_json_scalars_pass_as_they_are(self, key):
+        assert check_key(key) is key
+
+    def test_numpy_scalars_pass_as_their_values(self):
+        for value, want in ((np.int64(5), 5), (np.uint64(2 ** 63), 2 ** 63),
+                            (np.float32(1.5), 1.5), (np.bool_(True), True),
+                            (np.str_("a"), "a")):
+            got = check_key(value)
+            assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("key,error", [
+        (b"x", TypeError), ((1, 2), TypeError), ([1], TypeError),
+        ({"a": 1}, TypeError), ("a\ud800", ValueError),
+        (np.bytes_(b"x"), TypeError), (object(), TypeError)])
+    def test_refusals_and_their_types(self, key, error):
+        with pytest.raises(error) as caught:
+            check_key(key)
+        assert type(caught.value) is error
+        with pytest.raises(error):              # a batch is refused whole
+            check_keys(["ok", 1, key])
+
+    def test_batches(self):
+        ints = check_keys([3, -1, 2 ** 40, np.int64(7)])
+        assert ints.dtype == np.int64 and ints.tolist() == [3, -1, 2 ** 40, 7]
+        arange = np.arange(5)
+        assert check_keys(arange) is arange     # converted once, upstream
+        assert check_keys(np.arange(4, dtype=np.uint8)).dtype == np.int64
+        assert check_keys(np.array([2 ** 63, 7], dtype=np.uint64)) \
+            == [2 ** 63, 7]                     # past int64: Python ints
+        assert check_keys(["a", 1, None, 2.5]) == ["a", 1, None, 2.5]
+        assert check_keys((np.str_("a"), np.int64(2), "b")) == ["a", 2, "b"]
+        assert check_keys(np.array(["x", "y"])) == ["x", "y"]
+        with pytest.raises(TypeError, match="list, tuple"):
+            check_keys(iter([1]))
+        with pytest.raises(TypeError):
+            check_keys(np.array([[1, 2]]))
 
 
 class TestFamilies:

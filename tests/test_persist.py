@@ -679,6 +679,56 @@ class TestDurableSBF:
         assert reopened.wal.next_seq == 2
         reopened.close()
 
+    @pytest.mark.parametrize("op", [
+        ("insert", "bad\ud800"), ("insert_many", ["x", "y\udc80"]),
+        ("delete", b"x"), ("set", (1, 2), 1),
+        ("delete_many", np.array([[1, 2]]))],
+        ids=["surrogate", "bulk-surrogate", "bytes", "tuple", "2-d"])
+    def test_keys_the_rule_refuses_never_reach_the_log(self, tmp_path, op):
+        handle = DurableSBF.open(str(tmp_path), factory=factory)
+        handle.insert("x", 3)
+        wal = (tmp_path / "wal.log").read_bytes()
+        with pytest.raises((TypeError, ValueError)):
+            getattr(handle, op[0])(*op[1:])
+        assert (tmp_path / "wal.log").read_bytes() == wal
+        assert handle.total_count == 3
+        handle.close()
+        reopened = DurableSBF.open(str(tmp_path), factory=factory)
+        assert reopened.query("x") == 3 and reopened.total_count == 3
+        reopened.close()
+
+    def test_a_total_past_int64_never_reaches_the_log(self, tmp_path):
+        def wide():
+            return SpectralBloomFilter(4096, 4, seed=7, backend="numpy")
+        handle = DurableSBF.open(str(tmp_path), factory=wide)
+        handle.insert("x", 2 ** 62)
+        wal = (tmp_path / "wal.log").read_bytes()
+        for verb, args in (("insert", ("x", 2 ** 62)),
+                           ("insert_many", (["y", "z"], [2 ** 61, 2 ** 61])),
+                           ("set", ("y", 2 ** 62))):
+            with pytest.raises(OverflowError, match="total_count"):
+                getattr(handle, verb)(*args)
+        assert (tmp_path / "wal.log").read_bytes() == wal
+        assert handle.query_many(["x", "y"]).values.tolist() == [2 ** 62, 0]
+        handle.close()
+        reopened = DurableSBF.open(str(tmp_path), factory=wide)
+        assert reopened.total_count == 2 ** 62
+        reopened.close()
+
+    def test_numpy_keys_are_logged_as_their_values(self, tmp_path):
+        handle = DurableSBF.open(str(tmp_path), factory=factory)
+        handle.insert(np.int64(5), 2)
+        handle.insert_many(np.arange(3), [1, 1, 1])
+        handle.insert_many(np.array([2 ** 63 + 1], dtype=np.uint64))
+        handle.delete(np.int64(0))
+        live = handle.query_many([5, 0, 1, 2, 2 ** 63 + 1]).values.tolist()
+        assert live == [2, 0, 1, 1, 1]
+        handle.close()
+        reopened = DurableSBF.open(str(tmp_path), factory=factory)
+        assert reopened.query_many([5, 0, 1, 2, 2 ** 63 + 1]).values.tolist() \
+            == live
+        reopened.close()
+
     def test_numpy_counts_are_logged_as_ints(self, tmp_path):
         handle = DurableSBF.open(str(tmp_path), factory=factory)
         handle.insert("a", np.int64(3))

@@ -29,6 +29,7 @@ from repro.core.sbf import SpectralBloomFilter
 from repro.core.serialize import open_frame
 from repro.db.faults import FaultPolicy, FaultyNetwork
 from repro.db.transport import DeliveryFailed
+from repro.handle import FilterHandle
 from repro.serve import (ProcessShardPool, ServingEngine, ShardBatcher,
                          ShardedSBF)
 from repro.serve.remote import REQUEST_MAGIC, RESPONSE_MAGIC
@@ -104,6 +105,35 @@ def test_non_scalar_keys_fail_client_side():
         assert result.failures[0].index == 1
         assert not result.failures[0].retryable
         assert pool.query_many([1, 3]).values.tolist() == [1, 1]
+
+
+def test_numpy_keys_land_and_refused_keys_fail_their_own_slots():
+    def reference():
+        return FilterHandle(SpectralBloomFilter(
+            M, K, seed=SEED, method="ms", backend="numpy",
+            hash_family="blocked"))
+    fleet, single = reference(), reference()
+    with ProcessShardPool(2, M, K, seed=SEED) as pool, \
+            ProcessShardPool(1, M, K, seed=SEED) as one:
+        # The pipelined path: a refused key fails its own slot.
+        assert pool.insert_many(np.arange(5)).ok
+        bad = pool.insert_many(["a", "b\ud800", b"c"])
+        assert [(f.index, type(f.error), f.retryable) for f in bad.failures] \
+            == [(1, ValueError, False), (2, TypeError, False)]
+        fleet.insert_many(list(range(5)) + ["a"])
+        assert pool.query_many(np.arange(7)).values.tolist() \
+            == fleet.query_many(list(range(7))).values.tolist()
+        # One shard: a handle refuses a batch holding a refused key whole.
+        shard = one.shards[0]
+        shard.insert(np.int64(5))
+        assert shard.insert_many(np.arange(5)).ok
+        with pytest.raises(TypeError):
+            shard.insert_many([9, b"c"])
+        single.insert(5)
+        single.insert_many(list(range(5)))
+        assert shard.query_many(np.arange(7)).values.tolist() \
+            == single.query_many(list(range(7))).values.tolist()
+        assert shard.total_count == single.total_count == 6
 
 
 @pytest.mark.parametrize("method,backend", [
@@ -355,8 +385,12 @@ def test_a_shared_memory_worker_that_dies_after_answering_keeps_its_total(
     send_bytes = Connection.send_bytes
 
     def send_then_exit(conn, buf, *args):
+        # Decide before sending: checked after, the flag could be seen by
+        # the previous answer's send once the parent, holding that answer,
+        # has armed it and sent the next request.
+        exit_after = os.getpid() != parent and armed.exists()
         send_bytes(conn, buf, *args)
-        if os.getpid() != parent and armed.exists():
+        if exit_after:
             armed.unlink()
             os._exit(0)
 

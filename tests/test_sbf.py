@@ -139,6 +139,27 @@ class TestBasicSemantics:
         assert sbf.total_count == 7
 
 
+@pytest.mark.parametrize("backend", ["array", "numpy"])
+def test_total_count_stays_below_2_63(backend):
+    # Each count obeys the count rule; the total guard bounds their sum,
+    # which int64 answers, frames and the pool's shared header carry.
+    sbf = SpectralBloomFilter(4096, 4, seed=3, backend=backend)
+    sbf.insert("x", 2 ** 62)
+    for verb, args in (("insert", ("x", 2 ** 62)),
+                       ("insert_many", (["y"], [2 ** 62])),
+                       ("set", ("y", 2 ** 62))):
+        with pytest.raises(OverflowError, match="total_count"):
+            getattr(sbf, verb)(*args)
+    assert sbf.total_count == 2 ** 62 and sbf.query("y") == 0
+    assert sbf.check_integrity() == []
+    fresh = SpectralBloomFilter(4096, 4, seed=3, backend=backend)
+    with pytest.raises(OverflowError):      # their int64 sum wraps
+        fresh.insert_many(["a", "b"], [2 ** 62, 2 ** 62])
+    assert fresh.total_count == 0 and not any(fresh.counters)
+    sbf.insert("x", 2 ** 62 - 1)            # up to 2**63 - 1 lands
+    assert sbf.query("x") == sbf.query_many(["x"]).tolist()[0] == 2 ** 63 - 1
+
+
 class TestDeletions:
     @pytest.mark.parametrize("method", ["ms", "rm", "trm"])
     def test_insert_delete_roundtrip(self, method):

@@ -11,6 +11,7 @@ resharding discipline and the wire manifest.
 import multiprocessing
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.params import bloom_error
@@ -183,6 +184,26 @@ def test_unroutable_key_fails_only_its_own_slot(n_shards):
     assert router.total_count == reference.total_count == 3
     for key in ("a", "b", 7, 8):
         assert router.query(key) == reference.query(key)
+
+
+def test_batcher_keys_obey_the_key_rule():
+    # A refused key fails its own slot on every batcher verb; numpy keys
+    # route and land as their Python values.
+    router, reference = make_router(4), make_reference()
+    batcher = ShardBatcher(router)
+    results = batcher.execute([("insert", "a"), ("insert", "b\ud800"),
+                               ("insert", np.int64(9)), ("query", 9)])
+    assert results[0] is None and results[2] is None and results[3] == 1
+    assert type(results[1]) is ValueError
+    outcome = batcher.insert_many(np.arange(5))
+    assert outcome.ok
+    bad = batcher.insert_many(["c", "d\udc80", b"e"])
+    assert [(f.index, type(f.error)) for f in bad.failures] \
+        == [(1, ValueError), (2, TypeError)]
+    reference.insert_many(["a", 9, 0, 1, 2, 3, 4, "c"])
+    queried = batcher.query_many(np.arange(7))
+    assert queried == reference.query_many(list(range(7))).tolist()
+    assert router.total_count == reference.total_count == 8
 
 
 def test_failed_op_lands_in_its_slot_and_batch_continues():

@@ -337,6 +337,22 @@ def test_unroutable_key_fails_only_its_own_request(n_shards):
     assert engine.metrics.snapshot()["counters"]["engine.failed"] == 1
 
 
+def test_a_key_the_rule_refuses_fails_alone_in_its_window():
+    # A lone surrogate cannot be hashed: routing it raises ValueError,
+    # which the owner pass confines to its own request.
+    router = ShardedSBF.create(4, 4096, 4)
+    engine = ServingEngine(router, batch_size=64)
+    keys = [f"k{i}" for i in range(63)]
+    keys.insert(17, "bad\ud800")
+    futures = [engine.submit("insert", key) for key in keys]
+    assert engine.pump() == 64                  # one window
+    assert type(futures[17].exception()) is ValueError
+    assert all(f.result() is None for i, f in enumerate(futures) if i != 17)
+    assert router.total_count == 63
+    assert run_requests(engine, [("query", key) for key in keys[:3]]) \
+        == [1, 1, 1]
+
+
 def test_a_batch_whose_execute_raises_fails_every_future(monkeypatch):
     engine = ServingEngine(make_router(), max_queue=16, batch_size=8)
     futures = [engine.submit("insert", key) for key in range(5)]

@@ -12,6 +12,7 @@ from repro.core.serialize import open_frame, seal_frame
 from repro.core.sbf import SpectralBloomFilter
 from repro.db.faults import FaultPolicy, FaultyNetwork
 from repro.db.transport import DeliveryFailed
+from repro.handle import FilterHandle
 from repro.persist import ConcurrentSBF
 from repro.serve import (
     MetricsRegistry,
@@ -162,6 +163,48 @@ def test_server_side_errors_return_typed_failures():
     assert meta["kind"] == "WireFormatError"
 
 
+class RefusingHandle(FilterHandle):
+    """A server-side handle whose writes raise *error*: a refusal only the
+    server can make (the client cannot see the filter's total)."""
+
+    def __init__(self, error: Exception):
+        super().__init__(make_handle().sbf)
+        self.error = error
+
+    def insert(self, key, count=1):
+        raise self.error
+
+    def insert_many(self, keys, counts=None, *, timeout=None):
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [TypeError, ValueError, OverflowError])
+def test_server_side_refusals_keep_their_type(error):
+    server = ShardServer(RefusingHandle(error("refused")))
+    remote = RemoteShard(server, FaultyNetwork(), "client", "shard0")
+    with pytest.raises(error, match="shard0: refused") as caught:
+        remote.insert("k")
+    assert type(caught.value) is error
+    outcome = remote.insert_many(["a", "b"])
+    assert [(type(f.error), f.retryable) for f in outcome.failures] \
+        == [(error, False)] * 2
+
+
+def test_numpy_keys_land_as_their_python_values():
+    remote, seen = _recording_remote(make_handle())
+    local = FilterHandle(make_handle().sbf)
+    assert remote.insert_many(np.arange(5)).ok
+    assert seen[-1][0]["bin"] == 5              # the rule's int64 array
+    remote.insert(np.int64(5))
+    remote.insert_many(np.array([2 ** 63 + 1, 3], dtype=np.uint64), [2, 1])
+    assert seen[-1][0]["keys"] == [2 ** 63 + 1, 3]
+    local.insert_many(list(range(5)) + [5, 2 ** 63 + 1, 3], [1] * 6 + [2, 1])
+    probe = np.arange(7)
+    assert remote.query_many(probe).values.tolist() \
+        == local.query_many(probe).values.tolist()
+    assert remote.query(np.int64(3)) == local.query(3) == 2
+
+
 def test_remote_checkpoint_round_trip():
     remote, _ = make_remote()
     remote.insert("x", 3)
@@ -189,20 +232,20 @@ def test_bulk_ops_match_local_on_a_clean_wire():
     assert remote.total_count == local.total_count
 
 
-def test_bulk_invalid_keys_fail_client_side_rest_applies():
+def test_bulk_batch_holding_a_refused_key_is_refused_whole_client_side():
+    # A handle refuses a batch holding a key the key rule refuses whole,
+    # as it refuses a batch holding a refused count: nothing is sent.
     remote, _ = make_remote()
     keys = ["good:1", (1, 2), "good:2", ["bad"], "good:3"]
-    result = remote.insert_many(keys)
-    assert result.applied == 3
-    assert [f.index for f in result.failures] == [1, 3]
-    assert all(isinstance(f.error, TypeError) for f in result.failures)
-    assert not any(f.retryable for f in result.failures)   # permanent
-    assert result.retryable() == []
-    with pytest.raises(TypeError):
-        result.raise_first()
-    for key in ("good:1", "good:2", "good:3"):
-        assert remote.query(key) == 1
-    assert remote.server.requests_failed == 0   # bad keys never left home
+    for verb in ("insert_many", "delete_many", "query_many"):
+        with pytest.raises(TypeError, match="JSON scalars"):
+            getattr(remote, verb)(keys)
+    with pytest.raises(ValueError, match="UTF-8"):
+        remote.insert_many(["good:1", "bad\ud800"])
+    assert remote.server.requests_served + remote.server.requests_failed \
+        == 0                                    # no frame left the client
+    assert remote.query_many(keys[::2]).values.tolist() == [0, 0, 0]
+    assert remote.total_count == 0
 
 
 @pytest.mark.chaos
