@@ -94,6 +94,11 @@ _OVERHEAD = _SEQ_OP.size + _CRC.size
 
 #: the C scanner :func:`json.loads` runs underneath its wrappers
 _scan_json = json.JSONDecoder().scan_once
+#: the record body encoder, built once: ``json.dumps`` given any of
+#: these arguments builds an encoder per call.  Bulk bodies carry their
+#: int64 arrays as lists.
+_BODY = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                         default=np.ndarray.tolist)
 
 
 class WALRecord(NamedTuple):
@@ -134,8 +139,7 @@ class ScanResult:
 
 
 def _encode(seq: int, op: int, key: object, count: int) -> bytes:
-    body = json.dumps([key, count], sort_keys=True, separators=(",", ":"),
-                      default=np.ndarray.tolist).encode("utf-8")
+    body = _BODY.encode([key, count]).encode("utf-8")
     inner = _SEQ_OP.pack(seq, op) + body
     crc = zlib.crc32(inner) & 0xFFFFFFFF
     return _LEN.pack(len(inner) + _CRC.size) + inner + _CRC.pack(crc)

@@ -1,11 +1,16 @@
 """The serving front end: bounded queues, admission control, graceful drain.
 
 :class:`ServingEngine` is what a request stream actually talks to.  It
-accepts point operations (:meth:`submit` returns a future), holds them in
-a bounded queue, and a pump — either the caller's thread
-(:meth:`pump` / :meth:`drain`, fully deterministic, what the tests use)
-or a background worker (:meth:`start`) — coalesces them into batches for
-the :class:`~repro.serve.batch.ShardBatcher`.
+accepts point operations, holds them in a bounded queue, and a pump —
+either the caller's thread (:meth:`pump` / :meth:`drain`, fully
+deterministic, what the tests use) or a background worker
+(:meth:`start`) — coalesces them into batches for the
+:class:`~repro.serve.batch.ShardBatcher`.
+
+**Completions.**  :meth:`submit` returns the queued request itself, a
+slotted completion with the ``Future`` surface callers use (see
+:class:`_Request`).  The pump resolves and meters a whole batch at once:
+one wake-up of blocked callers and one registry-lock hold per histogram.
 
 **Admission control.**  A serving system protects itself at the *front*
 door: once the queue is past its bound, new work is refused with a typed
@@ -37,10 +42,11 @@ fake clock and zero flakiness.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
+from concurrent import futures
 from typing import Callable, Sequence
 
 from repro.core.sbf import COUNT_ERRORS, check_count, check_threshold
@@ -81,15 +87,93 @@ def shed_oldest(depth: int, limit: int, op: tuple) -> str:
     return ACCEPT if depth < limit else SHED_OLDEST
 
 
+#: a request's outcome before the pump resolves it
+_PENDING = object()
+
+#: where a raising done-callback is logged, as ``Future`` logs it
+_LOGGER = logging.getLogger("concurrent.futures")
+
+
 class _Request:
-    __slots__ = ("op", "future", "enqueued_at", "deadline")
+    """One queued request, and the completion :meth:`ServingEngine.submit`
+    returns for it.
+
+    It answers what callers ask of a :class:`concurrent.futures.Future`
+    (:meth:`done`, :meth:`result`, :meth:`exception`,
+    :meth:`add_done_callback`), but it is not one: it has no ``cancel``
+    and does not work with ``concurrent.futures.wait`` or
+    ``as_completed``.  It holds no lock of its own: the engine resolves
+    it with the rest of its batch under the engine's one condition, and
+    a resolved request answers without taking any lock.
+    """
+
+    __slots__ = ("op", "enqueued_at", "deadline", "_outcome", "_callbacks",
+                 "_resolved")
 
     def __init__(self, op: tuple, enqueued_at: float,
-                 deadline: Deadline | None = None):
+                 deadline: Deadline | None, resolved: threading.Condition):
         self.op = op
-        self.future: Future = Future()
         self.enqueued_at = enqueued_at
         self.deadline = deadline
+        #: the result, or the exception instance that failed the request
+        self._outcome = _PENDING
+        self._callbacks: list | None = None
+        self._resolved = resolved
+
+    def done(self) -> bool:
+        return self._outcome is not _PENDING
+
+    def result(self, timeout: float | None = None):
+        """The op's result, waiting up to *timeout* seconds (forever when
+        ``None``) for its batch.
+
+        Raises:
+            Exception: the one that failed the request.
+            concurrent.futures.TimeoutError: still pending at *timeout*.
+        """
+        outcome = self._outcome
+        if outcome is _PENDING:
+            outcome = self._wait(timeout)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    def exception(self, timeout: float | None = None):
+        """The exception that failed the request, or ``None``; waits as
+        :meth:`result` does."""
+        outcome = self._outcome
+        if outcome is _PENDING:
+            outcome = self._wait(timeout)
+        return outcome if isinstance(outcome, BaseException) else None
+
+    def add_done_callback(self, fn: Callable[["_Request"], object]) -> None:
+        """Call ``fn(request)`` once it resolves — at once if it has.  A
+        callback that raises is logged and stops nothing else."""
+        with self._resolved:
+            if self._outcome is _PENDING:
+                if self._callbacks is None:
+                    self._callbacks = [fn]
+                else:
+                    self._callbacks.append(fn)
+                return
+        self._call(fn)
+
+    def _wait(self, timeout: float | None):
+        with self._resolved:
+            if not self._resolved.wait_for(self.done, timeout):
+                raise futures.TimeoutError(
+                    f"{self.op[0]} still pending after {timeout}s")
+            return self._outcome
+
+    def _call(self, fn: Callable[["_Request"], object]) -> None:
+        try:
+            fn(self)
+        except Exception:
+            _LOGGER.exception("exception calling callback for %r", self)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "pending" if self._outcome is _PENDING else "done"
+        return f"<request {self.op!r} {state}>"
 
 
 class ServingEngine:
@@ -141,6 +225,9 @@ class ServingEngine:
         self.policy = policy or reject_new
         self._queue: deque[_Request] = deque()
         self._lock = threading.Lock()
+        #: every request's waiters block on this one condition; the pump
+        #: notifies it once per batch it resolves
+        self._resolved = threading.Condition(threading.Lock())
         self._closed = False
         self._worker: threading.Thread | None = None
         self._stop = threading.Event()
@@ -150,8 +237,9 @@ class ServingEngine:
     # -- the front door ----------------------------------------------------
     def submit(self, verb: str, key: object, *args,
                timeout: float | None = None,
-               deadline: Deadline | None = None) -> Future:
-        """Enqueue one operation; returns a future for its result.
+               deadline: Deadline | None = None) -> _Request:
+        """Enqueue one operation; returns its completion (see
+        :class:`_Request`).
 
         *timeout* (seconds on the registry clock) or an explicit
         *deadline* bounds the request end to end: the whole of queueing,
@@ -207,7 +295,8 @@ class ServingEngine:
                 raise ValueError(
                     f"admission policy returned {decision!r}; expected "
                     f"one of {ACCEPT!r}, {REJECT!r}, {SHED_OLDEST!r}")
-            request = _Request(op, self.metrics.clock(), deadline)
+            request = _Request(op, self.metrics.clock(), deadline,
+                               self._resolved)
             self._queue.append(request)
             self._depth.set(len(self._queue))
         if shed is not None:
@@ -219,16 +308,17 @@ class ServingEngine:
                 # typed DeadlineExceeded with the unexecuted guarantee.
                 self._expired.inc()
                 self._failed.inc()
-                shed.future.set_exception(DeadlineExceeded(
+                error: Exception = DeadlineExceeded(
                     f"{shed.op[0]} expired while queued (evicted by a "
-                    f"newer arrival)", unexecuted=True))
+                    f"newer arrival)", unexecuted=True)
             else:
                 self._shed.inc()
-                shed.future.set_exception(Overloaded(
+                error = Overloaded(
                     f"shed after {self.max_queue} newer arrivals",
-                    self.max_queue, self.max_queue))
+                    self.max_queue, self.max_queue)
+            self._resolve([shed], [error])
         self._accepted.inc()
-        return request.future
+        return request
 
     @property
     def queue_depth(self) -> int:
@@ -255,41 +345,63 @@ class ServingEngine:
             return 0
         clock = self.metrics.clock
         now = clock()
+        self._queue_wait.observe_many([now - r.enqueued_at for r in popped])
         batch: list[_Request] = []
+        expired: list[_Request] = []
         for request in popped:
-            self._queue_wait.observe(now - request.enqueued_at)
             if request.deadline is not None and request.deadline.expired:
-                # The caller stopped waiting while the request queued;
-                # executing it now would burn shard time on an answer
-                # nobody reads.
-                self._expired.inc()
-                self._failed.inc()
-                request.future.set_exception(DeadlineExceeded(
-                    f"{request.op[0]} expired after queueing "
-                    f"{now - request.enqueued_at:.4f}s", unexecuted=True))
+                expired.append(request)
             else:
                 batch.append(request)
-        if not batch:
-            return len(popped)
-        start = clock()
-        try:
-            results = self.batcher.execute(
-                [r.op for r in batch], deadlines=[r.deadline for r in batch])
-        except Exception as exc:
-            # Every popped request must resolve: fail the whole batch
-            # rather than strand its futures or kill the worker thread.
-            results = [exc] * len(batch)
-        done = clock()
-        self._batch_seconds.observe(done - start)
-        for request, result in zip(batch, results):
-            self._latency.observe(done - request.enqueued_at)
-            if isinstance(result, BaseException):
-                self._failed.inc()
-                request.future.set_exception(result)
-            else:
-                request.future.set_result(result)
-        self._served.inc(len(batch))
+        failed = 0
+        if expired:
+            # The callers stopped waiting while these queued; executing
+            # them now would burn shard time on answers nobody reads.
+            self._expired.inc(len(expired))
+            failed = self._resolve(expired, [DeadlineExceeded(
+                f"{r.op[0]} expired after queueing "
+                f"{now - r.enqueued_at:.4f}s", unexecuted=True)
+                for r in expired])
+        if batch:
+            start = clock()
+            try:
+                results = self.batcher.execute(
+                    [r.op for r in batch],
+                    deadlines=[r.deadline for r in batch])
+            except Exception as exc:
+                # Every popped request must resolve: fail the whole batch
+                # rather than strand its requests or kill the worker.
+                results = [exc] * len(batch)
+            done = clock()
+            self._batch_seconds.observe(done - start)
+            self._latency.observe_many([done - r.enqueued_at for r in batch])
+            failed += self._resolve(batch, results)
+            self._served.inc(len(batch))
+        if failed:
+            self._failed.inc(failed)
         return len(popped)
+
+    def _resolve(self, requests: list[_Request], outcomes) -> int:
+        """Resolve each request with its outcome — a result, or the
+        exception that failed it: the one way a request completes.
+
+        Every outcome is set and every blocked waiter woken under one hold
+        of the engine's condition; the done-callbacks run after, outside
+        it.  Returns how many of the requests failed.
+        """
+        failed = 0
+        resolved = self._resolved
+        with resolved:
+            for request, outcome in zip(requests, outcomes):
+                request._outcome = outcome
+                if isinstance(outcome, BaseException):
+                    failed += 1
+            resolved.notify_all()
+        for request in requests:
+            if request._callbacks is not None:
+                for fn in request._callbacks:
+                    request._call(fn)
+        return failed
 
     def maintain(self) -> int:
         """Run one maintenance round: tick every shard.
@@ -385,19 +497,20 @@ def run_requests(engine: ServingEngine, ops: Sequence[tuple],
     :meth:`ShardBatcher.execute` — an op :meth:`ServingEngine.submit`
     refuses (overload, a malformed op) included.
     """
-    futures = []
+    requests = []
     for op in ops:
         try:
-            futures.append(engine.submit(*op))
+            requests.append(engine.submit(*op))
         except (Overloaded, ValueError) as exc:
-            future: Future = Future()
-            future.set_exception(exc)
-            futures.append(future)
+            refused = _Request(tuple(op), engine.metrics.clock(), None,
+                               engine._resolved)
+            engine._resolve([refused], [exc])
+            requests.append(refused)
             if isinstance(exc, Overloaded):
                 engine.pump()
     engine.drain()
     results = []
-    for future in futures:
-        exc = future.exception()
-        results.append(exc if exc is not None else future.result())
+    for request in requests:
+        exc = request.exception()
+        results.append(exc if exc is not None else request.result())
     return results

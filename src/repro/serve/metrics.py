@@ -116,6 +116,19 @@ class Histogram:
             self.count += 1
             self.sum += value
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Record *values* under one lock hold: the buckets, ``count`` and
+        ``sum`` of observing them one by one, in order (the sum is added
+        value by value, so it is bit-identical too)."""
+        bounds, buckets = self.bounds, self.buckets
+        with self._lock:
+            total = self.sum
+            for value in values:
+                buckets[bisect_left(bounds, value)] += 1
+                total += value
+            self.sum = total
+            self.count += len(values)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram({self.name}, count={self.count}, sum={self.sum})"
 

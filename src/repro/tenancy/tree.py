@@ -77,7 +77,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.sbf import SpectralBloomFilter, check_count, prepare_batch
+from repro.core.sbf import (
+    SpectralBloomFilter,
+    check_count,
+    check_counts,
+    prepare_batch,
+)
 from repro.core.serialize import (
     WireFormatError,
     dump_sbf,
@@ -86,7 +91,7 @@ from repro.core.serialize import (
     open_sections,
     seal_sections,
 )
-from repro.handle import BulkResult, as_handle
+from repro.handle import BulkFailure, BulkResult, as_handle
 from repro.hashing.families import make_family
 from repro.hashing.keys import check_key, check_keys
 from repro.hashing.vectorized import canonicalize_many, matrix_for
@@ -558,7 +563,9 @@ class SpectralBloofiTree:
         matrix drives one aggregated scatter-add per ancestor, over the
         slots the leaf's :class:`~repro.handle.BulkResult` reports as
         landed (hinted writes on replicated leaves land, which stays
-        one-sided while handoff drains).  Returns that result.
+        one-sided while handoff drains).  Returns that result over the
+        caller's slots: a zero-count slot never reaches the leaf and
+        succeeds, and each failure keeps its index in *keys*.
         """
         return self._bulk(tenant, keys, counts, +1)
 
@@ -568,7 +575,11 @@ class SpectralBloofiTree:
         return self._bulk(tenant, keys, counts, -1)
 
     def _bulk(self, tenant: object, keys, counts, sign: int) -> BulkResult:
-        keys, counts = prepare_batch(check_keys(keys), counts)
+        keys = check_keys(keys)
+        n = len(keys)
+        counts = check_counts(counts, n)
+        kept = np.flatnonzero(counts)       # the slots prepare_batch keeps
+        keys, counts = prepare_batch(keys, counts)
         with self._lock:
             leaf = self._leaf(tenant)
             verb = leaf.view.insert_many if sign > 0 \
@@ -579,7 +590,11 @@ class SpectralBloofiTree:
             self.metrics.counter(
                 "tenancy.inserts" if sign > 0 else "tenancy.deletes",
             ).inc(outcome.applied)
+        if len(keys) == n:
             return outcome
+        return BulkResult(n, failures=[
+            BulkFailure(int(kept[f.index]), f.key, f.error, f.retryable)
+            for f in outcome.failures])
 
     def _apply_bulk(self, leaf: _Node, keys, counts, sign: int,
                     outcome: BulkResult) -> None:

@@ -6,6 +6,7 @@ fsync policies, atomic snapshots with generation fallback, recovery
 plumbing, the durable handle, and the app-layer wiring.
 """
 
+import json
 import os
 import random
 import struct
@@ -100,6 +101,34 @@ class TestWAL:
                 wal.log_insert(key)
         records, _ = replay(path)
         assert [r.key for r in records] == keys
+
+    @pytest.mark.parametrize("key, count", [
+        ("text", 1), ("ünï ☃ \U0001f600", 2), (-7, 3), (3.5, 1),
+        (True, 1), (None, 1), (["x", 2, None], [1, 2, 3]),
+        (np.arange(5, dtype=np.int64), np.array([1, 2, 3, 1, 1]))])
+    def test_record_body_is_the_json_dumps_form(self, key, count):
+        body = json.dumps([key, count], sort_keys=True,
+                          separators=(",", ":"),
+                          default=np.ndarray.tolist).encode("utf-8")
+        record = _encode(9, OP_INSERT, key, count)
+        assert record[13:-4] == body        # after len, seq and op; CRC
+
+    def test_point_and_bulk_log_recovers_equal(self, tmp_path):
+        handle = DurableSBF.open(str(tmp_path), factory=factory)
+        reference = factory()
+        for target in (handle, reference):
+            target.insert("ünï", 2)
+            target.insert(42)
+            target.insert_many(np.arange(6, dtype=np.int64),
+                               np.array([1, 2, 3, 1, 2, 3]))
+            target.insert_many(["a", "b", "ünï"], [3, 1, 1])
+            target.delete_many(np.array([0, 5]), [1, 2])
+            target.delete("a")
+            target.set("b", 4)
+        handle.close()
+        recovered, report = recover(str(tmp_path), factory=factory)
+        assert report.records_replayed == 7
+        assert full_state(recovered) == full_state(reference)
 
     def test_non_scalar_key_rejected_before_logging(self, tmp_path):
         path = str(tmp_path / "wal.log")

@@ -428,3 +428,23 @@ def test_router_metrics_flow_through_registry():
     assert snapshot["counters"]["router.inserts"] == 20
     assert snapshot["counters"]["router.queries"] == 10
     assert snapshot["gauges"]["router.shards"] == 2
+
+
+def test_histogram_observe_many_equals_one_by_one():
+    # Values on the bounds, between them and past the last one, in an
+    # order whose float sum depends on the order of addition.
+    values = [0.0001, 0.0005, 7.0, 1e-9, 0.3, 5.0, 0.1, 1e16, 1.0, -1e16,
+              0.049999, 0.05, 12.5, 0.1, 0.2]
+    one, many = MetricsRegistry(), MetricsRegistry()
+    single = one.histogram("h")
+    single.observe(0.7)
+    for value in values:
+        single.observe(value)
+    batched = many.histogram("h")
+    batched.observe(0.7)
+    batched.observe_many(values)
+    batched.observe_many([])
+    assert batched.buckets == single.buckets
+    assert batched.buckets[-1] == 3          # 7.0, 1e16 and 12.5 overflow
+    assert batched.count == single.count == len(values) + 1
+    assert batched.sum.hex() == single.sum.hex()

@@ -6,7 +6,11 @@ fake injected clock, so queueing behaviour is asserted exactly — no
 sleeps, no flakiness.
 """
 
+import concurrent.futures
+import logging
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -393,3 +397,121 @@ def test_background_worker_survives_a_refused_op_and_a_failed_batch(
     finally:
         engine.stop()
     assert engine.router.total_count == 1
+
+
+# -- the completion submit returns -------------------------------------------
+
+def test_a_window_of_requests_builds_no_condition(monkeypatch):
+    # Blocked waits share the engine's one condition: queueing and
+    # resolving a window builds none per request.
+    engine = ServingEngine(make_router(), max_queue=512, batch_size=64)
+    built = []
+    condition = threading.Condition
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return condition(*args, **kwargs)
+    monkeypatch.setattr(threading, "Condition", counting)
+    requests = [engine.submit("insert" if key % 5 == 0 else "query", key)
+                for key in range(256)]
+    assert engine.drain() == 256
+    assert built == []
+    assert all(request.done() for request in requests)
+
+
+def test_result_and_exception_before_and_after_resolution():
+    engine = ServingEngine(make_router(), max_queue=8, batch_size=8)
+    ok = engine.submit("insert", "a")
+    bad = engine.submit("insert", ["unroutable"])
+    for request in (ok, bad):
+        assert not request.done()
+        with pytest.raises(concurrent.futures.TimeoutError):
+            request.result(timeout=0)
+        with pytest.raises(concurrent.futures.TimeoutError):
+            request.exception(timeout=0)
+    assert engine.pump() == 2
+    assert ok.done() and bad.done()
+    assert ok.result() is None and ok.exception() is None
+    error = bad.exception(timeout=0)
+    assert type(error) is TypeError
+    with pytest.raises(TypeError) as raised:
+        bad.result()
+    assert raised.value is error
+
+
+def test_done_callbacks_run_once_before_or_after_resolution(caplog):
+    engine = ServingEngine(make_router(), max_queue=8, batch_size=8)
+    calls = []
+
+    def raising(request):
+        calls.append(("raising", request))
+        raise RuntimeError("callback fell over")
+    first = engine.submit("insert", "a")
+    second = engine.submit("query", "a")
+    first.add_done_callback(raising)
+    first.add_done_callback(lambda r: calls.append(("first", r)))
+    second.add_done_callback(lambda r: calls.append(("second", r)))
+    with caplog.at_level(logging.ERROR, logger="concurrent.futures"):
+        assert engine.pump() == 2
+    assert calls == [("raising", first), ("first", first),
+                     ("second", second)]
+    assert "callback fell over" in caplog.text
+    second.add_done_callback(lambda r: calls.append(("late", r)))
+    assert calls[-1] == ("late", second)
+    assert second.result() == 1
+    # the pump that ran the raising callback keeps serving
+    assert run_requests(engine, [("query", "a")]) == [1]
+    assert len(calls) == 4
+
+
+def test_shed_and_expired_requests_resolve_with_typed_errors():
+    clock = FakeClock()
+    engine = ServingEngine(make_router(), max_queue=2, batch_size=8,
+                           policy=shed_oldest,
+                           metrics=MetricsRegistry(clock=clock))
+    seen = []
+    shed = engine.submit("insert", 1)
+    expiring = engine.submit("insert", 2, timeout=0.05)
+    for request in (shed, expiring):
+        request.add_done_callback(seen.append)
+    engine.submit("insert", 3)              # sheds the first
+    clock.advance(0.1)                      # the second expires queued
+    assert seen == [shed]
+    assert engine.pump() == 2
+    assert seen == [shed, expiring]
+    assert type(shed.exception()) is Overloaded
+    error = expiring.exception()
+    assert type(error) is DeadlineExceeded and error.unexecuted
+    counters = engine.metrics.snapshot()["counters"]
+    assert counters["engine.failed"] == 1
+    assert engine.router.total_count == 1
+
+
+def test_threads_racing_the_worker_lose_no_result_or_callback():
+    # Callbacks added from client threads race the worker's resolution
+    # of the same batch; each must run exactly once, and every blocked
+    # caller must wake with its own result.
+    engine = ServingEngine(make_router(), max_queue=4096, batch_size=16)
+    seen, answers = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    engine.start()
+    try:
+        def client(t):
+            for i in range(100):
+                request = engine.submit("insert", f"t{t}:{i}")
+                request.add_done_callback(seen.append)
+                answers.append(request.result(timeout=10))
+        threads = [threading.Thread(target=client, args=(t,))
+                   for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        engine.stop()
+        sys.setswitchinterval(interval)
+    assert answers == [None] * 400
+    assert len(seen) == 400 and len({id(r) for r in seen}) == 400
+    assert engine.router.total_count == 400

@@ -24,6 +24,7 @@ from repro.core.serialize import WireFormatError, family_name, seal_sections
 from repro.core.sbf import SpectralBloomFilter
 from repro.persist.durable import DurableSBF
 from repro.serve import ServingEngine, ShardBatcher
+from repro.handle import BulkFailure, FilterHandle
 from repro.serve.remote import BulkResult
 from repro.tenancy import (
     TREE_MAGIC,
@@ -62,6 +63,19 @@ def scan_oracle(tree: SpectralBloofiTree, key: object) -> dict:
         if estimate > 0:
             answers[tenant] = estimate
     return answers
+
+
+class RefusesKey(FilterHandle):
+    """A leaf handle that fails every slot of a bulk insert holding
+    ``"bad"`` and applies the rest."""
+
+    def insert_many(self, keys, counts=None, *, timeout=None):
+        good = [i for i, key in enumerate(keys) if key != "bad"]
+        self.sbf.insert_many([keys[i] for i in good],
+                             [int(counts[i]) for i in good])
+        return BulkResult(len(keys), failures=[
+            BulkFailure(i, key, RuntimeError("refused"), False)
+            for i, key in enumerate(keys) if key == "bad"])
 
 
 def probe_keys():
@@ -231,6 +245,26 @@ class TestWrites:
         tree.insert_many("t", ["a", "b"], [2, 0])  # zero entries dropped
         assert tree.query_tenant("t", "b") == 0
         assert tree.verify() == []
+
+    def test_bulk_result_speaks_of_the_callers_slots(self):
+        tree = make_tree()
+        tree.mount("t")
+        outcome = tree.insert_many("t", ["a", "b", "c"], [0, 1, 0])
+        assert len(outcome) == 3 and outcome.ok
+        assert outcome.tolist() == [None, None, None]
+        assert len(tree.delete_many("t", ["a", "b"], [0, 0])) == 2
+        # a leaf handle that fails one slot of the batch it is handed
+        leaf = RefusesKey(SpectralBloomFilter(M, K, seed=SEED,
+                                              hash_family=tree.family.spawn()))
+        tree.mount("f", leaf)
+        outcome = tree.insert_many("f", ["a", "b", "bad", "c"], [1, 0, 2, 1])
+        assert len(outcome) == 4 and outcome.applied == 3
+        [failure] = outcome.failures
+        assert (failure.index, failure.key) == (2, "bad")
+        assert isinstance(outcome.tolist()[2], RuntimeError)
+        assert [tree.query_tenant("f", key) for key in ("a", "bad", "c")] \
+            == [1, 0, 1]
+        assert tree.verify() == []          # ancestors skip the failed slot
 
 
 # ----------------------------------------------------------------------
