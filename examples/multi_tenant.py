@@ -1,13 +1,13 @@
-"""Multi-tenant fleet index: the spectral Bloofi tree (DESIGN.md §11).
+"""Multi-tenant fleet index: the flat spectral Bloofi index (DESIGN.md §11).
 
 Run:  python examples/multi_tenant.py
 
-Mounts a few hundred per-tenant spectral filters — mixed methods, one
-durable — into one :class:`~repro.tenancy.SpectralBloofiTree`, then
-walks the subsystem end to end: multi-set frequency queries ("which
-tenants hold this key, how many times?") that descend only branches
-whose inner counter unions are nonzero, an exactness check against the
-scan-every-leaf oracle, live tenant lifecycle (unmount / remount a
+Mounts a few hundred per-tenant spectral filters — mixed methods — into
+one :class:`~repro.tenancy.SpectralBloofiTree`, then walks the subsystem
+end to end: multi-set frequency queries ("which tenants hold this key,
+how many times?") that probe only the tenants whose presence bits are
+set at all of the key's positions, an exactness check against the
+scan-every-tenant oracle, live tenant lifecycle (unmount / remount a
 pre-populated filter without pausing traffic), a snapshot/restore round
 trip through the multi-section wire format, and the
 :class:`~repro.tenancy.TenantDirectory` front routing single-tenant
@@ -21,7 +21,7 @@ from repro.core.sbf import SpectralBloomFilter
 from repro.serve import ServingEngine
 from repro.tenancy import SpectralBloofiTree, TenantDirectory, load_tree
 
-M, K, SEED, FANOUT = 8192, 3, 17, 8
+M, K, SEED = 8192, 3, 17
 N_TENANTS, CATALOG, PER_TENANT = 240, 600, 20
 METHODS = ["ms", "mi", "rm"]
 
@@ -32,36 +32,36 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1. Mount a fleet: one filter per tenant, methods mixed freely.
     # ------------------------------------------------------------------
-    tree = SpectralBloofiTree(M, K, seed=SEED, fanout=FANOUT)
+    tree = SpectralBloofiTree(M, K, seed=SEED)
     for tenant in range(N_TENANTS):
         tree.mount(f"tenant-{tenant}", method=METHODS[tenant % 3])
         keys = rng.sample(range(CATALOG), PER_TENANT)
         tree.insert_many(f"tenant-{tenant}",
                          keys, [rng.randint(1, 3) for _ in keys])
     print("== fleet ==")
-    print(f"  {tree.n_tenants} tenants, {tree.n_nodes} tree nodes, "
-          f"height {tree.height}, fanout {FANOUT}")
+    print(f"  {tree.n_tenants} tenants, "
+          f"{tree.index_bytes / 2 ** 10:,.0f} KiB of presence bits")
 
     # ------------------------------------------------------------------
     # 2. Multi-set frequency queries: who holds key x, and how often?
     # ------------------------------------------------------------------
-    visited = tree.metrics.counter("tenancy.nodes_visited")
+    probed = tree.metrics.counter("tenancy.leaves_probed")
     hot, rare, absent = 7, "sku:limited-run", "sku:never-made"
     tree.insert("tenant-3", rare, 2)
     tree.insert("tenant-11", rare, 1)
 
     print("== multi-set frequency queries ==")
     for key in (hot, rare, absent):
-        before = visited.value
+        before = probed.value
         answers = tree.query(key)
-        cost = visited.value - before
+        cost = probed.value - before
         print(f"  {key!r}: {len(answers)} tenants hold it "
-              f"(visited {cost}/{tree.n_nodes} nodes)")
+              f"(probed {cost}/{tree.n_tenants} tenants)")
     print(f"  rare key owners: {dict(sorted(tree.query(rare).items()))}")
 
     # ------------------------------------------------------------------
-    # 3. Exactness: the pruned descent is bit-identical to scanning
-    #    every leaf and keeping the positive answers.
+    # 3. Exactness: the pruned lookup is bit-identical to scanning
+    #    every tenant and keeping the positive answers.
     # ------------------------------------------------------------------
     probes = [rng.randrange(CATALOG) for _ in range(50)] + [rare, absent]
     mismatches = 0

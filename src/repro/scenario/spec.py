@@ -197,7 +197,7 @@ _TOPOLOGY_DEFAULTS = {
     "breaker": None, "hedge": None, "retry_budget": None,
     "wire_latency": 0.0005, "max_retries": 3,
     "base_backoff": 0.01, "max_backoff": 0.05,
-    "tenants": None, "fanout": 8,
+    "tenants": None,
 }
 
 _ENGINE_DEFAULTS = {

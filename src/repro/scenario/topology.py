@@ -230,7 +230,7 @@ def build_topology(spec: dict, clock: SimClock,
     from repro.tenancy.tree import SpectralBloofiTree
     tree = SpectralBloofiTree(cfg["m"], cfg["k"], seed=cfg["seed"],
                               hash_family=cfg["hash_family"],
-                              fanout=cfg["fanout"], metrics=metrics)
+                              metrics=metrics)
     directory = TenantDirectory(tree, metrics=metrics)
     for tenant in cfg["tenants"]:
         directory.mount(tenant, method=cfg["method"])

@@ -1,11 +1,11 @@
-"""Multi-tenant fleet indexing: the spectral Bloofi tree.
+"""Multi-tenant fleet indexing: the flat spectral Bloofi index.
 
 A fleet of per-tenant spectral filters answers "which sets contain key
-x, and how often" in sublinear time through
-:class:`~repro.tenancy.tree.SpectralBloofiTree` — a B+-tree whose inner
-nodes hold counter-wise unions of their children, pruning the descent
-exactly (bit-identical to scanning every leaf).
-:class:`~repro.tenancy.directory.TenantDirectory` fronts the tree with
+x, and how often" through :class:`~repro.tenancy.tree.SpectralBloofiTree`
+— one presence bit per (counter, tenant), so a query ANDs the key's k
+rows and probes only the tenants that survive, exactly (bit-identical
+to scanning every tenant).
+:class:`~repro.tenancy.directory.TenantDirectory` fronts the index with
 the router contract, so the existing
 :class:`~repro.serve.engine.ServingEngine` serves multi-tenant fleets
 unchanged.

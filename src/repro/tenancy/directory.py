@@ -1,4 +1,4 @@
-"""TenantDirectory: the tenancy tree behind the router contract.
+"""TenantDirectory: the tenancy index behind the router contract.
 
 The serving stack (:class:`~repro.serve.batch.ShardBatcher`,
 :class:`~repro.serve.engine.ServingEngine`, the admission policies, the
@@ -11,18 +11,20 @@ multi-tenant fleet plugs into the existing engine **unchanged**:
 
 - keys on this surface are composite ``(tenant, key)`` pairs — the
   directory routes each to a per-tenant slot and strips the tenant
-  before the leaf sees the key;
+  before the tenant's handle sees the key;
 - every mounted tenant owns one stable slot backed by a thin
-  :class:`_TenantLeaf` handle that delegates each operation to the tree
-  **by tenant id at call time** (so the tree may split, merge, and
-  rebalance its nodes under live traffic without any adapter going
-  stale — an unmounted tenant's slot simply starts failing with
+  :class:`_TenantLeaf` handle that delegates each operation to the index
+  **by tenant id at call time** (so the index may reuse bit columns
+  under live traffic without any adapter going stale — an unmounted
+  tenant's slot simply starts failing with
   :class:`~repro.tenancy.tree.UnknownTenant`);
-- slot 0 is the *unrouted* slot: malformed keys and unknown tenants land
+- slot 0 is the *unrouted* slot: non-pairs and unknown tenants land
   there and fail **in their result slot** (the batcher's per-op error
-  discipline), never felling a whole batch;
-- writes and single-tenant reads never descend the tree — they go
-  straight to the owning leaf, exactly like a router hop — while the
+  discipline), never felling a whole batch; an inner key the key rule
+  refuses fails in its own slot with the rule's error, as on a
+  :class:`~repro.serve.router.ShardedSBF`;
+- writes and single-tenant reads never touch the bitmap's AND — they go
+  straight to the owning tenant, exactly like a router hop — while the
   multi-tenant query ("which tenants hold x?") stays available as
   :meth:`TenantDirectory.query_tenants` on the directory itself.
 
@@ -43,6 +45,7 @@ import numpy as np
 
 from repro.core.sbf import check_threshold
 from repro.handle import BulkFailure, BulkResult, ShardHandle
+from repro.hashing.keys import check_key
 from repro.serve.metrics import MetricsRegistry
 from repro.tenancy.tree import SpectralBloofiTree, UnknownTenant
 
@@ -61,7 +64,7 @@ def split_key(composite: object) -> tuple:
 
 
 class TenantDirectory:
-    """Route single-tenant operations to the owning tree leaf.
+    """Route single-tenant operations to the owning tenant's handle.
 
     Args:
         tree: the fleet index to front.
@@ -121,27 +124,27 @@ class TenantDirectory:
 
     @property
     def migrating(self) -> bool:
-        """Always ``False``: tree rebalancing is internal and atomic per
-        operation, so batch grouping by slot is always sound."""
+        """Always ``False``: a tenant keeps its slot for as long as the
+        directory lives, so batch grouping by slot is always sound."""
         return False
 
     def shard_of(self, composite: object) -> int:
-        """The slot owning a composite key (0 when unroutable — the op
-        will fail in its slot rather than fell its batch)."""
-        try:
-            tenant, _ = split_key(composite)
-        except UnknownTenant:
-            return 0
-        with self._lock:
-            return self._slots.get(tenant, 0)
+        """The slot owning a composite key (0 for a non-pair or an
+        unknown tenant — the op will fail in its slot rather than fell
+        its batch).  An inner key the key rule refuses raises its
+        error, so the batcher fails that key alone."""
+        return self.shard_of_many([composite])[0]
 
     def shard_of_many(self, composites: Sequence[object]) -> list[int]:
         with self._lock:
-            slots = self._slots
-            return [slots.get(composite[0], 0)
-                    if isinstance(composite, tuple) and len(composite) == 2
-                    else 0
-                    for composite in composites]
+            slots, owners = self._slots, []
+            for composite in composites:
+                if isinstance(composite, tuple) and len(composite) == 2:
+                    check_key(composite[1])
+                    owners.append(slots.get(composite[0], 0))
+                else:
+                    owners.append(0)
+            return owners
 
     def note_shard_ops(self, slot: int, n: int) -> None:
         self.metrics.counter("directory.ops").inc(n)
@@ -167,7 +170,7 @@ class TenantDirectory:
         check_threshold(threshold)
         return self.query(composite) >= threshold
 
-    # -- the multi-tenant verbs (what the tree exists for) -----------------
+    # -- the multi-tenant verbs (what the index exists for) ----------------
     def query_tenants(self, key: object) -> dict:
         """``{tenant: estimate}`` over the whole fleet — the sublinear
         multi-set query; plain keys here, no composite."""
@@ -183,14 +186,15 @@ class TenantDirectory:
 
 
 class _TenantLeaf(ShardHandle):
-    """One tenant's routing slot: a shard handle over a tree leaf.
+    """One tenant's routing slot: a shard handle over a mounted tenant.
 
-    Stateless beyond the tenant id — every call resolves the leaf
-    through the tree at call time, so rebalancing never invalidates a
-    slot.  Composite keys are stripped here; the tree (and the leaf
-    handle below it) see plain keys.  The tree holds its own lock per
-    operation (delta propagation must be atomic tree-wide, not
-    per-leaf), so :meth:`exclusive` is the protocol's pass-through.
+    Stateless beyond the tenant id — every call resolves the tenant
+    through the index at call time, so an unmount and remount never
+    invalidates a slot.  Composite keys are stripped here; the index
+    (and the tenant's handle below it) see plain keys.  The index holds
+    its own lock per operation (a write and its bit update must be
+    atomic index-wide, not per-tenant), so :meth:`exclusive` is the
+    protocol's pass-through.
     """
 
     __slots__ = ("_directory", "tenant")

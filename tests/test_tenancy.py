@@ -1,16 +1,18 @@
-"""The multi-tenant fleet index: spectral Bloofi tree + TenantDirectory.
+"""The multi-tenant fleet index: the flat spectral Bloofi index +
+TenantDirectory.
 
 The invariants under test:
 
-- **union** — every inner node's vector equals the counter-wise sum of
-  its children's signatures, after any interleaving of insert / delete /
-  mount / unmount (the hypothesis machine drives this);
-- **exact pruning** — tree answers are bit-identical to scanning every
-  mounted leaf, for every method mix (MS, MI, RM leaves in one tree);
-- **shape** — leaves at one depth, occupancy within fanout bounds,
-  rebalancing bounded per operation;
-- **wire** — snapshot/restore round-trips the whole tree and rejects
-  corrupted or structurally invalid manifests;
+- **bits** — every mounted tenant's column equals its source > 0 (the
+  bare filter's counters, or a tracked signature), free columns are
+  zero and columns map one-to-one to tenants, after any interleaving of
+  insert / delete / mount / unmount (the hypothesis machine drives this);
+- **exact pruning** — index answers are bit-identical to scanning every
+  mounted tenant, for every method mix (MS, MI, RM, TRM in one index);
+- **columns** — an unmounted tenant's column is cleared and reused, and
+  the matrix widens past 64 tenants;
+- **wire** — snapshot/restore round-trips the whole index and rejects
+  corrupted, structurally invalid or version-1 manifests;
 - **contract** — the TenantDirectory front serves the tree through the
   unchanged ServingEngine/ShardBatcher machinery, failing unknown
   tenants in their result slot.
@@ -22,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.serialize import WireFormatError, family_name, seal_sections
 from repro.core.sbf import SpectralBloomFilter
+from repro.persist import ConcurrentSBF
 from repro.persist.durable import DurableSBF
 from repro.serve import ServingEngine, ShardBatcher
 from repro.handle import BulkFailure, FilterHandle
@@ -38,14 +41,14 @@ M, K, SEED = 1024, 3, 5
 METHODS = ("ms", "mi", "rm")
 
 
-def make_tree(fanout: int = 4, **kwargs) -> SpectralBloofiTree:
-    return SpectralBloofiTree(M, K, seed=SEED, fanout=fanout, **kwargs)
+def make_tree(**kwargs) -> SpectralBloofiTree:
+    return SpectralBloofiTree(M, K, seed=SEED, **kwargs)
 
 
-def populated_tree(n_tenants: int = 12, keys_per_tenant: int = 25,
-                   fanout: int = 4) -> SpectralBloofiTree:
-    """A tree with a method-diverse tenant population and fixed data."""
-    tree = make_tree(fanout=fanout)
+def populated_tree(n_tenants: int = 12,
+                   keys_per_tenant: int = 25) -> SpectralBloofiTree:
+    """An index with a method-diverse tenant population and fixed data."""
+    tree = make_tree()
     rng = np.random.default_rng(17)
     for t in range(n_tenants):
         tree.mount(t, method=METHODS[t % len(METHODS)])
@@ -86,10 +89,6 @@ def probe_keys():
 # construction and mounting
 # ----------------------------------------------------------------------
 class TestMounting:
-    def test_fanout_bounds(self):
-        with pytest.raises(ValueError, match="fanout"):
-            SpectralBloofiTree(M, K, fanout=1)
-
     def test_tenant_ids_must_be_wire_scalars(self):
         tree = make_tree()
         for bad in (None, 1.5, ("a",), True):
@@ -165,9 +164,8 @@ class TestQueryExactness:
                                  for k in (0, 1, "name-0")]
 
     def test_deep_tree_still_exact(self):
-        # fanout 2 forces height ~log2(24): descent crosses many levels.
-        tree = populated_tree(24, keys_per_tenant=10, fanout=2)
-        assert tree.height >= 4
+        # 130 tenants: every AND spans three 64-bit words.
+        tree = populated_tree(130, keys_per_tenant=10)
         for key in probe_keys():
             assert tree.query(key) == scan_oracle(tree, key), key
         assert tree.verify() == []
@@ -226,6 +224,31 @@ class TestWrites:
             assert point.query(key) == bulk.query(key), key
         assert point.verify() == bulk.verify() == []
 
+    @pytest.mark.parametrize("wrapped", [False, True],
+                             ids=["bare", "concurrent"])
+    def test_mi_clamped_delete_clears_bits(self, wrapped):
+        # An MI delete clamps at zero (§3.2), below what an additive
+        # signature would hold: a bare tenant's bits follow its counters,
+        # a wrapped tenant's signature clamps too, and either way the
+        # index answers like the scan.
+        tree = make_tree()
+        mi = SpectralBloomFilter(M, K, seed=SEED, method="mi",
+                                 hash_family=tree.family.spawn())
+        tree.mount("mi", ConcurrentSBF(mi) if wrapped else mi)
+        tree.mount("ms")
+        for tenant in ("mi", "ms"):
+            tree.insert(tenant, "a")
+            tree.insert(tenant, "b", 2)
+        tree.delete("mi", "a", 3)
+        assert tree.query("a") == {"ms": 1}
+        tree.insert("mi", "a")
+        tree.delete_many("mi", ["b"], [5])
+        tree.insert_many("mi", ["b"])
+        for key in ("a", "b", "absent"):
+            assert tree.query(key) == scan_oracle(tree, key), key
+        assert tree.query("a") == {"mi": 1, "ms": 1}
+        assert tree.verify() == []
+
     def test_bulk_string_keys(self):
         tree = make_tree()
         tree.mount("t")
@@ -268,23 +291,11 @@ class TestWrites:
 
 
 # ----------------------------------------------------------------------
-# lifecycle: splits, merges, uniform depth under churn
+# lifecycle: column reuse and widening under churn
 # ----------------------------------------------------------------------
 class TestLifecycle:
-    def test_split_and_collapse(self):
-        tree = make_tree(fanout=2)
-        for t in range(16):
-            tree.mount(t)
-        assert tree.metrics.counter("tenancy.splits").value > 0
-        height_full = tree.height
-        assert height_full >= 4
-        for t in range(15):
-            tree.unmount(t)
-        assert tree.height < height_full
-        assert tree.verify() == []
-
     def test_churn_preserves_invariants_and_answers(self):
-        tree = make_tree(fanout=3)
+        tree = make_tree()
         live = set()
         rng = np.random.default_rng(23)
         for step in range(160):
@@ -306,6 +317,28 @@ class TestLifecycle:
         for key in range(50):
             assert tree.query(key) == scan_oracle(tree, key), key
 
+    def test_wide_fleet_reuses_cleared_columns(self):
+        tree = make_tree()
+        for t in range(150):                # three words of columns
+            tree.mount(t)
+            tree.insert(t, f"own-{t}", 2)
+            tree.insert(t, "shared")
+        width = tree.index_bytes
+        gone = list(range(0, 150, 3))
+        for t in gone:
+            tree.unmount(t)
+        for t in range(150, 150 + len(gone)):
+            tree.mount(t)                   # each takes a freed column
+        assert tree.index_bytes == width
+        assert tree.verify() == []
+        for t in gone:
+            assert tree.query(f"own-{t}") == {}, t
+        assert tree.query("shared") == {t: 1 for t in range(150)
+                                        if t not in gone}
+        keys = [f"own-{t}" for t in range(150)] + ["shared", "absent"]
+        assert tree.query_many(keys) == [scan_oracle(tree, key)
+                                         for key in keys]
+
     def test_mount_during_traffic_is_immediately_queryable(self):
         tree = populated_tree(8)
         sbf = SpectralBloomFilter(M, K, seed=SEED)
@@ -315,12 +348,12 @@ class TestLifecycle:
 
 
 # ----------------------------------------------------------------------
-# the union invariant, property-tested under random interleavings
+# the bit invariant, property-tested under random interleavings
 # ----------------------------------------------------------------------
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("mount"), st.integers(0, 11),
-                  st.sampled_from(METHODS)),
+                  st.sampled_from(METHODS + ("trm", "concurrent"))),
         st.tuples(st.just("unmount"), st.integers(0, 11)),
         st.tuples(st.just("insert"), st.integers(0, 11),
                   st.integers(0, 30), st.integers(1, 4)),
@@ -334,19 +367,24 @@ OPS = st.lists(
 
 class TestUnionInvariantProperty:
     @settings(max_examples=60)
-    @given(OPS, st.integers(2, 5))
-    def test_inner_nodes_equal_union_of_children(self, ops, fanout):
+    @given(OPS)
+    def test_inner_nodes_equal_union_of_children(self, ops):
         """After ANY interleaving of mount/unmount/insert/delete/bulk,
-        every inner node is the counter-wise union of its children and
-        the tree answers bit-identically to scanning all leaves."""
-        tree = SpectralBloofiTree(256, K, seed=SEED, fanout=fanout)
+        every column equals its source > 0 (verify()) and the index
+        answers bit-identically to scanning all tenants."""
+        tree = SpectralBloofiTree(256, K, seed=SEED)
         mounted = set()
         for op in ops:
             kind, tenant = op[0], op[1]
             if kind == "mount":
-                if tenant not in mounted:
+                if tenant in mounted:
+                    continue
+                if op[2] == "concurrent":   # a tracked signature
+                    tree.mount(tenant, ConcurrentSBF(SpectralBloomFilter(
+                        256, K, seed=SEED, hash_family=tree.family.spawn())))
+                else:
                     tree.mount(tenant, method=op[2])
-                    mounted.add(tenant)
+                mounted.add(tenant)
             elif tenant not in mounted:
                 continue
             elif kind == "unmount":
@@ -355,8 +393,9 @@ class TestUnionInvariantProperty:
             elif kind == "insert":
                 tree.insert(tenant, op[2], op[3])
             elif kind == "delete":
+                sbf = tree.view_of(tenant).local_filter()
                 if tree.query_tenant(tenant, op[2]) >= op[3] and \
-                        tree.handle_of(tenant).min_counter(op[2]) >= op[3]:
+                        sbf.min_counter(op[2]) >= op[3]:
                     tree.delete(tenant, op[2], op[3])
             elif kind == "bulk":
                 tree.insert_many(tenant, op[2])
@@ -401,23 +440,35 @@ class TestWire:
     def test_structural_garbage_rejected(self):
         from repro.core.serialize import dump_sbf
         section = dump_sbf(SpectralBloomFilter(M, K, seed=SEED))
-        base = {"version": 1, "fanout": 4, "m": M, "k": K, "seed": SEED,
+        base = {"version": 2, "m": M, "k": K, "seed": SEED,
                 "family": "modmul"}
         cases = [
-            dict(base, tenants=["a", "a"], structure=[0, 1]),   # dup ids
-            dict(base, tenants=["a"], structure=[0, 0]),        # reused slot
-            dict(base, tenants=["a"], structure=0),             # leaf root
-            dict(base, tenants=["a"], structure=[5]),           # bad index
-            dict(base, tenants=["a"], structure=["x"]),         # non-index
-            dict(base, tenants=[None], structure=[0]),          # bad id
-            dict(base, tenants=["a"], structure=[0], m="big"),  # bad m
-            dict(base, tenants=["a"], structure=[0], version=9),
+            dict(base, tenants=["a", "a"]),             # dup ids
+            dict(base, tenants=[None]),                 # bad id
+            dict(base, tenants=["a"], m="big"),         # bad m
+            dict(base, tenants=["a"], version=9),
         ]
         for meta in cases:
             n = len(meta["tenants"])
             blob = seal_sections(TREE_MAGIC, meta, [section] * n)
             with pytest.raises(WireFormatError):
                 load_tree(blob)
+        blob = seal_sections(TREE_MAGIC, dict(base, tenants=["a"]),
+                             [section] * 2)             # wrong arity
+        with pytest.raises(WireFormatError, match="one id per section"):
+            load_tree(blob)
+
+    def test_version_1_frame_refused(self):
+        from repro.core.serialize import dump_sbf
+        # The header the B+-tree writer sealed: a fanout and the nested
+        # shape, with leaf slots as section indices.
+        meta = {"version": 1, "fanout": 16, "m": M, "k": K, "seed": SEED,
+                "family": "modmul", "tenants": ["a", "b"],
+                "structure": [0, 1]}
+        section = dump_sbf(SpectralBloomFilter(M, K, seed=SEED))
+        blob = seal_sections(TREE_MAGIC, meta, [section] * 2)
+        with pytest.raises(WireFormatError, match="version 1"):
+            load_tree(blob)
 
     def test_mi_signature_rederived_on_load(self):
         tree = make_tree()
@@ -519,6 +570,20 @@ class TestDirectory:
         assert results[0] == 1 and results[1] == 1 and results[3] == 0
         assert isinstance(results[2], UnknownTenant)
 
+    @pytest.mark.parametrize("bad, error", [(b"x", TypeError),
+                                            ("\ud800", ValueError)])
+    def test_malformed_inner_key_fails_its_own_slot(self, bad, error):
+        _, directory = self.make()
+        batcher = ShardBatcher(directory)
+        composites = [("alpha", 1), ("alpha", bad), ("alpha", 2),
+                      ("beta", 3)]
+        outcome = batcher.insert_many(composites)
+        [failure] = outcome.failures
+        assert failure.index == 1 and type(failure.error) is error
+        results = batcher.query_many(composites)
+        assert type(results[1]) is error
+        assert [results[i] for i in (0, 2, 3)] == [1, 1, 1]
+
     def test_unmounted_tenant_fails_in_slot(self):
         _, directory = self.make()
         directory.insert(("alpha", 5))
@@ -560,40 +625,26 @@ class TestDirectory:
 # ----------------------------------------------------------------------
 class TestMetrics:
     def test_lifecycle_and_traffic_counters(self):
-        tree = populated_tree(9, fanout=2)
+        tree = populated_tree(9)
         tree.unmount(0)
         tree.query(1)
         snapshot = tree.metrics.snapshot()["counters"]
         for name in ("tenancy.mounts", "tenancy.unmounts",
-                     "tenancy.splits", "tenancy.inserts",
-                     "tenancy.queries", "tenancy.nodes_visited"):
+                     "tenancy.inserts", "tenancy.queries",
+                     "tenancy.leaves_probed"):
             assert snapshot[name] > 0, name
         gauges = tree.metrics.snapshot()["gauges"]
         assert gauges["tenancy.tenants"] == 8
-        assert gauges["tenancy.height"] == tree.height
-
-    def test_per_level_gauges(self):
-        tree = populated_tree(9, fanout=2)
-        report = tree.refresh_level_gauges()
-        gauges = tree.metrics.snapshot()["gauges"]
-        assert sum(level["nodes"] for level in report.values()) \
-            == tree.n_nodes
-        assert gauges["tenancy.level.0.nodes"] == 1
-        # Levels linger at zero after the tree shrinks past them.
-        for tenant in list(tree.tenants)[:-1]:
-            tree.unmount(tenant)
-        report = tree.refresh_level_gauges()
-        assert report[max(report)] in ({"nodes": 0, "occupancy": 0.0},
-                                       report[max(report)])
-        assert tree.metrics.snapshot()["gauges"][
-            f"tenancy.level.{max(report)}.nodes"] == report[max(report)]["nodes"]
 
     def test_pruning_visits_fewer_nodes_than_scan(self):
-        tree = make_tree(fanout=4)
+        tree = make_tree()
         for t in range(32):
             tree.mount(t)
             tree.insert(t, f"private-{t}")
-        before = tree.metrics.counter("tenancy.nodes_visited").value
-        tree.query("private-0")
-        visited = tree.metrics.counter("tenancy.nodes_visited").value - before
-        assert visited < tree.n_nodes
+        probed = tree.metrics.counter("tenancy.leaves_probed")
+        before = probed.value
+        assert tree.query("private-0") == {0: 1}
+        assert probed.value - before == 1   # the one survivor of the AND
+        before = probed.value
+        tree.query_many(["private-1", "private-2", "absent"])
+        assert probed.value - before == 2
