@@ -98,25 +98,38 @@ def check_key(key: object) -> object:
     return key
 
 
-def check_keys(keys) -> list | np.ndarray:
-    """The key rule over a batch (a list, tuple or 1-D array), refused
-    whole with its first refused key's error.  An integer batch within
-    int64 comes back as one int64 array, converted once; any other as a
-    list of :func:`check_key`'s results."""
+def int_keys(keys) -> np.ndarray | None:
+    """The key rule's integer batch: *keys* (a list, tuple or 1-D array)
+    as one int64 array, converted once, when every key is an integer
+    within int64; ``None`` for any other batch."""
     if isinstance(keys, np.ndarray):
         if keys.ndim == 1 and np.can_cast(keys.dtype, np.int64):
             return keys.astype(np.int64, copy=False)
         keys = keys.tolist()
+    if (isinstance(keys, (list, tuple)) and keys
+            and isinstance(keys[0], (int, np.integer))):
+        try:
+            array = np.asarray(keys)    # int64 when every key is integral
+        except (ValueError, OverflowError):
+            return None                 # ragged, or ints past 64 bits
+        if array.dtype == np.int64:
+            return array
+    return None
+
+
+def check_keys(keys) -> list | np.ndarray:
+    """The key rule over a batch (a list, tuple or 1-D array), refused
+    whole with its first refused key's error.  An integer batch within
+    int64 comes back as one int64 array (:func:`int_keys`); any other
+    as a list of :func:`check_key`'s results."""
+    array = int_keys(keys)
+    if array is not None:
+        return array
+    if isinstance(keys, np.ndarray):
+        keys = keys.tolist()
     elif not isinstance(keys, (list, tuple)):
         raise TypeError(f"a key batch is a list, tuple or 1-D array, got "
                         f"{type(keys).__name__}")
-    if keys and isinstance(keys[0], (int, np.integer)):
-        try:
-            array = np.asarray(keys)    # int64 when every key is integral
-            if array.dtype == np.int64:
-                return array
-        except (ValueError, OverflowError):
-            pass                        # ragged, or ints past 64 bits
     if set(map(type, keys)) == {str} and "".join(keys).isascii():
         return list(keys)
     return [check_key(key) for key in keys]

@@ -19,7 +19,8 @@ module vectorises the pipeline over batches:
 
 Numerical note: numpy has no 128-bit integers, so the 64x64→high-64
 multiply ``(m * (a*v mod 2^64)) >> 64`` is decomposed into 32-bit halves —
-exactly bit-equivalent to the scalar path, which the tests assert.
+one limb of ``m`` when ``m < 2^32``, two otherwise — exactly
+bit-equivalent to the scalar path, which the tests assert.
 """
 
 from __future__ import annotations
@@ -47,26 +48,40 @@ def _mul_mod_2_64(a: np.ndarray | int, b: np.ndarray) -> np.ndarray:
         return (np.uint64(a) * b).astype(np.uint64)
 
 
-def _mul_high_64(a: int, b: np.ndarray) -> np.ndarray:
-    """High 64 bits of the 128-bit product ``a * b`` (a scalar, b uint64).
+def _mul_high_64(m: int, x: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit product ``m * x`` (m a non-negative
+    scalar, x a uint64 array of any shape, overwritten with the result).
 
-    Standard 32-bit limb decomposition:
-        a = a1*2^32 + a0,  b = b1*2^32 + b0
-        a*b = a1*b1*2^64 + (a1*b0 + a0*b1)*2^32 + a0*b0
+    With ``x = x1*2^32 + x0``, an *m* below 2^32 takes one limb:
+    ``(m*x1 + ((m*x0) >> 32)) >> 32`` — each partial product, and their
+    sum, stays below 2^64.  A larger *m* takes the standard four-product
+    decomposition ``m = m1*2^32 + m0``:
+        m*x = m1*x1*2^64 + (m1*x0 + m0*x1)*2^32 + m0*x0
+    The arithmetic runs in place where it can: at bulk sizes a fresh
+    temporary costs more in page faults than the multiply it holds.
+    (Array arithmetic wraps silently; only numpy scalars warn.)
     """
-    a = int(a)
-    a0 = np.uint64(a & 0xFFFFFFFF)
-    a1 = np.uint64(a >> 32)
-    b0 = b & _MASK32
-    b1 = b >> _SHIFT32
-    with np.errstate(over="ignore"):
-        lo = a0 * b0                      # < 2^64, exact
-        mid1 = a1 * b0                    # < 2^64, exact
-        mid2 = a0 * b1
-        carry = ((lo >> _SHIFT32) + (mid1 & _MASK32)
-                 + (mid2 & _MASK32)) >> _SHIFT32
-        return (a1 * b1 + (mid1 >> _SHIFT32) + (mid2 >> _SHIFT32)
-                + carry).astype(np.uint64)
+    m = int(m)
+    x0 = x & _MASK32
+    x >>= _SHIFT32                        # x1
+    if m >> 32 == 0:
+        m = np.uint64(m)
+        x0 *= m
+        x0 >>= _SHIFT32
+        x *= m
+        x += x0
+        x >>= _SHIFT32
+        return x
+    m0 = np.uint64(m & 0xFFFFFFFF)
+    m1 = np.uint64(m >> 32)
+    lo = m0 * x0                          # < 2^64, exact
+    mid1 = m1 * x0                        # < 2^64, exact
+    mid2 = m0 * x                         # m0*x1
+    carry = ((lo >> _SHIFT32) + (mid1 & _MASK32)
+             + (mid2 & _MASK32)) >> _SHIFT32
+    x *= m1
+    x += (mid1 >> _SHIFT32) + (mid2 >> _SHIFT32) + carry
+    return x
 
 
 def canonical_keys_array(keys: np.ndarray) -> np.ndarray:
@@ -233,29 +248,34 @@ def _matrix_from_hashed(family: HashFamily, hashed: np.ndarray) -> np.ndarray:
     if isinstance(family, BlockedHashFamily):
         # Two vectorised passes mirror the scalar two-level scheme
         # exactly: block selection, then within-block probes.
+        m, n_blocks = family.m, family.n_blocks
         blocks = _matrix_from_hashed(family._selector, hashed)[:, 0]
-        start = blocks * family.m // family.n_blocks
-        end = (blocks + 1) * family.m // family.n_blocks
-        width = np.maximum(1, end - start)
-        inner = _matrix_from_hashed(family._inner, hashed)
-        return (start[:, None] + inner % width[:, None]).astype(np.int64)
-    m = family.m
-    out = np.empty((len(hashed), family.k), dtype=np.int64)
+        if n_blocks * m >= 1 << 63:
+            # block * m would wrap int64: the spans in Python ints.
+            blocks = blocks.astype(object)
+        start = blocks * m // n_blocks
+        width = ((blocks + 1) * m // n_blocks - start).astype(
+            np.int64, copy=False)
+        out = _matrix_from_hashed(family._inner, hashed)
+        np.remainder(out, width[:, None], out=out)
+        out += start.astype(np.int64, copy=False)[:, None]
+        return out
+    # All k columns in one (n, k) broadcast: row i, column j mixes key i
+    # with the family's j-th parameters (mod 2^64), as indices_hashed
+    # does.
     if isinstance(family, ModuloMultiplyFamily):
-        for j, a in enumerate(family._multipliers):
-            frac = _mul_mod_2_64(a, hashed)
-            out[:, j] = _mul_high_64(m, frac).astype(np.int64)
-        return out
-    if isinstance(family, MultiplyShiftFamily):
-        for j, (a, b) in enumerate(family._params):
-            with np.errstate(over="ignore"):
-                mixed = (_mul_mod_2_64(a, hashed)
-                         + np.uint64(b)).astype(np.uint64)
-            out[:, j] = _mul_high_64(m, mixed).astype(np.int64)
-        return out
-    raise TypeError(
-        f"vectorised hashing not implemented for "
-        f"{type(family).__name__}; use the scalar indices() path")
+        mixed = hashed[:, None] * np.array(family._multipliers,
+                                           dtype=np.uint64)
+    elif isinstance(family, MultiplyShiftFamily):
+        a, b = np.array(family._params, dtype=np.uint64).T
+        mixed = hashed[:, None] * a
+        mixed += b
+    else:
+        raise TypeError(
+            f"vectorised hashing not implemented for "
+            f"{type(family).__name__}; use the scalar indices() path")
+    # Positions are below m <= 2^63: the int64 view reads them unchanged.
+    return _mul_high_64(family.m, mixed).view(np.int64)
 
 
 def indices_matrix(family: HashFamily, keys, *,

@@ -43,6 +43,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.handle import POINT_VERBS, BulkFailure, BulkResult, _apply
 from repro.persist import LockTimeout
 from repro.serve.metrics import MetricsRegistry
@@ -117,24 +119,28 @@ class ShardBatcher:
             self._ops.inc(len(ops))
             self._migrating_fallback.inc(len(ops))
             return results
-        by_shard: dict[int, list[int]] = {}
-        owners, unroutable = owner_pass(self.router, [op[1] for op in ops])
+        groups, unroutable = owner_pass(self.router, [op[1] for op in ops])
         for idx, exc in unroutable.items():
             results[idx] = exc
-        for idx, owner in owners:
-            deadline = deadlines[idx]
-            if deadline is not None and deadline.expired:
-                # Fail it here rather than dragging its group's lock
-                # timeout to zero: the expired op never reaches a shard,
-                # its shard-mates keep their time budget.
-                try:
-                    deadline.check(ops[idx][0], unexecuted=True)
-                except DeadlineExceeded as exc:
-                    results[idx] = exc
-                continue
-            by_shard.setdefault(owner, []).append(idx)
-        for shard_id in sorted(by_shard):
-            group = by_shard[shard_id]
+        live = []
+        for shard_id, slots, _ in groups:
+            group = []
+            for idx in slots.tolist():
+                deadline = deadlines[idx]
+                if deadline is not None and deadline.expired:
+                    # Fail it here rather than dragging its group's lock
+                    # timeout to zero: the expired op never reaches a
+                    # shard, its shard-mates keep their time budget.
+                    try:
+                        deadline.check(ops[idx][0], unexecuted=True)
+                    except DeadlineExceeded as exc:
+                        results[idx] = exc
+                    continue
+                group.append(idx)
+            if group:
+                live.append((shard_id, group))
+        shards = self.router.shards
+        for shard_id, group in live:
             # The group's lock wait must fit the tightest member deadline:
             # a caller with 5ms left cannot spend 5s queueing for a lock.
             lock_timeout = timeout
@@ -144,7 +150,7 @@ class ShardBatcher:
                     lock_timeout = left if lock_timeout is None \
                         else min(lock_timeout, left)
             try:
-                outcomes = self.router.shards[shard_id].execute(
+                outcomes = shards[shard_id].execute(
                     [ops[idx] for idx in group],
                     [deadlines[idx] for idx in group], timeout=lock_timeout)
             except (LockTimeout, DeadlineExceeded) as exc:
@@ -155,7 +161,7 @@ class ShardBatcher:
                 results[idx] = outcome
             self.router.note_shard_ops(shard_id, len(group))
         self._ops.inc(len(ops))
-        self._shard_batches.inc(len(by_shard))
+        self._shard_batches.inc(len(live))
         self._size.observe(len(ops))
         return results
 
@@ -174,8 +180,8 @@ class ShardBatcher:
         batch is done."""
         if deadline is not None:
             deadline.check("query_many", unexecuted=True)
-        results: list = [0] * len(keys)
         if self.router.migrating:
+            results: list = [0] * len(keys)
             for slot, key in enumerate(keys):
                 try:
                     results[slot] = self.router.query(key)
@@ -184,24 +190,30 @@ class ShardBatcher:
             self._ops.inc(len(keys))
             self._migrating_fallback.inc(len(keys))
             return results
-        groups, unroutable = self._grouped(keys)
-        for slot, exc in unroutable.items():
-            results[slot] = exc
-        for shard_id, shard, indices in groups:
+        groups, unroutable = owner_pass(self.router, keys)
+        self._shard_batches.inc(len(groups))
+        shards = self.router.shards
+        values = np.zeros(len(keys), dtype=np.int64)
+        errors = list(unroutable.items())
+        for shard_id, slots, group in groups:
             if deadline is not None:
                 deadline.check("query_many", unexecuted=True)
             try:
                 with deadline_scope(deadline):
-                    outcome = shard.query_many([keys[i] for i in indices],
-                                               timeout=timeout).tolist()
+                    outcome = shards[shard_id].query_many(group,
+                                                          timeout=timeout)
             except Exception as exc:
-                outcome = [exc] * len(indices)
-            else:
-                self._vectorized.inc(len(indices))
-                self.router.note_shard_ops(shard_id, len(indices))
-            for slot, estimate in zip(indices, outcome):
-                results[slot] = estimate
+                errors.extend((slot, exc) for slot in slots.tolist())
+                continue
+            values[slots] = outcome.values
+            errors.extend((int(slots[f.index]), f.error)
+                          for f in outcome.failures)
+            self._vectorized.inc(len(slots))
+            self.router.note_shard_ops(shard_id, len(slots))
         self._ops.inc(len(keys))
+        results = values.tolist()
+        for slot, exc in errors:
+            results[slot] = exc
         return results
 
     def insert_many(self, keys: Sequence[object], *,
@@ -232,40 +244,31 @@ class ShardBatcher:
             self._ops.inc(len(keys))
             self._migrating_fallback.inc(len(keys))
             return BulkResult(len(keys), failures=failures)
-        groups, unroutable = self._grouped(keys)
+        groups, unroutable = owner_pass(self.router, keys)
+        self._shard_batches.inc(len(groups))
+        shards = self.router.shards
         failures.extend(BulkFailure(slot, keys[slot], exc, False)
                         for slot, exc in unroutable.items())
-        for shard_id, shard, indices in groups:
+        for shard_id, slots, group in groups:
             try:
                 if deadline is not None:
                     deadline.check("insert_many", unexecuted=True)
                 with deadline_scope(deadline):
-                    outcome = shard.insert_many([keys[i] for i in indices],
-                                                timeout=timeout)
+                    outcome = shards[shard_id].insert_many(group,
+                                                           timeout=timeout)
             except Exception as exc:
                 failures.extend(
                     BulkFailure(slot, keys[slot], exc, _retryable(exc))
-                    for slot in indices)
+                    for slot in slots.tolist())
                 continue
-            failures.extend(
-                BulkFailure(indices[f.index], f.key, f.error, f.retryable)
-                for f in outcome.failures)
-            self._vectorized.inc(len(indices))
-            self.router.note_shard_ops(shard_id, len(indices))
+            # A shard names its failures by group position; the caller's
+            # slot and key object are what the batch reports.
+            for failure in outcome.failures:
+                slot = int(slots[failure.index])
+                failures.append(BulkFailure(slot, keys[slot], failure.error,
+                                            failure.retryable))
+            self._vectorized.inc(len(slots))
+            self.router.note_shard_ops(shard_id, len(slots))
         self._ops.inc(len(keys))
         failures.sort(key=lambda f: f.index)
         return BulkResult(len(keys), failures=failures)
-
-    # -- plumbing ----------------------------------------------------------
-    def _grouped(self, keys: Sequence[object]) -> tuple:
-        """``([(shard id, shard, key indices), ...] in shard order,
-        {index: routing error})``."""
-        owners, unroutable = owner_pass(self.router, keys)
-        by_shard: dict[int, list[int]] = {}
-        for idx, owner in owners:
-            by_shard.setdefault(owner, []).append(idx)
-        self._shard_batches.inc(len(by_shard))
-        shards = self.router.shards
-        return [(shard_id, shards[shard_id], by_shard[shard_id])
-                for shard_id in sorted(by_shard)], unroutable
-

@@ -484,34 +484,29 @@ class ProcessShardPool:
         is_query = op == "query_many"
         counts = check_counts(counts, len(keys))
         values = np.zeros(len(keys), dtype=np.int64) if is_query else None
-        owners, refused = owner_pass(self.router, keys)
+        groups, refused = owner_pass(self.router, keys)
         failures = [BulkFailure(idx, keys[idx], exc, False)
                     for idx, exc in refused.items()]
-        groups: dict[int, list[int]] = {}
-        for idx, owner in owners:
-            groups.setdefault(owner, []).append(idx)
         # Every frame is built before any is sent: a call that raises
         # must apply nothing and leave no answer unread on a pipe.
-        frames = {}
-        for owner, idxs in groups.items():
+        frames = []
+        for owner, slots, group in groups:
             fields, payload = _bulk_request(
-                check_keys([keys[i] for i in idxs]),
-                None if is_query else counts[idxs])
-            frames[owner] = seal_frame(REQUEST_MAGIC, {"op": op, **fields},
-                                       payload)
+                check_keys(group), None if is_query else counts[slots])
+            frames.append((owner, slots, seal_frame(
+                REQUEST_MAGIC, {"op": op, **fields}, payload)))
         # Phase 1: one frame per owner shard, written to every worker
         # pipe before any response is read — the workers overlap their
         # compute.  `sent` tracks pipes with a frame in flight; their
         # locks stay held until phase 2 collects the response.
-        sent: list[int] = []
-        answers: dict[int, bytes] = {}
+        sent: list[tuple] = []
+        answers: list[tuple] = []
         try:
-            for owner in sorted(groups):
-                idxs = groups[owner]
+            for owner, slots, frame in frames:
                 worker = self._workers[owner]
                 worker.lock.acquire()
                 try:
-                    self._send_with_revive(owner, frames[owner])
+                    self._send_with_revive(owner, frame)
                 except Exception as exc:
                     worker.lock.release()
                     if not isinstance(exc, DeliveryFailed):
@@ -520,43 +515,43 @@ class ProcessShardPool:
                             owner, f"worker {owner} unavailable: "
                             f"{type(exc).__name__}: {exc}")
                     failures.extend(BulkFailure(i, keys[i], exc, True)
-                                    for i in idxs)
+                                    for i in slots.tolist())
                     continue
-                sent.append(owner)
+                sent.append((owner, slots))
             # Phase 2: collect, in send order (each pipe is FIFO).
-            for owner in list(sent):
+            while sent:
+                owner, slots = sent[0]
                 worker = self._workers[owner]
                 try:
-                    answers[owner] = worker.conn.recv_bytes()
+                    answers.append((owner, slots, worker.conn.recv_bytes()))
                 except (OSError, EOFError) as exc:
                     self._mark_dead(owner)
                     error = self._delivery_failed(
                         owner, f"worker {owner} died mid-batch: "
                         f"{type(exc).__name__}")
                     failures.extend(BulkFailure(i, keys[i], error, True)
-                                    for i in groups[owner])
+                                    for i in slots.tolist())
                 finally:
                     worker.lock.release()
-                    sent.remove(owner)
+                    sent.pop(0)
         finally:
-            for owner in sent:  # pragma: no cover - unexpected error path
+            for owner, _ in sent:  # pragma: no cover - unexpected error path
                 self._workers[owner].lock.release()
-        for owner, answer in answers.items():
-            idxs = groups[owner]
+        for owner, slots, answer in answers:
             try:
                 result = _answer(self.shards[owner].server_name, answer)
             except Exception as exc:
                 failures.extend(BulkFailure(i, keys[i], exc, _retryable(exc))
-                                for i in idxs)
+                                for i in slots.tolist())
                 continue
             if is_query:
-                values[idxs] = np.frombuffer(result, dtype="<i8")
+                values[slots] = np.frombuffer(result, dtype="<i8")
                 continue
             try:
                 self._note_mutation(owner)
             except DeliveryFailed as exc:
                 failures.extend(BulkFailure(i, keys[i], exc, True)
-                                for i in idxs)
+                                for i in slots.tolist())
         failures.sort(key=lambda f: f.index)
         return BulkResult(len(keys), values, failures)
 

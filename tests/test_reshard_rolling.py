@@ -96,7 +96,8 @@ def test_dual_routing_reports_new_owners_for_migrated_blocks():
             assert fleet.shard_of(key) == 4 + block % 6
         else:
             assert fleet.shard_of(key) == before[key]
-    assert fleet.shard_of_many(keys) == [fleet.shard_of(k) for k in keys]
+    assert fleet.shard_of_many(keys).tolist() == \
+        [fleet.shard_of(k) for k in keys]
     reshard.run()
     assert [fleet.shard_of(key) for key in keys] == \
         [family.block_of(key) % 6 for key in keys]

@@ -19,7 +19,7 @@ from repro.core.serialize import WireFormatError
 from repro.core.sbf import SpectralBloomFilter
 from repro.db.faults import FaultyNetwork
 from repro.hashing.families import make_family
-from repro.persist import ConcurrentSBF
+from repro.persist import ConcurrentSBF, LockTimeout
 from repro.serve import (
     MetricsRegistry,
     ProcessShardPool,
@@ -144,6 +144,58 @@ def test_bulk_queries_ride_the_shared_read_path():
         shard._lock.release_read()
 
 
+@pytest.mark.parametrize("method", ["mi", "rm"])
+def test_bulk_insert_keeps_submission_order_per_shard(method):
+    # MI and RM updates depend on the order keys arrive in, so the owner
+    # pass must group a batch without reordering any shard's keys: a
+    # skewed 8192-key batch through the fleet must answer like one
+    # filter fed the same keys one at a time.
+    router, reference = make_router(4, method), make_reference(method)
+    keys = np.random.default_rng(3).integers(0, 300, 8192).tolist()
+    assert ShardBatcher(router).insert_many(keys).ok
+    for key in keys:
+        reference.insert(key)
+    assert ShardBatcher(router).query_many(range(400)) \
+        == [reference.query(key) for key in range(400)]
+
+
+def test_int_list_and_int64_array_batches_agree():
+    keys = [key for key in workload(300) if isinstance(key, int)]
+    fleets = [ShardBatcher(make_router(4)) for _ in range(2)]
+    assert fleets[0].insert_many(keys).ok
+    assert fleets[1].insert_many(np.asarray(keys, dtype=np.int64)).ok
+    probe = keys + list(range(50))
+    answers = fleets[0].query_many(probe)
+    assert answers == fleets[1].query_many(np.asarray(probe))
+    assert all(type(value) is int for value in answers)
+
+
+def test_failed_group_keeps_the_callers_slots_and_keys():
+    # While shard 0's write side is held, shard 0's group times out
+    # whole: each of its keys fails in the caller's slot with the
+    # caller's key object, retryably, and every other group lands.
+    router, reference = make_router(4), make_reference()
+    batcher = ShardBatcher(router)
+    keys = [key for key in workload(300) if isinstance(key, int)]
+    owners = router.shard_of_many(keys).tolist()
+    held = router.shards[0]._lock
+    held.acquire_write(1.0)
+    try:
+        result = batcher.insert_many(keys, timeout=0.05)
+    finally:
+        held.release_write()
+    assert [f.index for f in result.failures] \
+        == [slot for slot, owner in enumerate(owners) if owner == 0]
+    assert result.failures
+    for failure in result.failures:
+        assert type(failure.key) is int and failure.key == keys[failure.index]
+        assert isinstance(failure.error, LockTimeout) and failure.retryable
+    for key, owner in zip(keys, owners):
+        if owner:
+            reference.insert(key)
+    assert batcher.query_many(keys) == [reference.query(key) for key in keys]
+
+
 def test_mutating_batch_matches_scalar_path():
     router, reference = make_router(4), make_router(4)
     batcher = ShardBatcher(router)
@@ -225,9 +277,9 @@ def test_shard_assignment_is_deterministic():
     keys = workload(200)
     assignments = [first.shard_of(key) for key in keys]
     assert assignments == [second.shard_of(key) for key in keys]
-    assert assignments == first.shard_of_many(keys)
+    assert assignments == first.shard_of_many(keys).tolist()
     int_keys = [key for key in keys if isinstance(key, int)]
-    assert first.shard_of_many(int_keys) \
+    assert first.shard_of_many(int_keys).tolist() \
         == [first.shard_of(key) for key in int_keys]
     assert all(0 <= shard < 8 for shard in assignments)
     assert len(set(assignments)) > 1      # the workload actually spreads

@@ -1,7 +1,5 @@
 """Tests for vectorised hashing and bulk ingestion."""
 
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +18,24 @@ from repro.hashing.vectorized import (
 )
 
 
+#: counter counts around the high multiply's one-limb bound (m < 2^32)
+BOUNDARY_MS = [7919, 2 ** 23, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
+               2 ** 40 + 3]
+
+#: family builders by test id; the blocked selector is a k = 1
+#: multiply-shift over the blocks (one block per counter here, so its m
+#: is the family's)
+FAMILIES = {
+    "ModuloMultiplyFamily": lambda m: ModuloMultiplyFamily(m, 5, seed=11),
+    "MultiplyShiftFamily": lambda m: MultiplyShiftFamily(m, 5, seed=11),
+    "BlockedHashFamily": lambda m: BlockedHashFamily(m, 5, seed=11),
+    "BlockedHashFamily-ragged": lambda m: BlockedHashFamily(
+        m, 5, seed=11, block_size=100),
+    "BlockedHashFamily-selector": lambda m: BlockedHashFamily(
+        m, 5, seed=11, block_size=1)._selector,
+}
+
+
 class TestVectorisedHashing:
     @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=50))
     @settings(max_examples=30)
@@ -28,17 +44,22 @@ class TestVectorisedHashing:
         scalar = [canonical_key(k) for k in keys]
         assert vec.tolist() == scalar
 
-    @pytest.mark.parametrize("cls", [
-        ModuloMultiplyFamily, MultiplyShiftFamily, BlockedHashFamily,
-        pytest.param(functools.partial(BlockedHashFamily, block_size=100),
-                     id="BlockedHashFamily-ragged")])
-    def test_indices_match_scalar(self, cls):
-        fam = cls(m=7919, k=5, seed=11)
-        keys = np.arange(2000, dtype=np.uint64)
+    # The m = 7919 cases keep the ids they had before m was a parameter.
+    @pytest.mark.parametrize("make, m", [
+        pytest.param(make, m, id=name if m == 7919 else f"{name}-m={m}")
+        for m in BOUNDARY_MS
+        for name, make in FAMILIES.items()])
+    def test_indices_match_scalar(self, make, m):
+        # m = 2^32 - 1 is the largest m the one-limb high multiply takes;
+        # from 2^32 on, the four-product form answers.
+        fam = make(m)
+        keys = np.arange(200, dtype=np.uint64)
         high = np.uint64(2 ** 63) + np.arange(0, 2 ** 63, 2 ** 56,
                                               dtype=np.uint64)
-        matrix = indices_matrix(fam, np.concatenate([keys[:200], high]))
-        for row, key in zip(matrix, keys[:200].tolist() + high.tolist()):
+        top = np.array([2 ** 64 - 1], dtype=np.uint64)
+        batch = np.concatenate([keys, high, top])
+        matrix = indices_matrix(fam, batch)
+        for row, key in zip(matrix.tolist(), batch.tolist()):
             assert tuple(row) == fam.indices(key)
 
     def test_indices_in_range(self):
