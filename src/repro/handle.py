@@ -35,8 +35,8 @@ Implementations: :class:`FilterHandle` (a bare in-memory filter),
 :class:`~repro.persist.DurableSBF`, :class:`~repro.persist.ConcurrentSBF`,
 :class:`~repro.serve.remote.RemoteShard` and its
 :class:`~repro.serve.procpool.ProcessShard`,
-:class:`~repro.serve.ha.ReplicaSet`, and the two
-:class:`~repro.tenancy.directory.TenantDirectory` slot types.
+:class:`~repro.serve.ha.ReplicaSet`, and the
+:class:`~repro.tenancy.directory.TenantDirectory`'s tenant slots.
 """
 
 from __future__ import annotations
@@ -64,9 +64,12 @@ class BulkFailure:
         key: the key itself.
         error: the exception instance that felled it.
         retryable: ``True`` when resubmitting the same key can succeed
-            (transport gave up, a lock timed out) — the signal hinted
-            handoff keys on; ``False`` for semantic rejections (a refused
-            key, a delete below zero) that would fail identically again.
+            (transport gave up, a lock timed out, a deadline ran out, a
+            server failed untyped); ``False`` for the rules' refusals (a
+            refused key, a delete below zero) that would fail identically
+            again.  A hint for the caller's retry loop: a replica set
+            judges a lost slot by its error's type (one rule for point
+            and bulk calls), never by this flag.
     """
 
     __slots__ = ("index", "key", "error", "retryable")

@@ -13,6 +13,7 @@ keys, a serving handle takes the JSON scalars it can log and ship.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -98,6 +99,20 @@ def check_key(key: object) -> object:
     return key
 
 
+def key_batch(keys) -> list | tuple | np.ndarray:
+    """The key rule's batch form: a list, tuple or array as it is, any
+    other sequence (a ``range``, a ``deque``) as a list, converted once.
+    A ``str`` or bytes batch (its items are characters, not keys) and a
+    non-sequence are refused whole with ``TypeError``."""
+    if isinstance(keys, (list, tuple, np.ndarray)):
+        return keys
+    if isinstance(keys, Sequence) \
+            and not isinstance(keys, (str, bytes, bytearray)):
+        return list(keys)
+    raise TypeError(f"a key batch is a list, tuple, 1-D array or other "
+                    f"sequence (not str or bytes), got {type(keys).__name__}")
+
+
 def int_keys(keys) -> np.ndarray | None:
     """The key rule's integer batch: *keys* (a list, tuple or 1-D array)
     as one int64 array, converted once, when every key is an integer
@@ -118,18 +133,16 @@ def int_keys(keys) -> np.ndarray | None:
 
 
 def check_keys(keys) -> list | np.ndarray:
-    """The key rule over a batch (a list, tuple or 1-D array), refused
-    whole with its first refused key's error.  An integer batch within
-    int64 comes back as one int64 array (:func:`int_keys`); any other
-    as a list of :func:`check_key`'s results."""
+    """The key rule over a batch (:func:`key_batch`), refused whole with
+    its first refused key's error.  An integer batch within int64 comes
+    back as one int64 array (:func:`int_keys`); any other as a list of
+    :func:`check_key`'s results."""
+    keys = key_batch(keys)
     array = int_keys(keys)
     if array is not None:
         return array
     if isinstance(keys, np.ndarray):
         keys = keys.tolist()
-    elif not isinstance(keys, (list, tuple)):
-        raise TypeError(f"a key batch is a list, tuple or 1-D array, got "
-                        f"{type(keys).__name__}")
     if set(map(type, keys)) == {str} and "".join(keys).isascii():
         return list(keys)
     return [check_key(key) for key in keys]

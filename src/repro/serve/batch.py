@@ -46,6 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.handle import POINT_VERBS, BulkFailure, BulkResult, _apply
+from repro.hashing.keys import key_batch
 from repro.persist import LockTimeout
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.remote import _retryable
@@ -178,6 +179,7 @@ class ShardBatcher:
         :class:`~repro.serve.resilience.DeadlineExceeded` (``unexecuted``,
         as it is checked before each group runs) if it expires before the
         batch is done."""
+        keys = key_batch(keys)
         if deadline is not None:
             deadline.check("query_many", unexecuted=True)
         if self.router.migrating:
@@ -231,6 +233,7 @@ class ShardBatcher:
         instead of felling the batch.  A key the router cannot route
         fails its slot with a non-retryable failure.
         """
+        keys = key_batch(keys)
         if deadline is not None:
             deadline.check("insert_many", unexecuted=True)
         failures: list[BulkFailure] = []

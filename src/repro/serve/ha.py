@@ -21,7 +21,13 @@ classic Dynamo-style availability machinery *verifiable*:
   estimate; the ``max`` combine keeps the one-sided guarantee (estimate
   >= truth) even mid-convergence.  Fewer fresh replicas than the quorum
   raises a typed :class:`Unavailable`;
-- **health tracking**: ``eject_after`` consecutive transport failures
+- **one replica rule**: every replica call — point or bulk, write or
+  read, local or remote — is one attempt judged one way: a refusal of
+  the rules is the op's fault (never hinted), a deadline is slowness,
+  anything else — a bulk call's lost slots too — is the replica failing.
+  Point and bulk writes share one fan-out, so a sick replica is hinted
+  and counted alike on either path;
+- **health tracking**: ``eject_after`` consecutive failed attempts
   eject a replica (stop paying its retry budget per operation); every
   ``probe_every`` operations the set probes ejected replicas with a
   cheap ``total_count`` call, drains their hints on success, and
@@ -66,17 +72,17 @@ from __future__ import annotations
 
 import os.path
 from collections import deque
+from operator import attrgetter, methodcaller
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.sbf import (COUNT_ERRORS, SpectralBloomFilter, check_count,
                             check_counts)
-from repro.db.transport import DeliveryFailed
 from repro.handle import BulkFailure, BulkResult, ShardHandle
 from repro.hashing.families import make_family
 from repro.hashing.keys import check_key, check_keys
-from repro.persist import ConcurrentSBF, LockTimeout
+from repro.persist import ConcurrentSBF
 from repro.persist.crashsim import FileIO
 from repro.persist.wal import (
     BULK_OPS,
@@ -87,7 +93,6 @@ from repro.persist.wal import (
     replay,
 )
 from repro.serve.metrics import MetricsRegistry
-from repro.serve.remote import RemoteShardError
 from repro.serve.repair import DEFAULT_REPAIR_BLOCKS, RepairReport, \
     repair_replicas
 from repro.serve.resilience import (
@@ -109,8 +114,35 @@ ONE = "one"
 QUORUM = "quorum"
 ALL = "all"
 
-#: exceptions that mean "this replica, right now" — not "this operation"
-_TRANSIENT = (DeliveryFailed, LockTimeout, RemoteShardError)
+#: the one replica rule's verdicts on an attempt (see :func:`_judge`)
+_OK, _REFUSED, _SLOW, _FAILED = range(4)
+
+
+def _judge(exc: Exception) -> int:
+    """The one replica rule.  A refusal of the rules
+    (:data:`~repro.core.sbf.COUNT_ERRORS`, also as a remote replica
+    rebuilds it) is the op's fault: the replica answered.  A
+    :class:`~repro.serve.resilience.DeadlineExceeded` is slowness, the
+    breaker's and never the ejection counter's.  Anything else — a lost
+    frame, a lock timeout, a server's ``RemoteShardError``, a disk's
+    ``OSError`` — means this replica, local or remote, is failing now."""
+    if isinstance(exc, COUNT_ERRORS):
+        return _REFUSED
+    if isinstance(exc, DeadlineExceeded):
+        return _SLOW
+    return _FAILED
+
+
+def _total_of(handle) -> int | None:
+    """A replica's total count, or ``None`` when the one rule says it is
+    failing or slow: the reachability check of probes and of repair's
+    reference (a refusal propagates; a total has nothing to refuse)."""
+    try:
+        return handle.total_count
+    except Exception as exc:
+        if _judge(exc) == _REFUSED:
+            raise
+        return None
 
 
 def required_replicas(level: str, rf: int) -> int:
@@ -271,7 +303,7 @@ class _Replica:
         self.handle = handle
         self.name = name
         self.up = True
-        self.failures = 0          # consecutive transport failures
+        self.failures = 0          # consecutive failed attempts
         self.needs_repair = False
         self.hints = hints
         self.gauges = gauges
@@ -295,7 +327,8 @@ class ReplicaSet(ShardHandle):
             fresh replicas a read must reach.
         write_consistency: replicas a write must apply to before it is
             acknowledged (missed replicas get hints either way).
-        eject_after: consecutive transport failures before a replica is
+        eject_after: consecutive failed attempts (the one rule's
+            failures, not refusals or slowness) before a replica is
             ejected from the write/read paths.
         probe_every: operations between automatic probes of ejected
             replicas (:meth:`tick` probes on demand).
@@ -317,9 +350,9 @@ class ReplicaSet(ShardHandle):
             replica instead — the straggler never holds the quorum.
         retry_budget: a :class:`~repro.serve.resilience.RetryBudget`, a
             dict of its keyword arguments, or ``None`` for the defaults.
-            Read attempts beyond the consistency level's quorum are
-            retries and spend from it; successes earn back.  Shared with
-            other sets by passing the same instance.
+            Read attempts (point or bulk) beyond the consistency level's
+            quorum are retries and spend from it; successes earn back.
+            Shared with other sets by passing the same instance.
     """
 
     def __init__(self, replicas: Sequence[object], *, name: str = "rs",
@@ -444,36 +477,63 @@ class ReplicaSet(ShardHandle):
         return replica.up and not replica.needs_repair \
             and not len(replica.hints)
 
-    def _note_ok(self, replica: _Replica) -> None:
-        replica.failures = 0
-
-    def _note_failure(self, replica: _Replica, exc: Exception) -> None:
-        replica.failures += 1
-        if replica.up and replica.failures >= self.eject_after:
-            replica.up = False
-            replica.gauges.up.set(0.0)
-            self._counter("ejections").inc()
-
-    def _hint(self, replica: _Replica, verb: str, key: object,
-              count: int) -> None:
-        replica.hints.append(verb, key, count)
-        replica.gauges.hint_depth.set(len(replica.hints))
-        self._counter("hinted").inc()
-
-    def _hedge_bound(self) -> float | None:
-        """The per-attempt time bound, or ``None`` (no hedging / still
-        warming up the latency window)."""
-        if self._hedge_seconds is not None:
-            return self._hedge_seconds
-        if self._hedge_quantile is None:
-            return None
-        quantile = self._latencies.quantile(self._hedge_quantile)
-        return None if quantile is None else quantile * 2.0
+    def _attempt(self, replica: _Replica, call: Callable[[object], object],
+                 deadline: Deadline | None, point: bool) -> tuple:
+        """Run *call* on one replica's handle under *deadline*, judge it
+        by the one rule (:func:`_judge`) and do the breaker, ejection and
+        latency bookkeeping, once for every path.  Only point attempts
+        feed the latency tracker (a bulk call's latency is not one op's).
+        A bulk call that lost slots for a non-refusal reason failed, as
+        the point call would have by raising: it is judged by the first
+        such slot's error, and its landed slots still count.  Returns
+        ``(verdict, value)``: the call's return value (a bulk result even
+        when judged failed), else the refusal it raised, else ``None``.
+        """
+        clock = self.metrics.clock
+        start = clock()
+        try:
+            if deadline is None:
+                value = call(replica.handle)
+            else:
+                with deadline_scope(deadline):
+                    value = call(replica.handle)
+        except Exception as exc:
+            verdict = _judge(exc)
+            value = exc if verdict == _REFUSED else None
+        else:
+            verdict = _OK
+            for failure in () if point else value.failures:
+                if not isinstance(failure.error, COUNT_ERRORS):
+                    verdict = _judge(failure.error)
+                    break
+        latency = clock() - start
+        if verdict == _FAILED:
+            replica.failures += 1
+            if replica.up and replica.failures >= self.eject_after:
+                replica.up = False
+                replica.gauges.up.set(0.0)
+                self._counter("ejections").inc()
+            replica.breaker.record_failure(latency)
+        elif verdict == _SLOW:
+            replica.breaker.record_failure(latency)
+            if point:
+                self._latencies.observe(latency)
+        else:
+            replica.failures = 0
+            replica.breaker.record_success(latency)
+            if point and verdict == _OK:
+                self._latencies.observe(latency)
+        return verdict, value
 
     def _attempt_deadline(self, op_deadline: Deadline | None,
-                          bound: float | None) -> Deadline | None:
-        """The deadline one replica attempt runs under: the request
-        deadline, tightened by the hedge bound when one applies."""
+                          hedged: bool) -> Deadline | None:
+        """The deadline one replica attempt runs under: the request's,
+        tightened when *hedged* by the hedge bound — fixed seconds, or
+        twice the latency percentile once the window has warmed up."""
+        bound = self._hedge_seconds if hedged else None
+        if hedged and self._hedge_quantile is not None:
+            quantile = self._latencies.quantile(self._hedge_quantile)
+            bound = None if quantile is None else quantile * 2.0
         if bound is None:
             return op_deadline
         if op_deadline is None:
@@ -524,96 +584,146 @@ class ReplicaSet(ShardHandle):
     def set(self, key: object, count: int) -> None:
         self._write("set", key, count)
 
+    def insert_many(self, keys: Sequence[object],
+                    counts: Sequence[int] | None = None, *,
+                    timeout: float | None = None) -> BulkResult:
+        return self._bulk_write("insert", keys, counts)
+
+    def delete_many(self, keys: Sequence[object],
+                    counts: Sequence[int] | None = None, *,
+                    timeout: float | None = None) -> BulkResult:
+        return self._bulk_write("delete", keys, counts)
+
     def _write(self, verb: str, key: object, count: int) -> None:
         key, count = check_key(key), check_count(count)  # before fan-out
+        failures = self._fan_write(verb, key, count, True)
+        if failures:
+            raise failures[0].error
+
+    def _bulk_write(self, verb: str, keys: Sequence[object],
+                    counts: Sequence[int] | None) -> BulkResult:
+        keys = check_keys(keys)
+        counts = check_counts(counts, len(keys)).tolist()
+        return BulkResult(len(keys), None,
+                          self._fan_write(verb, keys, counts, False))
+
+    def _fan_write(self, verb: str, keys, counts, point: bool) -> list:
+        """The one write fan-out: the skip rule, one :meth:`_attempt` per
+        replica, one settlement per slot.  A point write is a batch of one
+        (*keys*, *counts* are its key and count); *point* chooses only the
+        hedge on stragglers, whether attempts feed the latency tracker
+        and the hint record's form.  Returns the failed slots in order: a
+        refusal (``retryable=False``, never hinted), or a slot too few
+        replicas applied (:class:`Unavailable`, or the request's
+        :class:`~repro.serve.resilience.DeadlineExceeded` once it ran out).
+        """
+        n = 1 if point else len(keys)
+        what = verb if point else f"{verb}_many"
+        call = methodcaller(what, keys, counts)
         op_deadline = current_deadline()
-        clock = self.metrics.clock
-        applied = 0
-        missed: list[_Replica] = []
-        semantic: Exception | None = None
+        self._check_op_deadline(op_deadline, what, unexecuted=True)
+        needed = self._write_needed
+        landed = 0                       # replicas that applied every slot
+        refused: dict[int, Exception] = {}
+        missed: list[tuple] = []         # (replica, lost slots; None: all)
         for replica in self._ordered(self._replicas):
-            if not replica.up:
-                missed.append(replica)
+            if not replica.up or not replica.breaker.allow() or (
+                    op_deadline is not None
+                    and op_deadline.remaining() <= 0.0):
+                # Down, breaker-open (slow-but-alive) or out of time: shed
+                # from the fan-out, and hinted if the write acknowledges.
+                missed.append((replica, None))
                 continue
-            if not replica.breaker.allow():
-                # Breaker-open (slow-but-alive) replica: shed it from the
-                # fan-out; if the write acknowledges it gets a hint, so
-                # nothing is lost while it is out.
-                missed.append(replica)
-                continue
-            if op_deadline is not None and op_deadline.remaining() <= 0.0:
-                missed.append(replica)
-                continue
-            # Once the ack quota is met the remaining replicas are
-            # stragglers: bound their attempts so one slow replica never
-            # prices every write (an abandoned straggler gets a hint).
-            bound = self._hedge_bound() if applied >= self._write_needed \
-                else None
-            attempt = self._attempt_deadline(op_deadline, bound)
-            start = clock()
-            try:
-                with deadline_scope(attempt):
-                    getattr(replica.handle, verb)(key, count)
-            except DeadlineExceeded:
-                # Slow, not dead: the breaker (not the ejection counter)
-                # is the health channel for slowness.
-                replica.breaker.record_failure(clock() - start)
-                self._latencies.observe(clock() - start)
-                self._counter("write_abandons").inc()
-                missed.append(replica)
-            except _TRANSIENT as exc:
-                self._note_failure(replica, exc)
-                replica.breaker.record_failure(clock() - start)
-                missed.append(replica)
-            except COUNT_ERRORS as exc:
+            # Past the ack quota a point write's stragglers are hedged, so
+            # one slow replica never prices every write.
+            attempt = self._attempt_deadline(op_deadline,
+                                             point and landed >= needed)
+            verdict, value = self._attempt(replica, call, attempt, point)
+            if verdict == _REFUSED:
                 # Invalid on every replica (a delete below zero, a total
-                # past int64): raise it, never hint it.
-                self._note_ok(replica)
-                replica.breaker.record_success(clock() - start)
-                semantic = semantic or exc
+                # past int64): the slots fail, and are never hinted.
+                for slot in range(n):
+                    refused.setdefault(slot, value)
+                continue
+            if verdict == _SLOW:
+                self._counter("write_abandons").inc()
+            if verdict != _OK and value is None:     # raised: lost it all
+                missed.append((replica, None))
+                continue
+            lost = []
+            for failure in () if point else value.failures:
+                if isinstance(failure.error, COUNT_ERRORS):
+                    refused.setdefault(failure.index, failure.error)
+                else:
+                    lost.append(failure.index)
+            if lost:
+                missed.append((replica, lost))
             else:
-                latency = clock() - start
-                self._note_ok(replica)
-                replica.breaker.record_success(latency)
-                self._latencies.observe(latency)
-                applied += 1
-        self._bump()
-        if semantic is not None:
-            self._maybe_tick()
-            raise semantic
-        if applied < self._write_needed:
-            self._maybe_tick()
-            if op_deadline is not None and op_deadline.remaining() <= 0.0:
-                self._counter("deadline_refusals").inc()
-                op_deadline.check(f"{verb} {key!r}")
-            self._counter("unavailable").inc()
-            raise Unavailable(
-                f"{verb} {key!r}: {applied} of the required "
-                f"{self._write_needed} replica(s) applied it", needed=
-                self._write_needed, got=applied)
-        # Only acknowledged writes are hinted: an unacknowledged write is
+                landed += 1
+        self._bump(n)
+        partial = [lost for _, lost in missed if lost is not None]
+        if partial:
+            applied = np.full(n, landed + len(partial), dtype=np.int64)
+            for lost in partial:
+                applied[lost] -= 1
+            short = np.flatnonzero(applied < needed).tolist()
+        else:
+            short = range(n) if landed < needed else ()
+        short = [slot for slot in short if slot not in refused]
+        failures = [BulkFailure(slot, keys if point else keys[slot], error,
+                                retryable=False)
+                    for slot, error in refused.items()]
+        if short:
+            expired = op_deadline is not None \
+                and op_deadline.remaining() <= 0.0
+            self._counter("deadline_refusals" if expired
+                          else "unavailable").inc(len(short))
+        for slot in short:
+            key = keys if point else keys[slot]
+            got = int(applied[slot]) if partial else landed
+            error = Unavailable(
+                f"{verb} {key!r}: {got} of the required {needed} "
+                f"replica(s) applied it", needed=needed, got=got)
+            if expired:
+                try:
+                    op_deadline.check(f"{verb} {key!r}")
+                except DeadlineExceeded as exc:
+                    error = exc
+            failures.append(BulkFailure(slot, key, error, retryable=True))
+        # Only acknowledged slots are hinted: an unacknowledged write is
         # the client's to retry, and hinting it would make replicas
         # remember an operation the client was told failed.  (A hinted
         # deadline abandon may double-apply — the send was in flight when
         # the clock ran out — which is exactly the retry ambiguity the
         # convergence proof flags and repair() converges.)
-        for replica in missed:
-            self._hint(replica, verb, key, count)
+        failed = {failure.index for failure in failures}
+        for replica, lost in missed:
+            slots = [slot for slot in (range(n) if lost is None else lost)
+                     if slot not in failed]
+            if not slots:
+                continue
+            if point:
+                replica.hints.append(verb, keys, counts)
+            else:
+                replica.hints.append_many(verb, [keys[s] for s in slots],
+                                          [counts[s] for s in slots])
+            replica.gauges.hint_depth.set(len(replica.hints))
+            self._counter("hinted").inc(len(slots))
         self._maybe_tick()
+        if len(failures) > 1:
+            failures.sort(key=attrgetter("index"))
+        return failures
 
     # -- the read path -----------------------------------------------------
     def query(self, key: object) -> int:
-        key = check_key(key)
-        return self._read("query", lambda handle: handle.query(key))
+        return self._read("query", methodcaller("query", check_key(key)))
 
     @property
     def total_count(self) -> int:
-        return self._read("total_count",
-                          lambda handle: handle.total_count)
+        return self._read("total_count", attrgetter("total_count"))
 
     def _read(self, what: str, fetch: Callable[[object], int]) -> int:
         op_deadline = current_deadline()
-        clock = self.metrics.clock
         needed = self._read_needed
         candidates = self._ordered(
             [r for r in self._replicas
@@ -636,34 +746,22 @@ class ReplicaSet(ShardHandle):
             # Hedge only while spare candidates remain: abandoning the
             # last possible answer would trade a slow success for none.
             spares = len(candidates) - position - 1
-            still_needed = needed - len(answers)
-            bound = self._hedge_bound() if spares >= still_needed else None
-            attempt = self._attempt_deadline(op_deadline, bound)
-            start = clock()
             attempts += 1
-            try:
-                with deadline_scope(attempt):
-                    value = fetch(replica.handle)
-            except DeadlineExceeded:
-                latency = clock() - start
-                replica.breaker.record_failure(latency)
-                self._latencies.observe(latency)
+            attempt = self._attempt_deadline(
+                op_deadline, spares >= needed - len(answers))
+            verdict, value = self._attempt(replica, fetch, attempt, True)
+            if verdict == _OK:
+                self.retry_budget.earn()
+                answers.append(value)
+            elif verdict == _REFUSED:
+                raise value
+            elif verdict == _SLOW:
                 if op_deadline is not None \
                         and op_deadline.remaining() <= 0.0:
                     break  # the request itself is out of time
                 # The straggler's read re-fires against the next (spare)
                 # candidate: the hedge.
                 self._counter("hedges").inc()
-            except _TRANSIENT as exc:
-                self._note_failure(replica, exc)
-                replica.breaker.record_failure(clock() - start)
-            else:
-                latency = clock() - start
-                self._note_ok(replica)
-                replica.breaker.record_success(latency)
-                self._latencies.observe(latency)
-                self.retry_budget.earn()
-                answers.append(value)
         self._bump()
         self._maybe_tick()
         if len(answers) < needed:
@@ -680,48 +778,48 @@ class ReplicaSet(ShardHandle):
         # count, so the largest is too (and fresh replicas agree anyway).
         return max(answers)
 
-    # -- bulk operations ---------------------------------------------------
     def query_many(self, keys: Sequence[object], *,
                    timeout: float | None = None) -> BulkResult:
         """Quorum estimates for a key batch.
 
         Every slot needs ``read_consistency`` fresh answers; the combine
-        is an elementwise ``max``.  A slot that falls short fails with
-        :class:`Unavailable` in the result; when no slot got its quorum
-        the call raises it.
+        is an elementwise ``max``.  As on the point path, attempts past
+        the quorum's own spend the retry budget and successes earn some
+        back.  A slot that falls short fails with :class:`Unavailable`
+        in the result; when no slot got its quorum the call raises it.
         """
         keys = check_keys(keys)
         op_deadline = current_deadline()
-        clock = self.metrics.clock
-        if op_deadline is not None:
-            self._check_op_deadline(op_deadline, "query_many",
-                                    unexecuted=True)
+        self._check_op_deadline(op_deadline, "query_many", unexecuted=True)
         needed = self._read_needed
+        call = methodcaller("query_many", keys)
         best = np.zeros(len(keys), dtype=np.int64)
         answered = np.zeros(len(keys), dtype=np.int64)
+        attempts = 0
+        budget_refused = False
         for replica in self._ordered(
                 [r for r in self._replicas
                  if self._fresh(r) and r.breaker.allow()]):
             if bool((answered >= needed).all()):
                 break
-            if op_deadline is not None:
-                self._check_op_deadline(op_deadline, "query_many",
-                                        bump=len(keys))
-            start = clock()
-            try:
-                with deadline_scope(op_deadline):
-                    result = replica.handle.query_many(keys)
-            except DeadlineExceeded:
-                replica.breaker.record_failure(clock() - start)
-                self._check_op_deadline(op_deadline, "query_many",
-                                        bump=len(keys))
+            self._check_op_deadline(op_deadline, "query_many",
+                                    bump=len(keys))
+            if attempts >= needed and not self.retry_budget.try_spend():
+                self._counter("budget_refusals").inc()
+                budget_refused = True
+                break
+            attempts += 1
+            verdict, result = self._attempt(replica, call, op_deadline,
+                                            False)
+            if verdict == _REFUSED:
+                raise result
+            if result is None:
+                if verdict == _SLOW:
+                    self._check_op_deadline(op_deadline, "query_many",
+                                            bump=len(keys))
                 continue
-            except _TRANSIENT as exc:
-                self._note_failure(replica, exc)
-                replica.breaker.record_failure(clock() - start)
-                continue
-            self._note_ok(replica)
-            replica.breaker.record_success(clock() - start)
+            if verdict == _OK:
+                self.retry_budget.earn()
             ok = np.ones(len(keys), dtype=bool)
             for failure in result.failures:
                 ok[failure.index] = False
@@ -732,108 +830,16 @@ class ReplicaSet(ShardHandle):
         short = np.flatnonzero(answered < needed).tolist()
         if short:
             self._counter("unavailable").inc()
+            detail = " (retry budget empty)" if budget_refused else ""
             error = Unavailable(
                 f"query_many: {len(short)} of {len(keys)} key(s) fell "
-                f"short of {needed} fresh answer(s)", needed=needed,
-                got=int(answered.min()))
+                f"short of {needed} fresh answer(s){detail}",
+                needed=needed, got=int(answered.min()))
             if len(short) == len(keys):
                 raise error
             best[short] = 0   # a failed slot holds 0, per BulkResult
         return BulkResult(len(keys), best, [
             BulkFailure(i, keys[i], error, retryable=True) for i in short])
-
-    def insert_many(self, keys: Sequence[object],
-                    counts: Sequence[int] | None = None, *,
-                    timeout: float | None = None) -> BulkResult:
-        return self._bulk_write("insert", keys, counts)
-
-    def delete_many(self, keys: Sequence[object],
-                    counts: Sequence[int] | None = None, *,
-                    timeout: float | None = None) -> BulkResult:
-        return self._bulk_write("delete", keys, counts)
-
-    def _bulk_write(self, verb: str, keys: Sequence[object],
-                    counts: Sequence[int] | None) -> BulkResult:
-        keys = check_keys(keys)
-        counts = check_counts(counts, len(keys)).tolist()
-        op_deadline = current_deadline()
-        clock = self.metrics.clock
-        if op_deadline is not None:
-            self._check_op_deadline(op_deadline, f"{verb}_many",
-                                    unexecuted=True)
-        applied = np.zeros(len(keys), dtype=np.int64)
-        semantic: dict[int, Exception] = {}
-        missed: list[tuple[_Replica, list[int] | None]] = []
-        for replica in self._ordered(self._replicas):
-            if not replica.up or not replica.breaker.allow():
-                missed.append((replica, None))
-                continue
-            if op_deadline is not None and op_deadline.remaining() <= 0.0:
-                missed.append((replica, None))
-                continue
-            start = clock()
-            try:
-                with deadline_scope(op_deadline):
-                    result = getattr(replica.handle, f"{verb}_many")(
-                        keys, counts)
-            except DeadlineExceeded:
-                replica.breaker.record_failure(clock() - start)
-                self._counter("write_abandons").inc()
-                missed.append((replica, None))
-                continue
-            except _TRANSIENT as exc:
-                self._note_failure(replica, exc)
-                replica.breaker.record_failure(clock() - start)
-                missed.append((replica, None))
-                continue
-            except COUNT_ERRORS as exc:
-                # Local bulk apply is all-or-nothing: the whole batch was
-                # rejected before mutating anything.
-                self._note_ok(replica)
-                replica.breaker.record_success(clock() - start)
-                for idx in range(len(keys)):
-                    semantic.setdefault(idx, exc)
-                continue
-            self._note_ok(replica)
-            replica.breaker.record_success(clock() - start)
-            ok = np.ones(len(keys), dtype=np.int64)
-            retry_idx = []
-            for failure in result.failures:
-                ok[failure.index] = 0
-                if failure.retryable:
-                    retry_idx.append(failure.index)
-                else:
-                    semantic.setdefault(failure.index, failure.error)
-            if retry_idx:
-                missed.append((replica, retry_idx))
-            applied += ok
-        self._bump(len(keys))
-        failures: list[BulkFailure] = []
-        acked = set()
-        for idx, key in enumerate(keys):
-            if idx in semantic:
-                failures.append(BulkFailure(idx, key, semantic[idx],
-                                            retryable=False))
-            elif int(applied[idx]) < self._write_needed:
-                self._counter("unavailable").inc()
-                failures.append(BulkFailure(idx, key, Unavailable(
-                    f"{verb} {key!r}: {int(applied[idx])} of the "
-                    f"required {self._write_needed} replica(s) applied",
-                    needed=self._write_needed, got=int(applied[idx])),
-                    retryable=True))
-            else:
-                acked.add(idx)
-        for replica, indices in missed:
-            indices = range(len(keys)) if indices is None else indices
-            hint_idx = [i for i in indices if i in acked]
-            if not hint_idx:
-                continue
-            replica.hints.append_many(verb, [keys[i] for i in hint_idx],
-                                      [counts[i] for i in hint_idx])
-            replica.gauges.hint_depth.set(len(replica.hints))
-            self._counter("hinted").inc(len(hint_idx))
-        self._maybe_tick()
-        return BulkResult(len(keys), None, failures)
 
     # -- health: probes, handoff, re-admission -----------------------------
     def tick(self) -> int:
@@ -874,9 +880,7 @@ class ReplicaSet(ShardHandle):
         handle = replica.handle
         clock = self.metrics.clock
         start = clock()
-        try:
-            handle.total_count
-        except _TRANSIENT:
+        if _total_of(handle) is None:
             # Unreachable: the ejection machinery owns dead replicas.
             # Probe outcomes stay out of the breaker window — it is a
             # traffic-path instrument, and letting failed probes trip it
@@ -902,11 +906,12 @@ class ReplicaSet(ShardHandle):
         peer = next((r for r in self._replicas
                      if r is not replica and self._fresh(r)), None)
         if peer is not None:
-            try:
-                if handle.total_count != peer.handle.total_count:
-                    replica.needs_repair = True
-                    return False
-            except _TRANSIENT:
+            total = _total_of(handle)
+            peer_total = None if total is None else _total_of(peer.handle)
+            if peer_total is None:
+                return False
+            if total != peer_total:
+                replica.needs_repair = True
                 return False
         # A half-open breaker closes on a fast probe and re-opens on a
         # slow one (judged on this probe's latency, not the sick EWMA).
@@ -937,11 +942,8 @@ class ReplicaSet(ShardHandle):
         for idx, replica in enumerate(self._replicas):
             if not self._fresh(replica):
                 continue
-            try:
-                total = replica.handle.total_count
-            except _TRANSIENT:
-                continue
-            if total > best:
+            total = _total_of(replica.handle)
+            if total is not None and total > best:
                 reference, best = idx, total
         report = repair_replicas([r.handle for r in self._replicas],
                                  n_blocks=n_blocks, reference=reference)

@@ -79,7 +79,7 @@ from repro.db.site import Network
 from repro.db.transport import DeliveryFailed
 from repro.handle import BulkFailure, BulkResult
 from repro.hashing.families import make_family
-from repro.hashing.keys import check_keys
+from repro.hashing.keys import check_keys, key_batch
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.remote import (REQUEST_MAGIC, RESPONSE_MAGIC, RemoteShard,
                                 ShardServer, _answer, _bulk_request,
@@ -481,6 +481,7 @@ class ProcessShardPool:
                    counts: Sequence[int] | None) -> BulkResult:
         if self._closed:
             raise RuntimeError("process pool is closed")
+        keys = key_batch(keys)
         is_query = op == "query_many"
         counts = check_counts(counts, len(keys))
         values = np.zeros(len(keys), dtype=np.int64) if is_query else None

@@ -89,10 +89,12 @@ class RemoteShardError(RuntimeError):
 
 
 def _retryable(exc: Exception) -> bool:
-    """Can resubmitting the same operation succeed?  Transport give-ups
-    and lock timeouts are transient; semantic rejections are not."""
+    """Can resubmitting the same operation succeed?  A transport give-up,
+    a lock timeout, a deadline and a server's untyped failure can pass
+    next time; the rules' refusals (and a closed pool) fail alike."""
     from repro.persist import LockTimeout
-    return isinstance(exc, (DeliveryFailed, LockTimeout))
+    return isinstance(exc, (DeliveryFailed, LockTimeout, DeadlineExceeded,
+                            RemoteShardError))
 
 
 def _remote_error(server_name: str, kind: object, error: object,

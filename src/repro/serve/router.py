@@ -664,10 +664,12 @@ def owner_pass(router, keys: Sequence[object]) -> tuple:
     unconverted; any other batch gives each group the list of its keys.
     *slots* is an int64 array of the group's positions in *keys*, from
     one **stable** sort of the owners: each group keeps submission
-    order, which MI and RM updates and WAL record order depend on.  A
-    key the key rule refuses gets its error instead of an owner, so it
-    fails in its own slot; only a batch holding one pays the per-key
-    pass.
+    order, which MI and RM updates and WAL record order depend on.
+    *keys* is already in the key rule's batch form
+    (:func:`~repro.hashing.keys.key_batch`), so a refusal from
+    ``shard_of_many`` is a key's: that key gets its error instead of an
+    owner and fails in its own slot; only a batch holding one pays the
+    per-key pass.
     """
     checked = int_keys(keys)
     routed, refused = None, {}

@@ -18,11 +18,13 @@ multi-tenant fleet plugs into the existing engine **unchanged**:
   under live traffic without any adapter going stale — an unmounted
   tenant's slot simply starts failing with
   :class:`~repro.tenancy.tree.UnknownTenant`);
-- slot 0 is the *unrouted* slot: non-pairs and unknown tenants land
-  there and fail **in their result slot** (the batcher's per-op error
-  discipline), never felling a whole batch; an inner key the key rule
-  refuses fails in its own slot with the rule's error, as on a
-  :class:`~repro.serve.router.ShardedSBF`;
+- routing refuses what it cannot route: ``shard_of`` raises
+  :class:`~repro.tenancy.tree.UnknownTenant` for a non-pair or a
+  never-mounted tenant (a ``ValueError``, so one of the key rule's
+  :data:`~repro.hashing.keys.KEY_ERRORS`) and the key rule's error for a
+  refused inner key — the fleet's owner pass fails that op **in its own
+  result slot**, as on a :class:`~repro.serve.router.ShardedSBF`, never
+  felling a whole batch;
 - writes and single-tenant reads never touch the bitmap's AND — they go
   straight to the owning tenant, exactly like a router hop — while the
   multi-tenant query ("which tenants hold x?") stays available as
@@ -41,10 +43,8 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.sbf import check_threshold
-from repro.handle import BulkFailure, BulkResult, ShardHandle
+from repro.handle import BulkResult, ShardHandle
 from repro.hashing.keys import check_key
 from repro.serve.metrics import MetricsRegistry
 from repro.tenancy.tree import SpectralBloofiTree, UnknownTenant
@@ -78,7 +78,7 @@ class TenantDirectory:
         self.metrics = metrics or tree.metrics
         self._lock = threading.Lock()
         self._slots: dict[object, int] = {}
-        self._shards: list[object] = [_Unrouted(self)]
+        self._shards: list[object] = []
         for tenant in tree.tenants:
             self._admit(tenant)
         self.metrics.gauge("directory.slots").set(len(self._shards))
@@ -112,8 +112,8 @@ class TenantDirectory:
     # -- the router contract ----------------------------------------------
     @property
     def shards(self) -> tuple:
-        """Slot handles, indexed by slot id (slot 0 is the unrouted
-        sink for malformed / unknown-tenant keys)."""
+        """Slot handles, indexed by slot id (one per tenant ever
+        mounted)."""
         with self._lock:
             return tuple(self._shards)
 
@@ -129,21 +129,20 @@ class TenantDirectory:
         return False
 
     def shard_of(self, composite: object) -> int:
-        """The slot owning a composite key (0 for a non-pair or an
-        unknown tenant — the op will fail in its slot rather than fell
-        its batch).  An inner key the key rule refuses raises its
-        error, so the batcher fails that key alone."""
+        """The slot owning a composite key.  A non-pair or a tenant never
+        mounted raises :class:`UnknownTenant`, and an inner key the key
+        rule refuses its error, so the batcher fails that key alone."""
         return self.shard_of_many([composite])[0]
 
     def shard_of_many(self, composites: Sequence[object]) -> list[int]:
         with self._lock:
             slots, owners = self._slots, []
             for composite in composites:
-                if isinstance(composite, tuple) and len(composite) == 2:
-                    check_key(composite[1])
-                    owners.append(slots.get(composite[0], 0))
-                else:
-                    owners.append(0)
+                tenant, key = split_key(composite)
+                check_key(key)
+                if tenant not in slots:
+                    raise UnknownTenant(f"tenant {tenant!r} is not mounted")
+                owners.append(slots[tenant])
             return owners
 
     def note_shard_ops(self, slot: int, n: int) -> None:
@@ -268,59 +267,3 @@ class _TenantLeaf(ShardHandle):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"_TenantLeaf({self.tenant!r})"
-
-
-class _Unrouted(ShardHandle):
-    """Slot 0: where unroutable keys go to fail politely.
-
-    Malformed composites and unknown tenants group here; every operation
-    fails with :class:`UnknownTenant` *per slot* — point ops raise
-    inside the batcher's per-op guard, bulk verbs return a
-    :class:`~repro.handle.BulkResult` whose every slot failed — so one
-    bad key never fells its batch-mates.
-    """
-
-    __slots__ = ("_directory",)
-
-    def __init__(self, directory: TenantDirectory):
-        self._directory = directory
-
-    def _refuse(self, composite: object) -> UnknownTenant:
-        try:
-            tenant, _ = split_key(composite)
-        except UnknownTenant as exc:
-            return exc
-        return UnknownTenant(f"tenant {tenant!r} is not mounted")
-
-    def insert(self, composite: object, count: int = 1) -> None:
-        raise self._refuse(composite)
-
-    delete = set = insert
-
-    def query(self, composite: object) -> int:
-        raise self._refuse(composite)
-
-    def query_many(self, composites: Sequence[object], *,
-                   timeout: float | None = None) -> BulkResult:
-        return BulkResult(
-            len(composites),
-            values=np.zeros(len(composites), dtype=np.int64),
-            failures=self._refuse_all(composites))
-
-    def insert_many(self, composites: Sequence[object], counts=None, *,
-                    timeout: float | None = None) -> BulkResult:
-        return BulkResult(len(composites),
-                          failures=self._refuse_all(composites))
-
-    delete_many = insert_many
-
-    def _refuse_all(self, composites: Sequence[object]) -> list:
-        return [BulkFailure(i, c, self._refuse(c), False)
-                for i, c in enumerate(composites)]
-
-    @property
-    def total_count(self) -> int:
-        return 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "_Unrouted()"

@@ -17,11 +17,13 @@ from repro.core.sbf import SpectralBloomFilter
 from repro.db.faults import FaultPolicy, FaultyNetwork
 from repro.db.transport import ChannelStats, DeliveryFailed
 from repro.handle import FilterHandle
-from repro.persist import ConcurrentSBF
+from repro.persist import ConcurrentSBF, LockTimeout
+from repro.scenario.clock import SimClock
 from repro.serve import (
     ALL,
     QUORUM,
     BulkFailure,
+    Deadline,
     HintLog,
     MetricsRegistry,
     RemoteShard,
@@ -30,9 +32,12 @@ from repro.serve import (
     ShardBatcher,
     ShardServer,
     Unavailable,
+    block_checksums,
+    deadline_scope,
     replicated_fleet,
     required_replicas,
 )
+from repro.serve.resilience import current_deadline
 
 M, K, SEED = 2048, 4, 11
 
@@ -563,6 +568,207 @@ def test_remote_only_fleet_still_routes_blocked():
     for key in keys + ["miss:a", "miss:b"]:
         assert fleet.shard_of(key) == family.block_of(key) % 2
         assert fleet.query(key) == oracle.query(key)
+
+
+# -- one replica rule: point and bulk writes judge a replica alike ----------
+
+class SickReplica(ConcurrentSBF):
+    """A local replica whose writes run *fault* (which raises) instead."""
+
+    def __init__(self, fault):
+        super().__init__(make_filter())
+        self.fault = fault
+
+    def insert(self, key, count=1):
+        self.fault()
+
+    def insert_many(self, keys, counts=None, *, timeout=None):
+        self.fault()
+
+
+def raising(error: Exception):
+    def fault():
+        raise error
+    return fault
+
+
+def per_replica(rset: ReplicaSet, field: str) -> list:
+    return [h[field] for h in rset.health()]
+
+
+def test_a_remote_server_error_is_hinted_on_bulk_writes_as_on_point():
+    # At the parent the bulk path keyed on the client's retryable=False
+    # for a RemoteShardError: the slot failed permanently and nothing
+    # was hinted or counted, although both local replicas applied the
+    # key and reads saw it.
+    for bulk in (False, True):
+        sick = RemoteShard(ShardServer(RefusingHandle(OSError("disk"))),
+                           FaultyNetwork(), "coord", "r2")
+        rset = ReplicaSet([make_handle(), make_handle(), sick],
+                          probe_every=10_000)
+        if bulk:
+            assert rset.insert_many(["a"]).ok
+        else:
+            rset.insert("a")
+        assert per_replica(rset, "hint_depth") == [0, 0, 1]
+        assert per_replica(rset, "consecutive_failures") == [0, 0, 1]
+        assert rset.query_many(["a"]).tolist() == [1]
+
+
+def test_a_local_replica_error_is_hinted_not_raised():
+    # At the parent a local replica's OSError escaped raw after replica 0
+    # had applied the write: replica 2 was never tried and nothing was
+    # hinted, so a client retry applied the write twice on replica 0.
+    for bulk in (False, True):
+        replicas = [make_handle(), SickReplica(raising(OSError("disk"))),
+                    make_handle()]
+        rset = ReplicaSet(replicas, probe_every=10_000)
+        if bulk:
+            assert rset.insert_many(["a"]).ok
+        else:
+            rset.insert("a")
+        assert [r.sbf.total_count for r in replicas] == [1, 0, 1]
+        assert per_replica(rset, "hint_depth") == [0, 1, 0]
+        assert per_replica(rset, "consecutive_failures") == [0, 1, 0]
+
+
+def test_bulk_traffic_ejects_a_dead_remote_replica():
+    # At the parent a bulk call folded its chunks' DeliveryFailed into
+    # its result and the set recorded a success: six insert_many calls
+    # left the dead replica up with no failures counted and kept sending
+    # to it (12 frames dropped, where six point inserts drop 6).
+    outcomes = []
+    for bulk in (False, True):
+        network = FaultyNetwork()
+        network.set_policy("coord", "r2", FaultPolicy(drop=1.0, seed=3))
+        dead = RemoteShard(ShardServer(make_handle()), network, "coord",
+                           "r2", channel_options={"max_retries": 1})
+        rset = ReplicaSet([make_handle(), make_handle(), dead],
+                          eject_after=3, probe_every=10_000)
+        for i in range(6):
+            if bulk:
+                assert rset.insert_many([f"k{i}"]).ok
+            else:
+                rset.insert(f"k{i}")
+        health = rset.health()[2]
+        outcomes.append((health["up"], health["consecutive_failures"],
+                         health["hint_depth"], network.faults["drops"]))
+    assert outcomes == [(False, 3, 6, 6)] * 2
+
+
+def sick_set(kind: str, failure: str, clock: SimClock) -> ReplicaSet:
+    """Two healthy local replicas and, last, one sick replica of *kind*
+    failing its writes by *failure*.  Ejection and the breaker both trip
+    on one failure, so every replica's health shows what an attempt did.
+    """
+    if kind == "local":
+        def slow():
+            clock.advance(2.0)
+            current_deadline().check("write")
+        sick = SickReplica({
+            "refusal": raising(ValueError("refused")),
+            "server or disk error": raising(OSError("disk")),
+            "lost": raising(LockTimeout("lock held")),
+            "slow": slow}[failure])
+    else:
+        network = FaultyNetwork(advance=clock.advance)
+        server = ShardServer(make_handle())
+        if failure == "refusal":
+            server = ShardServer(RefusingHandle(ValueError("refused")))
+        elif failure == "server or disk error":
+            server = ShardServer(RefusingHandle(OSError("disk")))
+        elif failure == "lost":
+            partition(network, "r2", seed=5)
+        else:
+            network.set_policy("coord", "r2", FaultPolicy(
+                slow=1.0, slow_seconds=2.0, seed=5))
+        sick = RemoteShard(server, network, "coord", "r2",
+                           channel_options={"max_retries": 1})
+    return ReplicaSet([make_handle(), make_handle(), sick], eject_after=1,
+                      probe_every=10_000, metrics=MetricsRegistry(clock=clock),
+                      breaker={"window": 1, "min_samples": 1,
+                               "error_threshold": 1.0})
+
+
+HEALTHY = (True, 0, 0, "closed")
+
+#: (outcome, the sick replica's (up, failures, hint depth, breaker))
+AGREED = {
+    "refusal": (ValueError, HEALTHY),
+    "server or disk error": ("ack", (False, 1, 1, "open")),
+    "lost": ("ack", (False, 1, 1, "open")),
+    "slow": ("ack", (True, 0, 1, "open")),
+}
+
+
+@pytest.mark.parametrize("failure", list(AGREED))
+@pytest.mark.parametrize("kind", ["local", "remote"])
+def test_point_and_bulk_writes_agree_on_a_sick_replica(kind, failure):
+    # "lost" is every frame dropped for a remote replica and a lock
+    # timeout for a local one; "slow" runs past the request's deadline.
+    outcomes = []
+    for bulk in (False, True):
+        clock = SimClock()
+        rset = sick_set(kind, failure, clock)
+        try:
+            with deadline_scope(Deadline(1.0, clock=clock)):
+                if bulk:
+                    rset.insert_many(["k"]).raise_first()
+                else:
+                    rset.insert("k")
+        except Exception as exc:
+            outcome = type(exc)
+        else:
+            outcome = "ack"
+        health = [(h["up"], h["consecutive_failures"], h["hint_depth"],
+                   h["breaker"]) for h in rset.health()]
+        outcomes.append((outcome, health))
+    outcome, sick = AGREED[failure]
+    assert outcomes == [(outcome, [HEALTHY, HEALTHY, sick])] * 2
+
+
+@pytest.mark.chaos
+def test_bulk_traffic_through_a_replica_outage_serves_the_oracle():
+    network = FaultyNetwork()
+    handles: dict[tuple[int, int], ConcurrentSBF] = {}
+
+    def factory(s: int, r: int):
+        handles[(s, r)] = make_handle()
+        return RemoteShard(ShardServer(handles[(s, r)]), network, "coord",
+                           f"s{s}r{r}", channel_options={"max_retries": 2})
+
+    fleet = replicated_fleet(2, M, K, rf=3, seed=SEED,
+                             replica_factory=factory, eject_after=2,
+                             probe_every=10_000)
+    batcher = ShardBatcher(fleet)
+    oracle = make_filter()
+
+    def write(keys):
+        assert batcher.insert_many(keys).ok
+        for key in keys:
+            oracle.insert(key)
+
+    def wrong(keys) -> int:
+        answers = batcher.query_many(keys)
+        return sum(a != oracle.query(k) for k, a in zip(keys, answers))
+
+    keys = workload(120)
+    write(keys)
+    partition(network, "s0r1", seed=41)
+    for round_ in range(6):
+        write([f"outage:{round_}:{i}" for i in range(40)])
+        assert wrong(keys) == 0
+    shard0 = fleet.shards[0]
+    assert per_replica(shard0, "up") == [True, False, True]
+    assert per_replica(shard0, "hint_depth")[1] > 0
+    heal(network, "s0r1")
+    assert shard0.tick() == 1
+    assert per_replica(shard0, "hint_depth") == [0, 0, 0]
+    assert wrong(keys + [f"outage:5:{i}" for i in range(40)]) == 0
+    for rset in fleet.shards:
+        rset.repair()
+        sums = [block_checksums(replica) for replica in rset.replicas]
+        assert all(other == sums[0] for other in sums[1:])
 
 
 def test_hint_log_orders_and_resumes(tmp_path):

@@ -533,6 +533,58 @@ def test_lifecycle_defaults_hold(kind):
     assert kind.audit() == []
 
 
+class MinimalHandle(ShardHandle):
+    """Only the protocol's abstract verbs, over a bare filter: every
+    other verb is the protocol's default."""
+
+    def __init__(self):
+        self._inner = FilterHandle(make_filter())
+
+    def insert(self, key, count=1):
+        self._inner.insert(key, count)
+
+    def delete(self, key, count=1):
+        self._inner.delete(key, count)
+
+    def set(self, key, count):
+        self._inner.set(key, count)
+
+    def query(self, key):
+        return self._inner.query(key)
+
+    def insert_many(self, keys, counts=None, *, timeout=None):
+        return self._inner.insert_many(keys, counts)
+
+    def delete_many(self, keys, counts=None, *, timeout=None):
+        return self._inner.delete_many(keys, counts)
+
+    def query_many(self, keys, *, timeout=None):
+        return self._inner.query_many(keys)
+
+    @property
+    def total_count(self):
+        return self._inner.total_count
+
+
+def test_a_handle_of_only_the_abstract_verbs_gets_the_defaults():
+    # No handle kind above inherits every lifecycle default, so a
+    # minimal handle pins them: a frozen handle is itself, the group verb
+    # is the point loop, and there is nothing to checkpoint, tick, close,
+    # expose or respawn.
+    handle = MinimalHandle()
+    handle.insert("k", 2)
+    with handle.exclusive() as frozen:
+        assert frozen is handle
+    assert handle.execute([("insert", "k"), ("contains", "k", 3),
+                           ("query", "k")]) == [None, True, 3]
+    assert handle.checkpoint() is None and handle.local_filter() is None
+    handle.tick()
+    handle.close()
+    with pytest.raises(ValueError, match="manifest"):
+        handle.respawn(make_filter())
+    assert handle.query("k") == handle.total_count == 3
+
+
 def test_filter_handle_is_the_bare_filter():
     sbf = make_filter()
     handle = FilterHandle(sbf)

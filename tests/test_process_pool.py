@@ -97,6 +97,21 @@ def test_string_keys_ride_the_json_path():
         assert got.values.tolist() == [oracle.query(x) for x in probe]
 
 
+def test_a_str_batch_is_refused_whole_and_a_range_lands():
+    # The pipelined verbs take the key rule's batch form: a str or bytes
+    # batch is refused before any frame is built (at the parent "abc"
+    # landed as three one-character keys), any other sequence converts.
+    with ProcessShardPool(2, M, K, seed=SEED) as pool:
+        for batch in ("abc", b"abc"):
+            with pytest.raises(TypeError, match="key batch"):
+                pool.insert_many(batch)
+            with pytest.raises(TypeError, match="key batch"):
+                pool.query_many(batch)
+        assert pool.total_count == 0
+        assert pool.insert_many(range(5)).ok
+        assert pool.query_many(range(6)).values.tolist() == [1] * 5 + [0]
+
+
 def test_non_scalar_keys_fail_client_side():
     with ProcessShardPool(2, M, K, seed=SEED) as pool:
         result = pool.insert_many([1, ["not", "scalar"], 3])

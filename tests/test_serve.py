@@ -10,6 +10,7 @@ resharding discipline and the wire manifest.
 
 import multiprocessing
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from repro.db.faults import FaultyNetwork
 from repro.hashing.families import make_family
 from repro.persist import ConcurrentSBF, LockTimeout
 from repro.serve import (
+    Deadline,
+    DeadlineExceeded,
     MetricsRegistry,
     ProcessShardPool,
     RemoteShard,
@@ -168,6 +171,60 @@ def test_int_list_and_int64_array_batches_agree():
     answers = fleets[0].query_many(probe)
     assert answers == fleets[1].query_many(np.asarray(probe))
     assert all(type(value) is int for value in answers)
+
+
+def test_any_sequence_batch_routes_once_and_str_batches_are_refused(
+        monkeypatch):
+    # The key rule's batch form takes any sequence but a str or bytes,
+    # converted once: a range routes in one shard_of_many call (at the
+    # parent it was refused as a batch type and took shard_of per key),
+    # and a str batch fails the whole call on every path (at the parent
+    # "abc" inserted the keys "a", "b" and "c").
+    router, reference = make_router(4), make_router(4)
+    batcher, listed = ShardBatcher(router), ShardBatcher(reference)
+    calls = {"shard_of": 0, "shard_of_many": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(router, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(router, name, counted)
+    assert batcher.insert_many(range(400)).ok
+    assert listed.insert_many(list(range(400))).ok
+    assert batcher.query_many(range(450)) \
+        == listed.query_many(list(range(450)))
+    assert calls == {"shard_of": 0, "shard_of_many": 2}
+    assert batcher.query_many(deque(range(450))) \
+        == listed.query_many(list(range(450)))
+    rolling = router.start_reshard(3)
+    for migrating in (True, False):
+        assert router.migrating is migrating
+        for batch in ("abc", b"abc", 5):
+            with pytest.raises(TypeError, match="key batch"):
+                batcher.insert_many(batch)
+            with pytest.raises(TypeError, match="key batch"):
+                batcher.query_many(batch)
+        if migrating:
+            rolling.abort()
+    assert router.total_count == reference.total_count == 400
+
+
+def test_a_deadline_refusal_fails_its_slots_retryably():
+    # BulkFailure.retryable: True when resubmitting the key can succeed.
+    # A group refused unexecuted by the batch's deadline applied nothing,
+    # so its slots are retryable (at the parent they read False).
+    ticks = iter(range(1, 1000))
+    router = make_router(4)
+    keys = list(range(64))
+    outcome = ShardBatcher(router).insert_many(
+        keys, deadline=Deadline(1.0, clock=lambda: 0.4 * next(ticks)))
+    assert outcome.failures
+    for failure in outcome.failures:
+        assert type(failure.error) is DeadlineExceeded
+        assert failure.error.unexecuted and failure.retryable
+    assert router.total_count == 64 - len(outcome.failures)
+    retry = [failure.key for failure in outcome.retryable()]
+    assert ShardBatcher(router).insert_many(retry).ok
+    assert router.total_count == 64
 
 
 def test_failed_group_keeps_the_callers_slots_and_keys():

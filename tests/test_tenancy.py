@@ -537,8 +537,10 @@ class TestDirectory:
 
     def test_malformed_and_unknown_keys(self):
         _, directory = self.make()
-        assert directory.shard_of("not-a-pair") == 0
-        assert directory.shard_of(("ghost", 1)) == 0
+        with pytest.raises(UnknownTenant):
+            directory.shard_of("not-a-pair")
+        with pytest.raises(UnknownTenant):
+            directory.shard_of(("ghost", 1))
         with pytest.raises(UnknownTenant):
             directory.insert("not-a-pair")
         with pytest.raises(UnknownTenant):
