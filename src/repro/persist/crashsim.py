@@ -152,20 +152,11 @@ class _TrackedFile:
     def read(self, *args):
         return self._raw.read(*args)
 
-    def seek(self, *args):
-        return self._raw.seek(*args)
-
-    def tell(self):
-        return self._raw.tell()
-
     def flush(self):
         self._raw.flush()
 
     def fileno(self):
         return self._raw.fileno()
-
-    def truncate(self, *args):
-        return self._raw.truncate(*args)
 
     @property
     def closed(self):

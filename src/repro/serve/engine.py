@@ -458,8 +458,10 @@ class ServingEngine:
 
         A replica set checkpoints its replicas and closes its hint logs
         (an undrained hint survives on disk and replays when the set is
-        rebuilt).  Returns a small report: requests drained and shards
-        whose ``checkpoint()`` produced a cut.  Safe to call twice.
+        rebuilt).  Every shard is closed even when a checkpoint or a close
+        fails; the first such error is raised once all are closed.
+        Returns a small report: requests drained and shards whose
+        ``checkpoint()`` produced a cut.  Safe to call twice.
         """
         with self._lock:
             already = self._closed
@@ -468,11 +470,20 @@ class ServingEngine:
         drained = self.drain()
         checkpointed = 0
         if not already:
+            errors = []
             for shard in self.router.shards:
-                if shard.checkpoint() is not None:
-                    checkpointed += 1
-                shard.close()
+                try:
+                    if shard.checkpoint() is not None:
+                        checkpointed += 1
+                except Exception as exc:
+                    errors.append(exc)
+                try:
+                    shard.close()
+                except Exception as exc:
+                    errors.append(exc)
             self.metrics.counter("engine.closed").inc()
+            if errors:
+                raise errors[0]
         return {"drained": drained, "checkpointed": checkpointed}
 
     def __enter__(self) -> "ServingEngine":

@@ -25,8 +25,8 @@ classic Dynamo-style availability machinery *verifiable*:
   read, local or remote — is one attempt judged one way: a refusal of
   the rules is the op's fault (never hinted), a deadline is slowness,
   anything else — a bulk call's lost slots too — is the replica failing.
-  Point and bulk writes share one fan-out, so a sick replica is hinted
-  and counted alike on either path;
+  Point and bulk share one write and one read fan-out, settled per slot
+  by one step, so a sick replica is treated alike on either path;
 - **health tracking**: ``eject_after`` consecutive failed attempts
   eject a replica (stop paying its retry budget per operation); every
   ``probe_every`` operations the set probes ejected replicas with a
@@ -116,6 +116,7 @@ ALL = "all"
 
 #: the one replica rule's verdicts on an attempt (see :func:`_judge`)
 _OK, _REFUSED, _SLOW, _FAILED = range(4)
+_TOTAL_COUNT = attrgetter("total_count")    # built once, not per read
 
 
 def _judge(exc: Exception) -> int:
@@ -131,6 +132,36 @@ def _judge(exc: Exception) -> int:
     if isinstance(exc, DeadlineExceeded):
         return _SLOW
     return _FAILED
+
+
+def _lost(result: BulkResult, refused: dict | None) -> list:
+    """The slots a bulk attempt lost; its refusals settle their slots in
+    *refused* instead (``None``: a stale replica, whose refusals are its
+    own misses)."""
+    lost = []
+    for failure in result.failures:
+        if refused is not None and isinstance(failure.error, COUNT_ERRORS):
+            refused.setdefault(failure.index, failure.error)
+        else:
+            lost.append(failure.index)
+    return lost
+
+
+def _short(n: int, needed: int, landed: int, partial: list,
+           refused: dict) -> list:
+    """``(slot, replicas that covered it)`` for each unrefused slot short
+    of *needed*: *landed* replicas covered every slot, and each *partial*
+    entry lists the slots one more replica lost."""
+    if landed >= needed:
+        return []
+    if not partial:
+        return [(slot, landed) for slot in range(n) if slot not in refused]
+    got = np.full(n, landed + len(partial), dtype=np.int64)
+    for lost in partial:
+        got[lost] -= 1
+    return [(slot, int(got[slot]))
+            for slot in np.flatnonzero(got < needed).tolist()
+            if slot not in refused]
 
 
 def _total_of(handle) -> int | None:
@@ -541,18 +572,45 @@ class ReplicaSet(ShardHandle):
                             label=f"ha.{self.name} attempt")
         return op_deadline.bounded(bound)
 
-    def _check_op_deadline(self, deadline: Deadline | None, what: str,
-                           bump: int = 0, *,
-                           unexecuted: bool = False) -> None:
-        """Raise the typed refusal if the request deadline has passed
-        (*unexecuted* when no replica has been sent anything yet)."""
-        if deadline is None or deadline.remaining() > 0.0:
-            return
-        self._counter("deadline_refusals").inc()
-        if bump:
-            self._bump(bump)
-            self._maybe_tick()
-        deadline.check(what, unexecuted=unexecuted)
+    def _refuse_expired(self, deadline: Deadline, what: str) -> None:
+        """Refuse a request whose deadline has already passed, before any
+        replica is sent anything (unexecuted, no op counted)."""
+        if deadline.remaining() <= 0.0:
+            self._counter("deadline_refusals").inc()
+            deadline.check(what, unexecuted=True)
+
+    def _settle(self, what: str, keys, point: bool, needed: int,
+                landed: int, partial: list, refused: dict,
+                deadline: Deadline | None, detail: str = "") -> list:
+        """The one per-slot settlement, write or read (skipped when every
+        replica covered every slot).  A refused slot fails non-retryably;
+        a slot short of *needed* fails with :class:`Unavailable`, or with
+        the request's ``DeadlineExceeded`` once it ran out, and counts
+        once.  Returns the failures in slot order."""
+        n = 1 if point else len(keys)
+        short = _short(n, needed, landed, partial, refused)
+        failures = [BulkFailure(slot, keys if point else keys[slot], error,
+                                retryable=False)
+                    for slot, error in refused.items()]
+        if short:
+            expired = deadline is not None and deadline.remaining() <= 0.0
+            self._counter("deadline_refusals" if expired
+                          else "unavailable").inc(len(short))
+        for slot, got in short:
+            key = keys if point else keys[slot]
+            subject = what if what == "total_count" else f"{what} {key!r}"
+            error = Unavailable(
+                f"{subject}: {got} of the required {needed} replica(s) "
+                f"took it{detail}", needed=needed, got=got)
+            if expired:
+                try:
+                    deadline.check(subject)
+                except DeadlineExceeded as exc:
+                    error = exc
+            failures.append(BulkFailure(slot, key, error, retryable=True))
+        if len(failures) > 1:
+            failures.sort(key=attrgetter("index"))
+        return failures
 
     def _ordered(self, pool: list[_Replica]) -> list[_Replica]:
         """Healthy-first attempt order: closed breakers before probing
@@ -609,19 +667,17 @@ class ReplicaSet(ShardHandle):
 
     def _fan_write(self, verb: str, keys, counts, point: bool) -> list:
         """The one write fan-out: the skip rule, one :meth:`_attempt` per
-        replica, one settlement per slot.  A point write is a batch of one
-        (*keys*, *counts* are its key and count); *point* chooses only the
-        hedge on stragglers, whether attempts feed the latency tracker
-        and the hint record's form.  Returns the failed slots in order: a
-        refusal (``retryable=False``, never hinted), or a slot too few
-        replicas applied (:class:`Unavailable`, or the request's
-        :class:`~repro.serve.resilience.DeadlineExceeded` once it ran out).
-        """
+        replica, the shared per-slot settlement (:meth:`_settle`), then
+        hints.  A point write is a batch of one (*keys*, *counts* are its
+        key and count); *point* chooses only the hedge on stragglers,
+        whether attempts feed the latency tracker and the hint record's
+        form.  Returns the failed slots in order."""
         n = 1 if point else len(keys)
         what = verb if point else f"{verb}_many"
         call = methodcaller(what, keys, counts)
         op_deadline = current_deadline()
-        self._check_op_deadline(op_deadline, what, unexecuted=True)
+        if op_deadline is not None:
+            self._refuse_expired(op_deadline, what)
         needed = self._write_needed
         landed = 0                       # replicas that applied every slot
         refused: dict[int, Exception] = {}
@@ -634,62 +690,35 @@ class ReplicaSet(ShardHandle):
                 # from the fan-out, and hinted if the write acknowledges.
                 missed.append((replica, None))
                 continue
+            # Only a fresh replica's refusal is the op's (a delete below
+            # zero, a total past int64: the slots fail, never hinted).  One
+            # owed hints may refuse for want of them (a delete of a key its
+            # queue still inserts): its own miss, hinted behind its queue.
+            fresh = self._fresh(replica)
             # Past the ack quota a point write's stragglers are hedged, so
             # one slow replica never prices every write.
             attempt = self._attempt_deadline(op_deadline,
                                              point and landed >= needed)
             verdict, value = self._attempt(replica, call, attempt, point)
-            if verdict == _REFUSED:
-                # Invalid on every replica (a delete below zero, a total
-                # past int64): the slots fail, and are never hinted.
+            if verdict == _REFUSED and fresh:
                 for slot in range(n):
                     refused.setdefault(slot, value)
                 continue
             if verdict == _SLOW:
                 self._counter("write_abandons").inc()
-            if verdict != _OK and value is None:     # raised: lost it all
-                missed.append((replica, None))
+            if verdict != _OK and not isinstance(value, BulkResult):
+                missed.append((replica, None))       # raised: lost it all
                 continue
-            lost = []
-            for failure in () if point else value.failures:
-                if isinstance(failure.error, COUNT_ERRORS):
-                    refused.setdefault(failure.index, failure.error)
-                else:
-                    lost.append(failure.index)
+            lost = () if point else _lost(value, refused if fresh else None)
             if lost:
                 missed.append((replica, lost))
             else:
                 landed += 1
         self._bump(n)
-        partial = [lost for _, lost in missed if lost is not None]
-        if partial:
-            applied = np.full(n, landed + len(partial), dtype=np.int64)
-            for lost in partial:
-                applied[lost] -= 1
-            short = np.flatnonzero(applied < needed).tolist()
-        else:
-            short = range(n) if landed < needed else ()
-        short = [slot for slot in short if slot not in refused]
-        failures = [BulkFailure(slot, keys if point else keys[slot], error,
-                                retryable=False)
-                    for slot, error in refused.items()]
-        if short:
-            expired = op_deadline is not None \
-                and op_deadline.remaining() <= 0.0
-            self._counter("deadline_refusals" if expired
-                          else "unavailable").inc(len(short))
-        for slot in short:
-            key = keys if point else keys[slot]
-            got = int(applied[slot]) if partial else landed
-            error = Unavailable(
-                f"{verb} {key!r}: {got} of the required {needed} "
-                f"replica(s) applied it", needed=needed, got=got)
-            if expired:
-                try:
-                    op_deadline.check(f"{verb} {key!r}")
-                except DeadlineExceeded as exc:
-                    error = exc
-            failures.append(BulkFailure(slot, key, error, retryable=True))
+        failures = [] if landed >= needed and not refused else self._settle(
+            verb, keys, point, needed, landed,
+            [lost for _, lost in missed if lost is not None], refused,
+            op_deadline)
         # Only acknowledged slots are hinted: an unacknowledged write is
         # the client's to retry, and hinting it would make replicas
         # remember an operation the client was told failed.  (A hinted
@@ -710,29 +739,47 @@ class ReplicaSet(ShardHandle):
             replica.gauges.hint_depth.set(len(replica.hints))
             self._counter("hinted").inc(len(slots))
         self._maybe_tick()
-        if len(failures) > 1:
-            failures.sort(key=attrgetter("index"))
         return failures
 
     # -- the read path -----------------------------------------------------
     def query(self, key: object) -> int:
-        return self._read("query", methodcaller("query", check_key(key)))
+        return self._fan_read("query", check_key(key), True)
 
     @property
     def total_count(self) -> int:
-        return self._read("total_count", attrgetter("total_count"))
+        return self._fan_read("total_count", None, True)
 
-    def _read(self, what: str, fetch: Callable[[object], int]) -> int:
+    def query_many(self, keys: Sequence[object], *,
+                   timeout: float | None = None) -> BulkResult:
+        """Quorum estimates for a key batch; raises only when no slot
+        answered, so a one-key batch raises what :meth:`query` raises."""
+        return self._fan_read("query_many", check_keys(keys), False)
+
+    def _fan_read(self, what: str, keys, point: bool):
+        """The one read fan-out: fresh, breaker-admitted replicas,
+        healthiest first, until each slot has its quorum or a refusal,
+        then the shared settlement.  A point read is a batch of one (*keys*
+        is its key) that alone hedges, feeds the tracker, answers a value."""
+        n = 1 if point else len(keys)
+        call = _TOTAL_COUNT if what == "total_count" \
+            else methodcaller(what, keys)
         op_deadline = current_deadline()
+        if op_deadline is not None:
+            self._refuse_expired(op_deadline, what)
         needed = self._read_needed
         candidates = self._ordered(
             [r for r in self._replicas
              if self._fresh(r) and r.breaker.allow()])
-        answers: list[int] = []
-        attempts = 0
-        budget_refused = False
+        answers: list = []               # point: values; bulk: results
+        partial: list[list[int]] = []    # slots each partial answer lost
+        refused: dict[int, Exception] = {}
+        landed = attempts = 0            # replicas that answered every slot
+        detail = ""
         for position, replica in enumerate(candidates):
-            if len(answers) == needed:
+            # Done once every slot has its quorum or a refusal (a healthy
+            # read stops as its quorum lands, below, never listing slots).
+            if (refused or partial or not n) \
+                    and not _short(n, needed, landed, partial, refused):
                 break
             if op_deadline is not None and op_deadline.remaining() <= 0.0:
                 break
@@ -741,105 +788,52 @@ class ReplicaSet(ShardHandle):
             # stalled — that is a retry, and retries spend budget.
             if attempts >= needed and not self.retry_budget.try_spend():
                 self._counter("budget_refusals").inc()
-                budget_refused = True
+                detail = " (retry budget empty)"
                 break
             # Hedge only while spare candidates remain: abandoning the
             # last possible answer would trade a slow success for none.
             spares = len(candidates) - position - 1
             attempts += 1
             attempt = self._attempt_deadline(
-                op_deadline, spares >= needed - len(answers))
-            verdict, value = self._attempt(replica, fetch, attempt, True)
+                op_deadline, point and spares >= needed - landed)
+            verdict, value = self._attempt(replica, call, attempt, point)
             if verdict == _OK:
                 self.retry_budget.earn()
-                answers.append(value)
             elif verdict == _REFUSED:
-                raise value
-            elif verdict == _SLOW:
-                if op_deadline is not None \
-                        and op_deadline.remaining() <= 0.0:
-                    break  # the request itself is out of time
-                # The straggler's read re-fires against the next (spare)
-                # candidate: the hedge.
-                self._counter("hedges").inc()
-        self._bump()
+                self.retry_budget.earn()     # it answered, with a refusal
+                for slot in range(n):
+                    refused.setdefault(slot, value)
+                continue
+            elif verdict == _SLOW and (op_deadline is None
+                                       or op_deadline.remaining() > 0.0):
+                self._counter("hedges").inc()    # re-fired on a spare
+            if value is None:
+                continue
+            if not point and (lost := _lost(value, refused)):
+                partial.append(lost)
+            else:
+                landed += 1
+            answers.append(value)
+            if landed >= needed:
+                break
+        self._bump(n)
+        failures = [] if landed >= needed and not refused else self._settle(
+            what, keys, point, needed, landed, partial, refused, op_deadline,
+            detail)
         self._maybe_tick()
-        if len(answers) < needed:
-            if op_deadline is not None and op_deadline.remaining() <= 0.0:
-                self._counter("deadline_refusals").inc()
-                op_deadline.check(what)
-            self._counter("unavailable").inc()
-            detail = " (retry budget empty)" if budget_refused else ""
-            raise Unavailable(
-                f"{what}: {len(answers)} of the required "
-                f"{needed} fresh replica(s) answered{detail}",
-                needed=needed, got=len(answers))
+        if failures and len(failures) == n:      # no slot answered
+            raise failures[0].error
         # max keeps the one-sided guarantee: every answer is >= the true
         # count, so the largest is too (and fresh replicas agree anyway).
-        return max(answers)
-
-    def query_many(self, keys: Sequence[object], *,
-                   timeout: float | None = None) -> BulkResult:
-        """Quorum estimates for a key batch.
-
-        Every slot needs ``read_consistency`` fresh answers; the combine
-        is an elementwise ``max``.  As on the point path, attempts past
-        the quorum's own spend the retry budget and successes earn some
-        back.  A slot that falls short fails with :class:`Unavailable`
-        in the result; when no slot got its quorum the call raises it.
-        """
-        keys = check_keys(keys)
-        op_deadline = current_deadline()
-        self._check_op_deadline(op_deadline, "query_many", unexecuted=True)
-        needed = self._read_needed
-        call = methodcaller("query_many", keys)
-        best = np.zeros(len(keys), dtype=np.int64)
-        answered = np.zeros(len(keys), dtype=np.int64)
-        attempts = 0
-        budget_refused = False
-        for replica in self._ordered(
-                [r for r in self._replicas
-                 if self._fresh(r) and r.breaker.allow()]):
-            if bool((answered >= needed).all()):
-                break
-            self._check_op_deadline(op_deadline, "query_many",
-                                    bump=len(keys))
-            if attempts >= needed and not self.retry_budget.try_spend():
-                self._counter("budget_refusals").inc()
-                budget_refused = True
-                break
-            attempts += 1
-            verdict, result = self._attempt(replica, call, op_deadline,
-                                            False)
-            if verdict == _REFUSED:
-                raise result
-            if result is None:
-                if verdict == _SLOW:
-                    self._check_op_deadline(op_deadline, "query_many",
-                                            bump=len(keys))
-                continue
-            if verdict == _OK:
-                self.retry_budget.earn()
-            ok = np.ones(len(keys), dtype=bool)
-            for failure in result.failures:
-                ok[failure.index] = False
-            best = np.where(ok, np.maximum(best, result.values), best)
-            answered += ok
-        self._bump(len(keys))
-        self._maybe_tick()
-        short = np.flatnonzero(answered < needed).tolist()
-        if short:
-            self._counter("unavailable").inc()
-            detail = " (retry budget empty)" if budget_refused else ""
-            error = Unavailable(
-                f"query_many: {len(short)} of {len(keys)} key(s) fell "
-                f"short of {needed} fresh answer(s){detail}",
-                needed=needed, got=int(answered.min()))
-            if len(short) == len(keys):
-                raise error
-            best[short] = 0   # a failed slot holds 0, per BulkResult
-        return BulkResult(len(keys), best, [
-            BulkFailure(i, keys[i], error, retryable=True) for i in short])
+        if point:
+            return max(answers)
+        best = np.zeros(n, dtype=np.int64)
+        for result in answers:              # a failed slot holds no answer
+            values = result.values.copy()
+            values[[failure.index for failure in result.failures]] = 0
+            np.maximum(best, values, out=best)
+        best[[failure.index for failure in failures]] = 0
+        return BulkResult(n, best, failures)
 
     # -- health: probes, handoff, re-admission -----------------------------
     def tick(self) -> int:
@@ -967,11 +961,14 @@ class ReplicaSet(ShardHandle):
     # -- lifecycle -----------------------------------------------------------
     def checkpoint(self) -> list:
         """Checkpoint every up replica; returns their results in replica
-        order (``None`` placeholders for ejected replicas)."""
+        order (``None`` for an ejected replica or a failed checkpoint)."""
         results = []
         for replica in self._replicas:
-            results.append(replica.handle.checkpoint()
-                           if replica.up else None)
+            try:
+                results.append(replica.handle.checkpoint()
+                               if replica.up else None)
+            except Exception:
+                results.append(None)
         return results
 
     def close(self) -> None:

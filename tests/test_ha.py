@@ -24,6 +24,7 @@ from repro.serve import (
     QUORUM,
     BulkFailure,
     Deadline,
+    DeadlineExceeded,
     HintLog,
     MetricsRegistry,
     RemoteShard,
@@ -380,7 +381,7 @@ def test_numpy_keys_land_on_every_replica_as_their_values():
 
 
 class RefusingHandle(FilterHandle):
-    """A server-side handle whose writes raise *error*."""
+    """A server-side handle whose writes and reads raise *error*."""
 
     def __init__(self, error: Exception):
         super().__init__(make_filter())
@@ -390,6 +391,12 @@ class RefusingHandle(FilterHandle):
         raise self.error
 
     def insert_many(self, keys, counts=None, *, timeout=None):
+        raise self.error
+
+    def query(self, key):
+        raise self.error
+
+    def query_many(self, keys, *, timeout=None):
         raise self.error
 
 
@@ -573,7 +580,8 @@ def test_remote_only_fleet_still_routes_blocked():
 # -- one replica rule: point and bulk writes judge a replica alike ----------
 
 class SickReplica(ConcurrentSBF):
-    """A local replica whose writes run *fault* (which raises) instead."""
+    """A local replica whose writes and reads run *fault* (which raises)
+    instead."""
 
     def __init__(self, fault):
         super().__init__(make_filter())
@@ -584,6 +592,12 @@ class SickReplica(ConcurrentSBF):
 
     def insert_many(self, keys, counts=None, *, timeout=None):
         self.fault()
+
+    def query(self, key):
+        return self.fault()
+
+    def query_many(self, keys, *, timeout=None):
+        return self.fault()
 
 
 def raising(error: Exception):
@@ -656,15 +670,17 @@ def test_bulk_traffic_ejects_a_dead_remote_replica():
     assert outcomes == [(False, 3, 6, 6)] * 2
 
 
-def sick_set(kind: str, failure: str, clock: SimClock) -> ReplicaSet:
-    """Two healthy local replicas and, last, one sick replica of *kind*
-    failing its writes by *failure*.  Ejection and the breaker both trip
-    on one failure, so every replica's health shows what an attempt did.
+def sick_set(kind: str, failure: str, clock: SimClock, *,
+             first: bool = False, **options) -> ReplicaSet:
+    """Two healthy local replicas and one sick replica of *kind* (last,
+    or *first*) failing its writes and reads by *failure*.  Ejection and
+    the breaker both trip on one failure, so every replica's health shows
+    what an attempt did.
     """
     if kind == "local":
         def slow():
             clock.advance(2.0)
-            current_deadline().check("write")
+            current_deadline().check("attempt")
         sick = SickReplica({
             "refusal": raising(ValueError("refused")),
             "server or disk error": raising(OSError("disk")),
@@ -684,10 +700,12 @@ def sick_set(kind: str, failure: str, clock: SimClock) -> ReplicaSet:
                 slow=1.0, slow_seconds=2.0, seed=5))
         sick = RemoteShard(server, network, "coord", "r2",
                            channel_options={"max_retries": 1})
-    return ReplicaSet([make_handle(), make_handle(), sick], eject_after=1,
-                      probe_every=10_000, metrics=MetricsRegistry(clock=clock),
+    healthy = [make_handle(), make_handle()]
+    return ReplicaSet([sick, *healthy] if first else [*healthy, sick],
+                      eject_after=1, probe_every=10_000,
+                      metrics=MetricsRegistry(clock=clock),
                       breaker={"window": 1, "min_samples": 1,
-                               "error_threshold": 1.0})
+                               "error_threshold": 1.0}, **options)
 
 
 HEALTHY = (True, 0, 0, "closed")
@@ -725,6 +743,189 @@ def test_point_and_bulk_writes_agree_on_a_sick_replica(kind, failure):
         outcomes.append((outcome, health))
     outcome, sick = AGREED[failure]
     assert outcomes == [(outcome, [HEALTHY, HEALTHY, sick])] * 2
+
+
+def test_a_stale_replicas_refusal_is_its_own_miss():
+    # r2 is up but still owed the insert it missed, so it refuses the
+    # delete (an underflow) that r0 and r1 apply.  That refusal is r2's
+    # miss: the delete acks, r2 is hinted it behind the insert, and the
+    # handoff converges it.  Taken for the op's refusal, the client would
+    # be told of a failure that two replicas applied, and r2 would never
+    # learn the delete (x = 1 against 0, held out for repair).
+    for bulk in (False, True):
+        rset, flaky = make_set(3, eject_after=3)
+        flaky[2].down = True
+        rset.insert("x")                     # r2 hinted, not ejected
+        flaky[2].down = False
+        if bulk:
+            assert rset.delete_many(["x"]).ok
+        else:
+            rset.delete("x")
+        # r2 answered (a refusal resets its failure count) and is owed both.
+        assert per_replica(rset, "hint_depth") == [0, 0, 2]
+        assert per_replica(rset, "consecutive_failures") == [0, 0, 0]
+        rset.tick()
+        assert fresh(rset)
+        assert_replicas_identical(rset)
+        assert rset.query("x") == rset.total_count == 0
+
+
+def test_engine_close_over_a_partitioned_replica_closes_every_hint_log(
+        tmp_path):
+    # Each set's r2 is partitioned but not yet ejected, so its checkpoint
+    # fails.  The set's checkpoint still returns, with None in r2's slot,
+    # and the engine closes every set (so every hint log).
+    networks: dict[int, FaultyNetwork] = {}
+
+    def factory(s: int, r: int):
+        if r < 2:
+            return make_handle()
+        network = networks.setdefault(s, FaultyNetwork())
+        return RemoteShard(ShardServer(make_handle()), network, "coord",
+                           "r2", channel_options={"max_retries": 1})
+
+    fleet = replicated_fleet(2, M, K, rf=3, seed=SEED,
+                             replica_factory=factory, hint_dir=str(tmp_path),
+                             probe_every=10_000)
+    for s, network in networks.items():
+        partition(network, "r2", seed=3 + s)
+    cuts = fleet.shards[0].checkpoint()
+    assert [cut is None for cut in cuts] == [False, False, True]
+    assert per_replica(fleet.shards[0], "up") == [True] * 3
+    engine = ServingEngine(fleet)
+    assert engine.close() == {"drained": 0, "checkpointed": 2}
+    assert all(replica.hints._wal._file.closed
+               for rset in fleet.shards for replica in rset._replicas)
+
+
+# -- one read rule: point and bulk reads judge a replica alike --------------
+
+#: (placement, failure) -> (outcome, the sick replica's health, retry
+#: tokens spent).  "first" puts the sick replica first under quorum reads,
+#: so a read that outlives it spends a retry on the spare; "all" puts it
+#: last under ALL, where no attempt is a retry.
+READ_AGREED = {
+    ("first", "refusal"): (ValueError, HEALTHY, 0),
+    ("first", "server or disk error"): (1, (False, 1, 0, "open"), 1),
+    ("first", "lost"): (1, (False, 1, 0, "open"), 1),
+    ("first", "slow"): (DeadlineExceeded, (True, 0, 0, "open"), 0),
+    ("all", "refusal"): (ValueError, HEALTHY, 0),
+    ("all", "server or disk error"): (Unavailable, (False, 1, 0, "open"), 0),
+    ("all", "lost"): (Unavailable, (False, 1, 0, "open"), 0),
+    ("all", "slow"): (DeadlineExceeded, (True, 0, 0, "open"), 0),
+}
+
+
+@pytest.mark.parametrize("placement,failure", list(READ_AGREED))
+@pytest.mark.parametrize("kind", ["local", "remote"])
+def test_point_and_bulk_reads_agree_on_a_sick_replica(kind, placement,
+                                                       failure):
+    # A query and a one-key query_many must end alike: the same answer or
+    # error type, per-replica health, ha.* counters and retry-budget
+    # accounting.  A remote replica folds its refusal or deadline into a
+    # bulk result's slot where its point call raises, and the slot must
+    # still be judged as that refusal or deadline.
+    first = placement == "first"
+    outcomes = []
+    for bulk in (False, True):
+        clock = SimClock()
+        rset = sick_set(kind, failure, clock, first=first,
+                        read_consistency=QUORUM if first else ALL)
+        for handle in rset.replicas[1:] if first else rset.replicas[:2]:
+            handle.insert("k")                   # the healthy pair
+        try:
+            with deadline_scope(Deadline(1.0, clock=clock)):
+                if bulk:
+                    outcome = rset.query_many(["k"]).raise_first().tolist()[0]
+                else:
+                    outcome = rset.query("k")
+        except Exception as exc:
+            outcome = type(exc)
+        health = [(h["up"], h["consecutive_failures"], h["hint_depth"],
+                   h["breaker"]) for h in rset.health()]
+        counters = {name: value for name, value
+                    in rset.metrics.snapshot()["counters"].items()
+                    if name.startswith("ha.")}
+        budget = rset.retry_budget
+        outcomes.append((outcome, health, counters,
+                         (budget.spent, budget.denied, budget.earned)))
+    assert outcomes[0] == outcomes[1]
+    outcome, sick, spent = READ_AGREED[placement, failure]
+    health = [sick, HEALTHY, HEALTHY] if first else [HEALTHY, HEALTHY, sick]
+    assert outcomes[0][:2] == (outcome, health)
+    assert outcomes[0][3][0] == spent
+
+
+@pytest.mark.parametrize("kind", ["local", "remote"])
+def test_refusing_replicas_refuse_point_and_bulk_reads_alike(kind):
+    # A remote replica folds the refusal into the bulk result's slot; the
+    # slot is refused, not merely unanswered (a retryable Unavailable).
+    if kind == "local":
+        replicas = [SickReplica(raising(ValueError("refused")))
+                    for _ in range(3)]
+    else:
+        network = FaultyNetwork()
+        replicas = [RemoteShard(ShardServer(RefusingHandle(
+            ValueError("refused"))), network, "coord", f"r{i}")
+            for i in range(3)]
+    rset = ReplicaSet(replicas)
+    with pytest.raises(ValueError, match="refused"):
+        rset.query("a")
+    with pytest.raises(ValueError, match="refused"):
+        rset.query_many(["a"])
+    assert fresh(rset)
+
+
+def test_an_expired_point_read_is_refused_unexecuted():
+    # Like an expired write or bulk read: refused before any replica is
+    # sent anything, so retry-safe, and no op counts toward the probes.
+    clock = SimClock()
+    metrics = MetricsRegistry(clock=clock)
+    rset, _ = make_set(3, metrics=metrics)
+    rset.insert("a")
+    ops = rset._ops
+    deadline = Deadline(0.01, clock=clock)
+    clock.advance(0.02)
+    for read in (lambda: rset.query("a"), lambda: rset.total_count,
+                 lambda: rset.query_many(["a"])):
+        with deadline_scope(deadline):
+            with pytest.raises(DeadlineExceeded) as refused:
+                read()
+        assert refused.value.unexecuted
+    assert rset._ops == ops
+    assert metrics.snapshot()["counters"]["ha.rs.deadline_refusals"] == 3
+
+
+def test_bulk_reads_count_each_short_slot_as_bulk_writes_do():
+    metrics = MetricsRegistry()
+    rset, flaky = make_set(3, metrics=metrics, read_consistency=ALL,
+                           write_consistency=ALL, eject_after=100)
+    keys = [f"k{i}" for i in range(5)]
+    assert rset.insert_many(keys).ok
+    flaky[2].down = True
+    unavailable = metrics.counter("ha.rs.unavailable")
+    assert [type(f.error) for f in rset.insert_many(keys).failures] \
+        == [Unavailable] * 5
+    assert unavailable.value == 5
+    with pytest.raises(Unavailable):
+        rset.query_many(keys)
+    assert unavailable.value == 10
+
+
+def test_bulk_reads_count_each_slot_the_deadline_cut_short():
+    clock = SimClock()
+    metrics = MetricsRegistry(clock=clock)
+
+    def slow():
+        clock.advance(2.0)
+        current_deadline().check("read")
+    rset = ReplicaSet([SickReplica(slow), make_handle(), make_handle()],
+                      metrics=metrics, probe_every=10_000)
+    with deadline_scope(Deadline(1.0, clock=clock)):
+        with pytest.raises(DeadlineExceeded) as refused:
+            rset.query_many([f"k{i}" for i in range(5)])
+    assert not refused.value.unexecuted        # the sick replica ran it
+    assert metrics.counter("ha.rs.deadline_refusals").value == 5
 
 
 @pytest.mark.chaos

@@ -363,6 +363,19 @@ class TestRecovery:
         assert report.records_replayed == 1
         assert sbf.query("a") == 3 and sbf.query("b") == 2
 
+    def test_with_form_closes_the_wal(self, tmp_path):
+        # README's documented form: leaving the block closes the WAL, and
+        # recovery finds the snapshot plus the one record after it.
+        with DurableSBF.open(str(tmp_path), factory=factory,
+                             fsync="always") as handle:
+            handle.insert("needle", 3)
+            handle.checkpoint()
+            handle.insert("hay")
+        assert handle.wal._file.closed
+        sbf, report = recover(str(tmp_path))
+        assert sbf.query("needle") == 3 and sbf.query("hay") >= 1
+        assert report.used_snapshot and report.records_replayed == 1
+
     def test_no_state_and_no_factory_raises(self, tmp_path):
         with pytest.raises(RecoveryError):
             recover(str(tmp_path))

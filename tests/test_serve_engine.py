@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.sbf import SpectralBloomFilter
 from repro.core.serialize import load_sbf
+from repro.persist import ConcurrentSBF, recover
 from repro.serve import (
     DeadlineExceeded,
     MetricsRegistry,
@@ -196,6 +197,61 @@ def test_close_drains_checkpoints_and_seals(tmp_path):
     finally:
         for shard in recovered.shards:
             shard.raw.close()
+
+
+def test_with_form_drains_checkpoints_and_closes_the_shards(tmp_path):
+    # README's documented form: leaving the block stops the worker,
+    # drains, checkpoints every shard and closes it (its WAL included).
+    router = make_router(2, durable_root=str(tmp_path), fsync="checkpoint")
+    with ServingEngine(router, max_queue=1024, batch_size=64) as engine:
+        engine.start()
+        assert engine.submit("insert", "needle").result(timeout=10) is None
+        queued = [engine.submit("insert", key) for key in range(40)]
+        engine.stop()                          # the rest wait in the queue
+    assert all(request.result() is None for request in queued)
+    assert all(shard.raw.wal._file.closed for shard in router.shards)
+    totals = 0
+    for i in range(2):
+        sbf, report = recover(f"{tmp_path}/shard-{i}")
+        assert report.used_snapshot and report.records_replayed == 0
+        totals += sbf.total_count
+    assert totals == 41
+
+
+class RecordingShard(ConcurrentSBF):
+    """An in-memory shard that records its close; *error*, when given, is
+    what its checkpoint raises."""
+
+    def __init__(self, closed: list, error: Exception | None = None):
+        super().__init__(SpectralBloomFilter(M, K, seed=SEED,
+                                             hash_family="blocked"))
+        self.closed, self.error = closed, error
+
+    def checkpoint(self, *, timeout=None):
+        if self.error is not None:
+            raise self.error
+        return super().checkpoint(timeout=timeout)
+
+    def close(self) -> None:
+        self.closed.append(self)
+        super().close()
+
+
+def test_close_closes_every_shard_before_raising_a_failed_checkpoint():
+    # A failed checkpoint must not leave later shards (their WALs and hint
+    # logs) open: the engine is sealed after the first close(), so a
+    # second one closes nothing.
+    closed = []
+    shards = [RecordingShard(closed, OSError("disk full")),
+              RecordingShard(closed), RecordingShard(closed, OSError("gone"))]
+    engine = ServingEngine(ShardedSBF(shards), max_queue=64)
+    request = engine.submit("insert", "a")
+    with pytest.raises(OSError, match="disk full"):
+        engine.close()
+    assert closed == shards
+    assert request.result() is None            # drained before closing
+    assert engine.close() == {"drained": 0, "checkpointed": 0}
+    assert closed == shards                    # nothing is closed twice
 
 
 def test_background_worker_serves_and_stops():
