@@ -21,33 +21,30 @@ from repro.db.relation import Relation
 BITS_PER_VALUE = 64
 
 
-class Message:
-    """One transmission: payload plus its accounted size."""
-
-    __slots__ = ("sender", "recipient", "label", "payload", "bits")
-
-    def __init__(self, sender: str, recipient: str, label: str,
-                 payload: object, bits: int):
-        self.sender = sender
-        self.recipient = recipient
-        self.label = label
-        self.payload = payload
-        self.bits = bits
-
-
 class Network:
-    """The channel between sites; totals traffic and rounds."""
+    """The channel between sites; totals traffic and rounds.
+
+    Attributes:
+        total_bits: all traffic so far, in bits.
+        rounds: point-to-point transmissions so far (the paper's
+            'rounds').
+
+    Only running totals are kept (these two and bits per label), never
+    the frames, so a long-lived network holds constant memory.
+    """
 
     def __init__(self):
-        self.messages: list[Message] = []
+        self.reset()
 
     def send(self, sender: str, recipient: str, label: str,
              payload: object, bits: int) -> object:
         """Deliver *payload*, charging *bits* to the traffic total."""
         if bits < 0:
             raise ValueError(f"message size must be >= 0, got {bits}")
-        self.messages.append(Message(sender, recipient, label, payload,
-                                     int(bits)))
+        bits = int(bits)
+        self.total_bits += bits
+        self.rounds += 1
+        self._by_label[label] = self._by_label.get(label, 0) + bits
         return payload
 
     def transmit(self, sender: str, recipient: str, label: str,
@@ -72,26 +69,15 @@ class Network:
         self.send(sender, recipient, label, frame, len(frame) * 8)
         return [frame]
 
-    @property
-    def total_bits(self) -> int:
-        """All traffic so far, in bits."""
-        return sum(msg.bits for msg in self.messages)
-
-    @property
-    def rounds(self) -> int:
-        """Number of point-to-point transmissions (the paper's 'rounds')."""
-        return len(self.messages)
-
     def reset(self) -> None:
-        """Clear the traffic log (between experiment repetitions)."""
-        self.messages.clear()
+        """Zero the traffic totals (between experiment repetitions)."""
+        self.total_bits = 0
+        self.rounds = 0
+        self._by_label: dict[str, int] = {}
 
     def breakdown(self) -> dict[str, int]:
         """Bits per message label (synopsis vs tuples vs results...)."""
-        out: dict[str, int] = {}
-        for msg in self.messages:
-            out[msg.label] = out.get(msg.label, 0) + msg.bits
-        return out
+        return dict(self._by_label)
 
 
 class Site:

@@ -37,6 +37,12 @@ _ENVELOPE_MAGIC = b"RCH1"
 _HEADER = struct.Struct("<4sII")          # magic, seq, payload length
 _TRAILER = struct.Struct("<I")            # CRC32 over header + payload
 
+#: sequence numbers a channel remembers as seen, counting back from the
+#: one in flight: a late copy carries the current or the previous one
+#: (a faulty network holds a frame for one transmit at most), so the
+#: window is generous and the memory constant
+_SEEN_WINDOW = 64
+
 
 class TransportError(RuntimeError):
     """Base class for transport-layer failures."""
@@ -209,6 +215,7 @@ class ReliableChannel:
             deadline.check(label)
         seq = self._next_seq
         self._next_seq += 1
+        self._seen.discard(seq - _SEEN_WINDOW)
         envelope = seal_envelope(seq, bytes(payload))
         stats = self.stats
         for attempt in range(self.max_retries + 1):

@@ -313,28 +313,3 @@ def matrix_for(family: HashFamily, canon: np.ndarray) -> np.ndarray:
     for i, value in enumerate(canon.tolist()):
         out[i] = family.indices_hashed(value)
     return out
-
-
-def bulk_insert_ms(sbf, keys) -> None:
-    """Vectorised Minimum-Selection ingestion of a key stream.
-
-    Equivalent to ``for x in keys: sbf.insert(x)`` for an MS-method SBF on
-    an array-shaped backend, but ~20x faster.  Kept as a thin validating
-    wrapper over :meth:`SpectralBloomFilter.insert_many` for backward
-    compatibility; it still raises for other methods/backends, matching
-    its original contract (``insert_many`` itself accepts every method and
-    backend).
-    """
-    from repro.core.methods import MinimumSelection
-    from repro.storage.backends import ArrayBackend, NumpyBackend
-
-    if not isinstance(sbf.method, MinimumSelection):
-        raise TypeError("bulk_insert_ms requires the MS method (use "
-                        "insert_many for MI/RM, which handles their "
-                        "order-dependent updates exactly)")
-    if not isinstance(sbf.counters, (ArrayBackend, NumpyBackend)):
-        raise TypeError("bulk_insert_ms requires an array-shaped backend")
-    keys = np.asarray(keys)
-    if keys.size == 0:
-        return
-    sbf.insert_many(keys)

@@ -21,11 +21,12 @@ declaring five things (the k-eval config/runner split the ROADMAP names):
 
 :func:`load_spec` normalises any of the three input forms into one
 validated plain dict (defaults applied, unknown keys rejected) so the
-runner never guesses.  YAML loading prefers PyYAML when importable and
-otherwise falls back to :func:`parse_simple_yaml`, a small block-style
-subset parser (nested mappings, lists, scalars, comments) sufficient
-for every spec under ``specs/`` — the harness must not grow a hard
-dependency the base image lacks.
+runner never guesses.  YAML goes through one parser,
+:func:`parse_simple_yaml`, a small block-style subset parser (nested
+mappings, lists, scalars, comments) sufficient for every spec under
+``specs/``, so a spec parses the same wherever it runs — the harness
+needs no YAML library (the test suite checks it against PyYAML when
+that is installed).
 """
 
 from __future__ import annotations
@@ -172,18 +173,6 @@ def parse_simple_yaml(text: str) -> dict:
     return value
 
 
-def _load_yaml(text: str) -> dict:
-    try:
-        import yaml
-    except ImportError:
-        return parse_simple_yaml(text)
-    document = yaml.safe_load(text)
-    if not isinstance(document, dict):
-        raise SpecError(f"a scenario spec must be a mapping, "
-                        f"got {type(document).__name__}")
-    return document
-
-
 # --------------------------------------------------------------------------
 # Normalisation / validation
 # --------------------------------------------------------------------------
@@ -282,7 +271,7 @@ def load_spec(source: object) -> dict:
         if text.endswith((".yaml", ".yml")) or os.path.exists(text):
             with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        document = _load_yaml(text)
+        document = parse_simple_yaml(text)
     else:
         raise SpecError(f"cannot load a spec from {type(source).__name__}")
 

@@ -7,7 +7,7 @@ the reliable transport of :mod:`repro.db` into a request-serving system:
   shards with deterministic assignment, per-shard error accounting,
   snapshot-consistent union-based resharding, a wire manifest, and
   :class:`RollingReshard`, live block-range migration to any shard count
-  behind dual routing;
+  behind one routing topology;
 - :mod:`repro.serve.batch` — :class:`ShardBatcher`, one lock acquisition
   per shard per batch plus vectorised multi-query/multi-insert paths;
 - :mod:`repro.serve.engine` — :class:`ServingEngine`, bounded queues,

@@ -31,12 +31,11 @@ actual counter work.  :class:`ShardBatcher` amortises them:
 Results are always returned in submission order, regardless of how the
 batch was partitioned across shards.
 
-While the router reports :attr:`~ShardedSBF.migrating` (a rolling
-reshard), shard grouping is unsound (ownership moves between the grouping
-and the lock, and dual-routed writes must hit both fleets), so every
-batch falls back to the router's per-operation path, which carries the
-migration's flag-flip protocol.  Slower, correct, and temporary by
-construction.
+A rolling reshard changes none of this: until it commits, each old
+shard's slot holds a handle that runs the group under that shard's lock
+and replays its writes on their new owners
+(:class:`~repro.serve.router.RollingReshard`), so a batch keeps its
+groups, lock budget and deadline.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.handle import POINT_VERBS, BulkFailure, BulkResult, _apply
+from repro.handle import POINT_VERBS, BulkFailure, BulkResult
 from repro.hashing.keys import key_batch
 from repro.persist import LockTimeout
 from repro.serve.metrics import MetricsRegistry
@@ -70,8 +69,6 @@ class ShardBatcher:
         self._ops = metrics.counter("batch.ops")
         self._shard_batches = metrics.counter("batch.shard_batches")
         self._vectorized = metrics.counter("batch.vectorized")
-        self._migrating_fallback = metrics.counter(
-            "batch.migrating_fallback")
         self._size = metrics.histogram("batch.size",
                                        (1, 4, 16, 64, 256, 1024))
 
@@ -110,17 +107,8 @@ class ShardBatcher:
             raise ValueError(
                 f"deadlines must parallel ops: {len(deadlines)} deadlines "
                 f"for {len(ops)} ops")
-        if self.router.migrating:
-            for idx, op in enumerate(ops):
-                try:
-                    with deadline_scope(deadlines[idx]):
-                        results[idx] = _apply(self.router, op)
-                except Exception as exc:
-                    results[idx] = exc
-            self._ops.inc(len(ops))
-            self._migrating_fallback.inc(len(ops))
-            return results
-        groups, unroutable = owner_pass(self.router, [op[1] for op in ops])
+        shards, groups, unroutable = owner_pass(self.router,
+                                                [op[1] for op in ops])
         for idx, exc in unroutable.items():
             results[idx] = exc
         live = []
@@ -140,7 +128,6 @@ class ShardBatcher:
                 group.append(idx)
             if group:
                 live.append((shard_id, group))
-        shards = self.router.shards
         for shard_id, group in live:
             # The group's lock wait must fit the tightest member deadline:
             # a caller with 5ms left cannot spend 5s queueing for a lock.
@@ -182,19 +169,8 @@ class ShardBatcher:
         keys = key_batch(keys)
         if deadline is not None:
             deadline.check("query_many", unexecuted=True)
-        if self.router.migrating:
-            results: list = [0] * len(keys)
-            for slot, key in enumerate(keys):
-                try:
-                    results[slot] = self.router.query(key)
-                except Exception as exc:
-                    results[slot] = exc
-            self._ops.inc(len(keys))
-            self._migrating_fallback.inc(len(keys))
-            return results
-        groups, unroutable = owner_pass(self.router, keys)
+        shards, groups, unroutable = owner_pass(self.router, keys)
         self._shard_batches.inc(len(groups))
-        shards = self.router.shards
         values = np.zeros(len(keys), dtype=np.int64)
         errors = list(unroutable.items())
         for shard_id, slots, group in groups:
@@ -236,22 +212,10 @@ class ShardBatcher:
         keys = key_batch(keys)
         if deadline is not None:
             deadline.check("insert_many", unexecuted=True)
-        failures: list[BulkFailure] = []
-        if self.router.migrating:
-            for slot, key in enumerate(keys):
-                try:
-                    self.router.insert(key, 1)
-                except Exception as exc:
-                    failures.append(
-                        BulkFailure(slot, key, exc, _retryable(exc)))
-            self._ops.inc(len(keys))
-            self._migrating_fallback.inc(len(keys))
-            return BulkResult(len(keys), failures=failures)
-        groups, unroutable = owner_pass(self.router, keys)
+        shards, groups, unroutable = owner_pass(self.router, keys)
         self._shard_batches.inc(len(groups))
-        shards = self.router.shards
-        failures.extend(BulkFailure(slot, keys[slot], exc, False)
-                        for slot, exc in unroutable.items())
+        failures = [BulkFailure(slot, keys[slot], exc, False)
+                    for slot, exc in unroutable.items()]
         for shard_id, slots, group in groups:
             try:
                 if deadline is not None:

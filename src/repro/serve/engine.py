@@ -494,7 +494,7 @@ class ServingEngine:
         return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ServingEngine(shards={self.router.n_shards}, "
+        return (f"ServingEngine(shards={len(self.router.shards)}, "
                 f"queue={self.queue_depth}/{self.max_queue}, "
                 f"batch={self.batch_size})")
 

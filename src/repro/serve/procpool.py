@@ -485,7 +485,7 @@ class ProcessShardPool:
         is_query = op == "query_many"
         counts = check_counts(counts, len(keys))
         values = np.zeros(len(keys), dtype=np.int64) if is_query else None
-        groups, refused = owner_pass(self.router, keys)
+        _, groups, refused = owner_pass(self.router, keys)
         failures = [BulkFailure(idx, keys[idx], exc, False)
                     for idx, exc in refused.items()]
         # Every frame is built before any is sent: a call that raises
@@ -558,10 +558,6 @@ class ProcessShardPool:
 
     # -- introspection -----------------------------------------------------
     @property
-    def n_workers(self) -> int:
-        return len(self._workers)
-
-    @property
     def total_count(self) -> int:
         return self.router.total_count
 
@@ -585,7 +581,8 @@ class ProcessShardPool:
             worker.process.join(timeout=5.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        up = sum(1 for i in range(self.n_workers) if self.worker_alive(i))
-        return (f"ProcessShardPool(workers={self.n_workers}, up={up}, "
+        up = sum(1 for i in range(len(self._workers))
+                 if self.worker_alive(i))
+        return (f"ProcessShardPool(workers={len(self._workers)}, up={up}, "
                 f"method={self._spec['method']!r}, "
                 f"backend={self._spec['backend']!r})")

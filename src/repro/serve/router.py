@@ -40,16 +40,18 @@ Resharding comes in two disciplines:
   disjoint union of its blocks' counter spans, and each span can be
   copied independently.  :class:`RollingReshard` migrates old shards one
   at a time (each under only *its own* exclusive lock — no full-fleet
-  freeze) into a parallel fleet of ``new_n`` shards, with **dual
-  routing** in between: keys of already-migrated old shards are served
-  by the new topology (reads from the new shard, writes applied to both
-  fleets, old first), keys of un-migrated shards by the old.  The old
-  fleet receives *every* write throughout, so it stays fully
-  authoritative: :meth:`RollingReshard.abort` simply drops the new
-  fleet, and answers are bit-identical to an unsharded filter at every
-  instant of the migration (the dual-routing equivalence tests pin this
-  down).  This lifts the ``new_n % n == 0`` restriction — 4 shards roll
-  to 6 under live traffic.
+  freeze) into a parallel fleet of ``new_n`` shards.  Meanwhile the
+  fleet keeps **one topology**: each old shard's slot holds a shard
+  handle that runs every call under that old shard's lock, and once the
+  shard's blocks are copied it replays each applied write on the key's
+  new owner.  The old fleet receives *every* write and answers every
+  read, so it stays fully authoritative: :meth:`RollingReshard.abort`
+  puts the old shards back, :meth:`RollingReshard.commit` installs the
+  new ones, and answers are bit-identical to an unsharded filter at
+  every instant.  A batch keeps its shard groups, lock budget and
+  deadline mid-reshard, since the handle is just another shard.  This
+  lifts the ``new_n % n == 0`` restriction — 4 shards roll to 6 under
+  live traffic.
 
 The shard **manifest** (:meth:`dump_manifest` / :func:`load_manifest`)
 frames the fleet for the wire: one :func:`~repro.core.serialize.seal_sections`
@@ -61,20 +63,20 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import ExitStack
-from typing import Callable, Sequence
+from contextlib import ExitStack, contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.core.params import bloom_error
-from repro.core.sbf import SpectralBloomFilter, check_threshold
+from repro.core.sbf import SpectralBloomFilter, check_counts, check_threshold
 from repro.core.serialize import (
     dump_sbf,
     load_sbf,
     open_sections,
     seal_sections,
 )
-from repro.handle import _apply
+from repro.handle import BulkResult, ShardHandle
 from repro.hashing.blocked import BlockedHashFamily
 from repro.hashing.families import make_family
 from repro.hashing.keys import KEY_ERRORS, check_key, check_keys, int_keys
@@ -135,7 +137,7 @@ class ShardedSBF:
         self.metrics = metrics or MetricsRegistry()
         self._ops_lock = threading.Lock()
         self._shard_ops = [0] * len(shards)
-        self._migration: _Migration | None = None
+        self._reshard: RollingReshard | None = None
         self.metrics.gauge("router.shards").set(len(shards))
 
     # -- construction ------------------------------------------------------
@@ -181,51 +183,40 @@ class ShardedSBF:
 
     @property
     def migrating(self) -> bool:
-        """True while a :class:`RollingReshard` is in flight (the batcher
-        and the fleet moments check this)."""
-        return self._migration is not None
+        """True while a :class:`RollingReshard` is in flight (what an
+        operator reads; the fleet moments are fenced meanwhile)."""
+        return self._reshard is not None
 
     def shard_of(self, key: object) -> int:
         """Deterministic owner shard of *key* (stable across processes).
 
         The owner is ``block_of(key) % n_shards``, so a key and its
-        counters live on the same shard.  During a rolling reshard, keys
-        of already-migrated old shards report their *new* owner, offset
-        by the old shard count (the two topologies share one index
-        space: old ids ``[0, n)``, new ids ``[n, n + new_n)``).  A key
-        the key rule refuses raises its error.
+        counters live on the same shard.  A rolling reshard keeps the
+        old shard count until it commits.  A key the key rule refuses
+        raises its error.
         """
-        key = check_key(key)
-        migration = self._migration
-        if migration is not None:
-            block = self._family.block_of(key)
-            old_id = block % migration.old_n
-            if migration.migrated[old_id]:
-                return migration.old_n + block % migration.new_n
-            return old_id
-        return self._family.block_of(key) % len(self._shards)
+        return self._family.block_of(check_key(key)) % len(self._shards)
 
     def shard_of_many(self, keys: Sequence[object]) -> np.ndarray:
         """Owner shards, as an int64 array, for a key batch the key rule
-        accepts whole (vectorised for an integer batch, elementwise
-        otherwise)."""
-        keys = check_keys(keys)
-        if self._migration is None and isinstance(keys, np.ndarray):
-            blocks = indices_matrix(self._family._selector, keys)[:, 0]
-            return blocks % len(self._shards)
-        return np.array([self.shard_of(key) for key in keys],
-                        dtype=np.int64)
+        accepts whole, in one vectorised pass."""
+        blocks = indices_matrix(self._family._selector, check_keys(keys))
+        return blocks[:, 0] % len(self._shards)
 
-    def _route(self, key: object) -> tuple[int, object]:
-        shard_id = self.shard_of(key)
+    def _route(self, key: object) -> object:
+        # One read of the shard list: a commit may swap it meanwhile.
+        shards = self._shards
+        shard_id = self._family.block_of(key) % len(shards)
         self.note_shard_ops(shard_id, 1)
-        return shard_id, self._shards[shard_id]
+        return shards[shard_id]
 
     def note_shard_ops(self, shard_id: int, n: int) -> None:
         """Credit *n* operations to shard *shard_id*'s accounting (used by
         the batch executor, which bypasses :meth:`_route`)."""
         with self._ops_lock:
-            self._shard_ops[shard_id] += n
+            # A batch grouped before a shrinking commit may name an old id.
+            if shard_id < len(self._shard_ops):
+                self._shard_ops[shard_id] += n
 
     # -- the serving surface ----------------------------------------------
     def insert(self, key: object, count: int = 1) -> None:
@@ -243,52 +234,13 @@ class ShardedSBF:
     def _write(self, verb: str, key: object, count: int) -> None:
         self._refuse_if_expired(verb)
         key = check_key(key)
-        migration = self._migration
-        if migration is None:
-            _, shard = self._route(key)
-            getattr(shard, verb)(key, count)
-            return
-        block = self._family.block_of(key)
-        old_id = block % migration.old_n
-        old_shard = self._shards[old_id]
-        self.note_shard_ops(old_id, 1)
-        if not migration.migrated[old_id]:
-            # The old shard still owns the key — but a migration step may
-            # be copying it right now.  Freeze the shard and re-check the
-            # flag inside the section: the step flips it under this same
-            # lock, so the write provably lands either before the copy
-            # (and is copied) or after (and takes the dual path below).
-            with old_shard.exclusive() as raw:
-                if not migration.migrated[old_id]:
-                    _apply(raw, (verb, key, count))
-                    return
-        # Dual write, old fleet first (it stays fully authoritative —
-        # abort must lose nothing).  The new shard's copy of this key's
-        # block is complete, so both applications see the same counters.
-        new_shard = migration.new_shards[block % migration.new_n]
-        getattr(old_shard, verb)(key, count)
-        getattr(new_shard, verb)(key, count)
-        migration.note_new_ops(block % migration.new_n, 1)
+        getattr(self._route(key), verb)(key, count)
 
     def query(self, key: object) -> int:
         self._refuse_if_expired("query")
         key = check_key(key)
         self.metrics.counter("router.queries").inc()
-        migration = self._migration
-        if migration is None:
-            _, shard = self._route(key)
-            return shard.query(key)
-        block = self._family.block_of(key)
-        old_id = block % migration.old_n
-        self.note_shard_ops(old_id, 1)
-        if migration.migrated[old_id]:
-            # Serve from the new topology: its copy of the block plus the
-            # dual writes since the flip are exactly the old shard's
-            # counters for this block.  (A flip racing this read is
-            # harmless either way — the old shard also has everything.)
-            migration.note_new_ops(block % migration.new_n, 1)
-            return migration.new_shards[block % migration.new_n].query(key)
-        return self._shards[old_id].query(key)
+        return self._route(key).query(key)
 
     def contains(self, key: object, threshold: int = 1) -> bool:
         check_threshold(threshold)
@@ -305,8 +257,6 @@ class ShardedSBF:
 
     @property
     def total_count(self) -> int:
-        # During a rolling reshard the old fleet receives every write, so
-        # summing it alone stays exact (the new fleet would double count).
         return sum(shard.total_count for shard in self._shards)
 
     # -- accounting --------------------------------------------------------
@@ -378,7 +328,7 @@ class ShardedSBF:
         return results
 
     def _no_migration(self, operation: str) -> None:
-        if self._migration is not None:
+        if self._reshard is not None:
             raise ValueError(
                 f"{operation} is unavailable while a rolling reshard is "
                 f"in flight; finish (run/commit) or abort it first")
@@ -392,7 +342,7 @@ class ShardedSBF:
         of old shards ``i ≡ j (mod new_n)`` — works for any method.
         Otherwise the fleet must hold local MS shards, and the call runs
         a :class:`RollingReshard` to completion — block-range migration
-        behind dual routing, no full-fleet freeze; use
+        behind one routing topology, no full-fleet freeze; use
         :meth:`start_reshard` to drive the migration step-by-step under
         live traffic instead.  The router is rewired in place (and
         returned for chaining).  New shards are the old ones'
@@ -440,7 +390,9 @@ class ShardedSBF:
         :meth:`RollingReshard.commit` — or :meth:`RollingReshard.run` to
         drive all steps and commit in one call, or
         :meth:`RollingReshard.abort` to drop the new fleet with nothing
-        lost.  Requires local in-memory Minimum Selection shards (counter
+        lost.  Until then each old shard's slot holds its migration
+        handle, so the fleet keeps its shard count and routing.
+        Requires local in-memory Minimum Selection shards (counter
         spans must be exactly copyable — see the module docstring); new
         shards are the first old shard's
         :meth:`~repro.handle.ShardHandle.respawn`.
@@ -455,13 +407,13 @@ class ShardedSBF:
                 raise ValueError(
                     f"rolling reshard requires Minimum Selection (all "
                     f"state in the counter vector); got method {method!r}")
-        new_shards = [old[0].respawn(old[0].local_filter()._spawn_like())
-                      for _ in range(new_n)]
-        migration = _Migration(len(old), new_n, new_shards)
-        handle = RollingReshard(self, migration)
-        self._migration = migration
+        reshard = RollingReshard(self, [
+            old[0].respawn(old[0].local_filter()._spawn_like())
+            for _ in range(new_n)])
+        self._shards = list(reshard._handles)
+        self._reshard = reshard
         self.metrics.gauge("router.migrating").set(1.0)
-        return handle
+        return reshard
 
     # -- the shard manifest ------------------------------------------------
     def dump_manifest(self, *, timeout: float | None = None) -> bytes:
@@ -508,42 +460,17 @@ class ShardedSBF:
                 f"N={self.total_count})")
 
 
-class _Migration:
-    """Shared state of one in-flight rolling reshard.
-
-    The router reads ``migrated`` / ``new_shards`` on every routed
-    operation while the migration is live; :class:`RollingReshard` is the
-    only writer, and it flips each ``migrated[i]`` inside old shard *i*'s
-    exclusive section (the flag-flip protocol the router's dual-routing
-    comments rely on).
-    """
-
-    __slots__ = ("old_n", "new_n", "migrated", "new_shards", "new_ops",
-                 "_ops_lock")
-
-    def __init__(self, old_n: int, new_n: int,
-                 new_shards: Sequence[ConcurrentSBF]):
-        self.old_n = old_n
-        self.new_n = new_n
-        self.migrated = [False] * old_n
-        self.new_shards = list(new_shards)
-        self.new_ops = [0] * new_n
-        self._ops_lock = threading.Lock()
-
-    def note_new_ops(self, shard_id: int, n: int) -> None:
-        with self._ops_lock:
-            self.new_ops[shard_id] += n
-
-
 class RollingReshard:
     """Driver for a live block-range migration to a new shard count.
 
-    One old shard migrates per :meth:`step`: its blocks' counter spans
-    are copied into the new fleet under the old shard's exclusive lock
-    (the rest of the fleet keeps serving), and the shard is flipped to
-    dual routing before the lock is released.  The old fleet receives
-    every write until :meth:`commit` swaps the router over, so
-    :meth:`abort` at any point simply discards the new fleet.
+    While it runs, the fleet's shard list holds one
+    :class:`_MigratingShard` per old shard, so routing never changes
+    before :meth:`commit`.  One old shard migrates per :meth:`step`: its
+    blocks' counter spans are copied into the new fleet under the old
+    shard's exclusive lock (the rest of the fleet keeps serving), and its
+    handle is flipped to replay writes before the lock is released.  The
+    old fleet receives every write until :meth:`commit` installs the new
+    shards, so :meth:`abort` at any point simply puts the old shards back.
 
     Exactness: with Minimum Selection every insert of ``count`` adds
     ``count`` to all ``k`` counters of one block, so a block's counter
@@ -552,23 +479,25 @@ class RollingReshard:
     replaying any keys (``sum // k`` per copied span).
     """
 
-    def __init__(self, router: ShardedSBF, migration: _Migration):
+    def __init__(self, router: ShardedSBF, new_shards: Sequence[object]):
         self._router = router
-        self._migration = migration
+        self._new = ShardedSBF(new_shards, family=router._family)
+        self._handles = [_MigratingShard(shard, self._new)
+                         for shard in router._shards]
 
     @property
     def done(self) -> bool:
         """True once every old shard has been migrated (commit is next)."""
-        return all(self._migration.migrated)
+        return not self.remaining
 
     @property
     def remaining(self) -> list[int]:
         """Old shard ids still to be migrated, in step order."""
-        return [i for i, flag in enumerate(self._migration.migrated)
-                if not flag]
+        return [i for i, handle in enumerate(self._handles)
+                if not handle.flipped]
 
     def _check_live(self) -> None:
-        if self._router._migration is not self._migration:
+        if self._router._reshard is not self:
             raise ValueError("this rolling reshard is no longer active "
                              "(committed or aborted)")
 
@@ -577,35 +506,33 @@ class RollingReshard:
 
         Freezes only that shard: its blocks' counter spans are copied
         verbatim into their new owners, each new shard's ``total_count``
-        is advanced by ``span_sum // k``, and the shard is flipped to
-        dual routing inside the same exclusive section — a racing write
+        is advanced by ``span_sum // k``, and the shard's handle is
+        flipped inside the same exclusive section — a racing write
         provably lands either before the copy (and is copied) or after
-        (and is dual-applied).
+        (and is replayed).
         """
         self._check_live()
         remaining = self.remaining
         if not remaining:
             raise ValueError("all shards are migrated; call commit()")
         i = remaining[0]
-        migration = self._migration
-        old = self._router._shards[i]
-        with old.exclusive():
-            src = old.local_filter()
-            k = src.k
+        handle = self._handles[i]
+        new = self._new._shards
+        with handle.old.exclusive():
+            src = handle.old.local_filter()
             for block, idx in _block_spans(self._router._family, i,
-                                           migration.old_n):
+                                           len(self._handles)):
                 values = src.counters.get_many(idx)
                 if not values.any():
                     continue
-                dst = migration.new_shards[block % migration.new_n]
-                # Nested old ⊃ new acquisition is the only place two
-                # shard locks are held at once (dual writers take them
-                # one after the other), so lock order cannot cycle.
-                with dst.exclusive():
+                # Old ⊃ new is the only order two shard locks are held
+                # in (a replaying handle nests them the same way), so
+                # lock order cannot cycle.
+                with new[block % len(new)].exclusive() as dst:
                     copy = dst.local_filter()
                     copy.counters.set_many(idx, values)
-                    copy.total_count += int(values.sum()) // k
-            migration.migrated[i] = True
+                    copy.total_count += int(values.sum()) // src.k
+            handle.flipped = True
         return i
 
     def run(self) -> ShardedSBF:
@@ -622,15 +549,12 @@ class RollingReshard:
             raise ValueError(
                 f"cannot commit with {len(self.remaining)} shard(s) "
                 f"un-migrated; step() them first (or abort())")
-        router = self._router
-        migration = self._migration
-        router._shards = list(migration.new_shards)
+        router, shards = self._router, self._new._shards
+        self._finish(shards)
         with router._ops_lock:
-            router._shard_ops = list(migration.new_ops)
-        router._migration = None
+            router._shard_ops = [0] * len(shards)
         router.metrics.counter("router.reshards").inc()
-        router.metrics.gauge("router.shards").set(migration.new_n)
-        router.metrics.gauge("router.migrating").set(0.0)
+        router.metrics.gauge("router.shards").set(len(shards))
         return router
 
     def abort(self) -> ShardedSBF:
@@ -641,22 +565,141 @@ class RollingReshard:
         would hold.
         """
         self._check_live()
+        self._finish([handle.old for handle in self._handles])
+        self._router.metrics.counter("router.reshard_aborts").inc()
+        return self._router
+
+    def _finish(self, shards: list) -> None:
         router = self._router
-        router._migration = None
-        router.metrics.counter("router.reshard_aborts").inc()
+        router._shards = list(shards)
+        router._reshard = None
         router.metrics.gauge("router.migrating").set(0.0)
-        return router
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"RollingReshard({self._migration.old_n} -> "
-                f"{self._migration.new_n}, "
+        return (f"RollingReshard({len(self._handles)} -> "
+                f"{len(self._new._shards)}, "
                 f"remaining={len(self.remaining)})")
+
+
+class _MigratingShard(ShardHandle):
+    """An old shard's slot while a :class:`RollingReshard` runs.
+
+    Writes run under the old shard's write side — the lock
+    :meth:`RollingReshard.step` copies and flips under — in one
+    acquisition bounded by the caller's timeout; reads take its read
+    side.  Once :attr:`flipped`, :meth:`exclusive` yields a
+    :class:`_Replay`, so every write path (the protocol's default
+    :meth:`~repro.handle.ShardHandle.execute` included) reaches the
+    key's new owner too.  The lock is taken once per call: it is not
+    reentrant.
+    """
+
+    def __init__(self, old: ConcurrentSBF, new: ShardedSBF):
+        self.old = old
+        self._new = new
+        self.flipped = False
+
+    @contextmanager
+    def exclusive(self, timeout: float | None = None,
+                  ) -> Iterator[ShardHandle]:
+        with self.old.exclusive(timeout) as raw:
+            yield _Replay(raw, self._new) if self.flipped else raw
+
+    def _write(self, timeout: float | None, verb: str, *args):
+        with self.exclusive(timeout) as handle:
+            return getattr(handle, verb)(*args)
+
+    def insert(self, key: object, count: int = 1) -> None:
+        self._write(None, "insert", key, count)
+
+    def delete(self, key: object, count: int = 1) -> None:
+        self._write(None, "delete", key, count)
+
+    def set(self, key: object, count: int) -> None:
+        self._write(None, "set", key, count)
+
+    def query(self, key: object) -> int:
+        return self.old.query(key)
+
+    def insert_many(self, keys, counts=None, *,
+                    timeout: float | None = None) -> BulkResult:
+        return self._write(timeout, "insert_many", keys, counts)
+
+    def delete_many(self, keys, counts=None, *,
+                    timeout: float | None = None) -> BulkResult:
+        return self._write(timeout, "delete_many", keys, counts)
+
+    def query_many(self, keys, *, timeout: float | None = None,
+                   ) -> BulkResult:
+        return self.old.query_many(keys, timeout=timeout)
+
+    @property
+    def total_count(self) -> int:
+        return self.old.total_count
+
+    def local_filter(self) -> SpectralBloomFilter:
+        return self.old.local_filter()
+
+
+class _Replay(ShardHandle):
+    """A flipped old shard inside its write section: each write applies
+    to the old shard (unlocked, as the section yields it), then to the
+    key's owner in the new fleet; reads answer from the old shard."""
+
+    def __init__(self, raw: ShardHandle, new: ShardedSBF):
+        self._raw = raw
+        self._new = new
+
+    def _point(self, verb: str, key: object, count: int) -> None:
+        getattr(self._raw, verb)(key, count)
+        getattr(self._new._shards[self._new.shard_of(key)], verb)(key, count)
+
+    def insert(self, key: object, count: int = 1) -> None:
+        self._point("insert", key, count)
+
+    def delete(self, key: object, count: int = 1) -> None:
+        self._point("delete", key, count)
+
+    def set(self, key: object, count: int) -> None:
+        self._point("set", key, count)
+
+    def query(self, key: object) -> int:
+        return self._raw.query(key)
+
+    def _many(self, verb: str, keys, counts) -> BulkResult:
+        # A local handle applies a bulk write whole or raises, so every
+        # key the old shard took is replayed.
+        outcome = getattr(self._raw, verb)(keys, counts)
+        keys = check_keys(keys)
+        counts = check_counts(counts, len(keys))
+        shards, groups, _ = owner_pass(self._new, keys)
+        for shard_id, slots, group in groups:
+            getattr(shards[shard_id], verb)(group, counts[slots])
+        return outcome
+
+    def insert_many(self, keys, counts=None, *,
+                    timeout: float | None = None) -> BulkResult:
+        return self._many("insert_many", keys, counts)
+
+    def delete_many(self, keys, counts=None, *,
+                    timeout: float | None = None) -> BulkResult:
+        return self._many("delete_many", keys, counts)
+
+    def query_many(self, keys, *, timeout: float | None = None,
+                   ) -> BulkResult:
+        return self._raw.query_many(keys)
+
+    @property
+    def total_count(self) -> int:
+        return self._raw.total_count
 
 
 def owner_pass(router, keys: Sequence[object]) -> tuple:
     """The one grouping step of a fleet batch, over a router's
-    ``shard_of_many``/``shard_of``: ``([(owner shard, slots, group
-    keys), ...] in shard order, {slot: error})``.
+    ``shard_of_many``/``shard_of``: ``(shards, [(owner shard, slots,
+    group keys), ...] in shard order, {slot: error})``.  The owners index
+    *shards*, the router's list; a pass that sees its length change
+    (a reshard swapped it) regroups.
 
     An integer batch is converted by the key rule once
     (:func:`~repro.hashing.keys.int_keys`) and each group gets its
@@ -671,6 +714,7 @@ def owner_pass(router, keys: Sequence[object]) -> tuple:
     owner and fails in its own slot; only a batch holding one pays the
     per-key pass.
     """
+    shards = router.shards
     checked = int_keys(keys)
     routed, refused = None, {}
     try:
@@ -685,9 +729,11 @@ def owner_pass(router, keys: Sequence[object]) -> tuple:
             else:
                 routed.append(slot)
         routed = np.array(routed, dtype=np.int64)
+    if len(router.shards) != len(shards):
+        return owner_pass(router, keys)
     owners = np.asarray(owners, dtype=np.int64)
     if not owners.size:
-        return [], refused
+        return shards, [], refused
     # numpy's stable sort is a radix sort on 16-bit ints, ~6x its int64
     # merge sort at 8192 keys; shard ids fit one.
     narrow = int(owners.max()) < 1 << 16
@@ -702,7 +748,7 @@ def owner_pass(router, keys: Sequence[object]) -> tuple:
         batch = (checked[group] if checked is not None
                  else [keys[i] for i in group.tolist()])
         groups.append((int(owners[lo]), group, batch))
-    return groups, refused
+    return shards, groups, refused
 
 
 def _block_spans(family: BlockedHashFamily, shard: int, n_shards: int):

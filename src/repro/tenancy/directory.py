@@ -78,7 +78,8 @@ class TenantDirectory:
         self.metrics = metrics or tree.metrics
         self._lock = threading.Lock()
         self._slots: dict[object, int] = {}
-        self._shards: list[object] = []
+        # Replaced whole on mount: the owner pass reads it without a copy.
+        self._shards: tuple = ()
         for tenant in tree.tenants:
             self._admit(tenant)
         self.metrics.gauge("directory.slots").set(len(self._shards))
@@ -106,7 +107,7 @@ class TenantDirectory:
         with self._lock:
             if tenant not in self._slots:
                 self._slots[tenant] = len(self._shards)
-                self._shards.append(_TenantLeaf(self, tenant))
+                self._shards += (_TenantLeaf(self, tenant),)
         self.metrics.gauge("directory.slots").set(len(self._shards))
 
     # -- the router contract ----------------------------------------------
@@ -114,19 +115,7 @@ class TenantDirectory:
     def shards(self) -> tuple:
         """Slot handles, indexed by slot id (one per tenant ever
         mounted)."""
-        with self._lock:
-            return tuple(self._shards)
-
-    @property
-    def n_shards(self) -> int:
-        with self._lock:
-            return len(self._shards)
-
-    @property
-    def migrating(self) -> bool:
-        """Always ``False``: a tenant keeps its slot for as long as the
-        directory lives, so batch grouping by slot is always sound."""
-        return False
+        return self._shards
 
     def shard_of(self, composite: object) -> int:
         """The slot owning a composite key.  A non-pair or a tenant never
@@ -148,7 +137,7 @@ class TenantDirectory:
     def note_shard_ops(self, slot: int, n: int) -> None:
         self.metrics.counter("directory.ops").inc(n)
 
-    # -- point verbs (the migrating-fallback / direct-call surface) -------
+    # -- point verbs (the direct-call surface) ----------------------------
     def insert(self, composite: object, count: int = 1) -> None:
         tenant, key = split_key(composite)
         self.tree.insert(tenant, key, count)

@@ -111,5 +111,5 @@ class TestSite:
         s1, s2, net = two_sites()
         payload = {"anything": True}
         assert s1.send(s2, "blob", payload, 7) is payload
-        assert net.messages[0].sender == "site1"
-        assert net.messages[0].recipient == "site2"
+        assert (net.total_bits, net.rounds) == (7, 1)
+        assert net.breakdown() == {"blob": 7}

@@ -9,6 +9,7 @@ checksum — zero silent acceptances.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -286,6 +287,34 @@ class TestReliableChannel:
             ReliableChannel(net, "a", "b", base_backoff=0)
         with pytest.raises(ValueError):
             ReliableChannel(net, "a", "b", jitter=-0.5)
+
+    def test_a_long_send_loop_keeps_constant_state(self):
+        # The network keeps running totals, never the frames, and the
+        # channel remembers a window of sequence numbers, never all of
+        # them: 20,000 more sends retain next to nothing (a kept frame
+        # alone costs over 100 bytes).
+        net = FaultyNetwork(FaultPolicy(drop=0.05, duplicate=0.05,
+                                        delay=0.05, seed=23))
+        channel = ReliableChannel(net, "a", "b", max_retries=20, seed=23)
+
+        def sends(n):
+            for _ in range(n):
+                assert channel.send("frame", b"payload") == b"payload"
+
+        tracemalloc.start()
+        try:
+            sends(1000)
+            before = tracemalloc.get_traced_memory()[0]
+            sends(20_000)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before < 64 * 1024
+        assert len(channel._seen) <= 65
+        assert net.rounds == channel.stats.attempts + net.faults["duplicates"]
+        assert net.breakdown() == {"frame": net.total_bits}
+        assert channel.stats.duplicates_ignored > 0
+        assert channel.stats.delivered == 21_000
 
     def test_backoff_is_capped(self):
         net = Network()

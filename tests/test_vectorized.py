@@ -11,11 +11,7 @@ from repro.hashing import (
     MultiplyShiftFamily,
 )
 from repro.hashing.keys import canonical_key
-from repro.hashing.vectorized import (
-    bulk_insert_ms,
-    canonical_keys_array,
-    indices_matrix,
-)
+from repro.hashing.vectorized import canonical_keys_array, indices_matrix
 
 
 #: counter counts around the high multiply's one-limb bound (m < 2^32)
@@ -76,6 +72,9 @@ class TestVectorisedHashing:
 
 
 class TestBulkInsert:
+    """``SpectralBloomFilter.insert_many`` over an integer key stream
+    (tests/test_bulk.py covers every method, backend and key type)."""
+
     def test_matches_scalar_inserts(self):
         rng = np.random.default_rng(3)
         keys = rng.integers(0, 500, size=5000)
@@ -83,31 +82,22 @@ class TestBulkInsert:
         bulk = SpectralBloomFilter(3000, 5, seed=3)
         for x in keys:
             scalar.insert(int(x))
-        bulk_insert_ms(bulk, keys)
+        bulk.insert_many(keys)
         assert list(bulk) == list(scalar)
         assert bulk.total_count == scalar.total_count
 
     def test_queries_after_bulk(self):
         keys = np.repeat(np.arange(100), 7)
         sbf = SpectralBloomFilter(4000, 4, seed=4)
-        bulk_insert_ms(sbf, keys)
+        sbf.insert_many(keys)
         for x in range(100):
             assert sbf.query(x) >= 7
 
     def test_empty_stream(self):
         sbf = SpectralBloomFilter(100, 3, seed=5)
-        bulk_insert_ms(sbf, np.array([], dtype=np.int64))
+        sbf.insert_many(np.array([], dtype=np.int64))
         assert sbf.total_count == 0
-
-    def test_rejects_other_methods(self):
-        sbf = SpectralBloomFilter(100, 3, method="mi", seed=6)
-        with pytest.raises(TypeError):
-            bulk_insert_ms(sbf, np.arange(4))
-
-    def test_rejects_other_backends(self):
-        sbf = SpectralBloomFilter(100, 3, seed=7, backend="compact")
-        with pytest.raises(TypeError):
-            bulk_insert_ms(sbf, np.arange(4))
+        assert not any(sbf)
 
     def test_speedup_is_real(self):
         """The whole point: bulk path is much faster than scalar."""
@@ -120,7 +110,7 @@ class TestBulkInsert:
             scalar.insert(int(x))
         scalar_time = time.perf_counter() - t0
         t0 = time.perf_counter()
-        bulk_insert_ms(bulk, keys)
+        bulk.insert_many(keys)
         bulk_time = time.perf_counter() - t0
         assert list(bulk) == list(scalar)
         # Generous bound: the speedup is ~20x in isolation, but CI boxes
